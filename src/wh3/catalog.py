@@ -38,7 +38,6 @@ __all__ = [
     "generate_from_C",
     "rtt_generate",
     "quantum_determinant",
-    "left_determinant_words",
     "cofactor_matrix",
     "t_matrix",
     "t_inverse",
@@ -57,7 +56,6 @@ __all__ = [
     "star_generator_map",
     "star_apply",
     "counit_value",
-    "coaction_images",
 ]
 
 # ---------------------------------------------------------------------------
@@ -848,16 +846,6 @@ def t_inverse() -> tuple[tuple[Element, ...], ...]:
     )
 
 
-def left_determinant_words() -> Element:
-    """Sum of the diagonal left products cofactor . t (for the D' comparison)."""
-    cof = cofactor_matrix()
-    t = t_matrix()
-    out = Element.zero(t_alphabet())
-    for k in range(3):
-        out = out + cof[0][k] * t[k][0]
-    return out
-
-
 def dinv_factor(name: str, errata: bool = True) -> Scalar:
     """The coefficient lambda' in t . Dinv = lambda' . Dinv . t for a generator."""
     fam = family("tdinv", errata)
@@ -930,30 +918,3 @@ def counit_value(e: Element) -> Scalar:
         if keep:
             total = total + coeff
     return total
-
-
-def coaction_images(target: Alphabet, errata: bool = True) -> dict[str, Element]:
-    """Transformation of the calculus generators inside a quantum-group tensor.
-
-    Variables and one-forms transform by the quantum matrix; derivatives by
-    the transposed inverse (cofactors times Dinv, which commutes with the
-    calculus generators and is later straightened to the left).
-    """
-    images: dict[str, Element] = {}
-    cof = cofactor_matrix()
-    dinv = Element.generator(target, "Dinv")
-    for i in (1, 2, 3):
-        for base in ("x", "xi"):
-            total = Element.zero(target)
-            for j in (1, 2, 3):
-                t_el = Element.generator(target, f"t{i}{j}")
-                g_el = Element.generator(target, f"{base}{j}")
-                total = total + t_el * g_el
-            images[f"{base}{i}"] = total
-        total = Element.zero(target)
-        for j in (1, 2, 3):
-            cof_el = embed_element(cof[j - 1][i - 1], target)
-            g_el = Element.generator(target, f"d{j}")
-            total = total + cof_el * dinv * g_el
-        images[f"d{i}"] = total
-    return images

@@ -10,12 +10,19 @@ leftmost redex first, with per-word memoization).  That linearity is what
 makes the membership oracle below exact: an element lies in the span of
 bounded relation multiples iff its normal form lies in the span of the normal
 forms of those multiples, whether or not the rule system is confluent.
+
+When overlap analysis finds the rule system confluent, Bergman's diamond
+lemma makes the normal words a basis of the quotient, so e lies in the ideal
+iff NF(e) = 0, in both directions and at every degree; membership then needs
+no rows and no elimination.  `algebra(pres)` returns the one object per
+presentation content that holds the rules, that certificate and the caches.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -49,6 +56,7 @@ __all__ = [
     "derivation_apply",
     "MembershipOracle",
     "MembershipReport",
+    "algebra",
     "ideal_membership",
     "span_compare",
     "SpanComparison",
@@ -60,7 +68,9 @@ __all__ = [
 
 DEFAULT_REWRITE_BUDGET = 2_000_000
 DEFAULT_MEMBERSHIP_DEGREE = 4
+DEFAULT_MAX_MEMBERSHIP_DEGREE = 8
 MEMBERSHIP_ROW_CAP = 400_000
+ALGEBRA_CACHE_SIZE = 32
 
 
 class RewriteBudgetError(RuntimeError):
@@ -273,9 +283,6 @@ class Element:
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
-
-    def homogeneous_component(self, degree: int) -> "Element":
-        return Element(self.alphabet, {w: c for w, c in self.terms.items() if len(w) == degree})
 
     def scalar_value(self):
         """The coefficient of the empty word if no generator occurs, else None."""
@@ -690,7 +697,7 @@ def derivation_apply(images: Mapping[str, Element], e: Element) -> Element:
 class MembershipReport:
     member: bool
     certain: bool
-    route: str  # "reduction" | "linear-algebra" | "trivial"
+    route: str  # "trivial" | "reduction" | "certificate" | "linear-algebra"
     mode: str  # "exact" | "modular"
     degree: int
     span_rank: int = 0
@@ -702,45 +709,67 @@ class MembershipReport:
 
 
 class MembershipOracle:
-    """Degree-bounded two-sided ideal membership for a fixed presentation.
+    """The algebra of one presentation: rules, confluence certificate, membership.
 
-    The spanning rows { w1 * r * w2 } are pre-reduced to normal form; since
-    normalization is linear and subtracts explicit ideal elements, membership
-    of e is equivalent to membership of NF(e) in the span of the NF'd rows.
-    For confluent systems almost every row collapses to zero, which keeps the
-    exact eliminations small even at degree 4.
+    Holds the oriented rules (with their normal-form cache), the confluence
+    certificate, computed on first need, and the echelon caches of
+    degree-bounded two-sided ideal membership.  Obtain shared instances
+    through `algebra(pres)`.
+
+    Routes of `member`, with pre-reduction on:
+
+    - NF(e) = 0 is an explicit ideal decomposition: a member, exactly.
+    - NF(e) != 0 and the rules are confluent: by the diamond lemma e is not
+      in the ideal, exactly; no rows are built whatever the mode.
+    - otherwise the spanning rows { w1 * r * w2 } are normalized and NF(e)
+      is reduced against them, exactly or over GF(p).  Normalization is
+      linear and subtracts explicit ideal elements, so membership of e is
+      membership of NF(e) in the span of the normalized rows.
+
+    With pre_reduce=False the raw rows are used, an independent route.
+    Modular verdicts are probabilistic either way: an unlucky evaluation
+    point can drop the rank of the rows or of the residual.
     """
 
-    def __init__(self, pres: PresentationSpec, rules: RuleSystem | None = None,
-                 max_degree: int = 8):
+    def __init__(self, pres: PresentationSpec):
         self.pres = pres
-        self.max_degree = max_degree
-        if rules is None:
-            try:
-                rules = orient(pres)
-            except InconsistentPresentationError:
-                rules = None
-        self.rules = rules
-        self._row_cache: dict[tuple[int, bool], list[dict]] = {}
+        try:
+            self.rules = orient(pres)
+            self.orientation_error = None
+        except InconsistentPresentationError as err:
+            self.rules = None
+            self.orientation_error = err
+        self._confluence: ConfluenceReport | None = None
         self._exact_echelons: dict[tuple[int, bool], ScalarEchelon] = {}
         self._mod_echelons: dict = {}
 
+    def rule_system(self) -> RuleSystem:
+        """The oriented rules; raises the orientation error if there are none."""
+        if self.rules is None:
+            raise self.orientation_error
+        return self.rules
+
+    @property
+    def confluence(self) -> ConfluenceReport:
+        """Overlap analysis of the rules (computed once); raises if unoriented."""
+        if self._confluence is None:
+            self._confluence = overlap_resolve(self.rule_system())
+        return self._confluence
+
     # -- row generation ------------------------------------------------------
 
-    def _row_vectors(self, degree: int, reduced: bool) -> list[dict]:
-        """Spanning rows w1*r*w2; pre-reduced to normal form when asked.
+    def _row_vectors(self, degree: int, reduced: bool):
+        """Yield the distinct spanning rows w1*r*w2, normalized when asked.
 
         The same (linear) normalization must be applied to rows and probe
-        alike, so the reduced and raw row sets are cached separately.
+        alike, so reduced and raw rows feed separate echelons.  Only those
+        echelons are cached: an object shared for the whole run would
+        otherwise keep every degree-4 row and its coefficients alive.
         """
-        cached = self._row_cache.get((degree, reduced))
-        if cached is not None:
-            return cached
         alphabet = self.pres.alphabet
         n = len(alphabet)
         relations = self.pres.nonzero_relations()
         homogeneous = self.pres.all_homogeneous()
-        rows: list[dict] = []
         seen: set[frozenset] = set()
         count = 0
         for rel in relations:
@@ -771,9 +800,7 @@ class MembershipOracle:
                             if key in seen:
                                 continue
                             seen.add(key)
-                            rows.append(dict(row.terms))
-        self._row_cache[(degree, reduced)] = rows
-        return rows
+                            yield dict(row.terms)
 
     def _exact_echelon(self, degree: int, reduced: bool) -> ScalarEchelon:
         ech = self._exact_echelons.get((degree, reduced))
@@ -798,13 +825,16 @@ class MembershipOracle:
 
     def member(self, e: Element, degree: int | None = None, mode: str = "exact",
                pre_reduce: bool = True, prime: int = DEFAULT_PRIME,
-               seed: int = DEFAULT_SEED) -> MembershipReport:
+               seed: int = DEFAULT_SEED,
+               max_degree: int = DEFAULT_MAX_MEMBERSHIP_DEGREE) -> MembershipReport:
+        if mode not in ("exact", "modular"):
+            raise ValueError(f"unknown membership mode {mode!r}")
         if degree is None:
             degree = max(e.degree(), DEFAULT_MEMBERSHIP_DEGREE)
         if e.degree() > degree:
             raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {degree}")
-        if degree > self.max_degree:
-            raise DegreeBoundError(f"degree {degree} exceeds configured bound {self.max_degree}")
+        if degree > max_degree:
+            raise DegreeBoundError(f"degree {degree} exceeds configured bound {max_degree}")
         if e.is_zero:
             return MembershipReport(True, True, "trivial", "exact", degree)
         reduced = pre_reduce and self.rules is not None
@@ -815,6 +845,11 @@ class MembershipOracle:
                 return MembershipReport(
                     True, True, "reduction", "exact", degree,
                     note="normal form vanishes: explicit ideal decomposition",
+                )
+            if self.confluence.confluent:
+                return MembershipReport(
+                    False, True, "certificate", "exact", degree, residual=target,
+                    note="confluent rules: a nonzero normal form is not in the ideal",
                 )
         if mode == "exact":
             ech = self._exact_echelon(degree, reduced)
@@ -829,8 +864,6 @@ class MembershipOracle:
                 span_rank=ech.rank,
                 residual=None if residual.is_zero else residual,
             )
-        if mode != "modular":
-            raise ValueError(f"unknown membership mode {mode!r}")
 
         def attempt(point):
             ech = self._mod_echelon(degree, reduced, point)
@@ -841,10 +874,9 @@ class MembershipOracle:
         member = not residual_vec
         return MembershipReport(
             member=member,
-            # a nonzero residual certifies non-membership up to the (recorded,
-            # astronomically unlikely) event that the evaluation point kills
-            # every exact witness determinant; a zero residual is probabilistic
-            certain=not member,
+            # a point can drop the rank of the rows (a false non-member) or of
+            # the residual (a false member): neither verdict is certain
+            certain=False,
             route="linear-algebra",
             mode="modular",
             degree=degree,
@@ -856,11 +888,36 @@ class MembershipOracle:
         )
 
 
+_ALGEBRAS: OrderedDict = OrderedDict()
+
+
+def algebra(pres: PresentationSpec) -> MembershipOracle:
+    """The shared MembershipOracle for a presentation's content.
+
+    Keyed on the generator names, parities and weights and on the relation
+    terms, so equal presentations built anywhere share one object, while a
+    binding or any changed coefficient gives another.  The least recently
+    used of more than ALGEBRA_CACHE_SIZE objects is dropped.
+    """
+    key = (
+        tuple((g.name, g.parity, g.weight) for g in pres.alphabet),
+        tuple(frozenset(r.terms.items()) for r in pres.relations),
+    )
+    found = _ALGEBRAS.get(key)
+    if found is not None:
+        _ALGEBRAS.move_to_end(key)
+        return found
+    found = _ALGEBRAS[key] = MembershipOracle(pres)
+    if len(_ALGEBRAS) > ALGEBRA_CACHE_SIZE:
+        _ALGEBRAS.popitem(last=False)
+    return found
+
+
 def ideal_membership(e: Element, pres: PresentationSpec, degree: int | None = None,
                      mode: str = "exact", pre_reduce: bool = True,
                      prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED) -> MembershipReport:
     """One-shot degree-bounded ideal membership (see MembershipOracle)."""
-    return MembershipOracle(pres).member(e, degree, mode, pre_reduce, prime, seed)
+    return algebra(pres).member(e, degree, mode, pre_reduce, prime, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ sympy's sparse polynomial fields, wrapped behind a small immutable value type.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from sympy.polys.domains import QQ
 from sympy.polys.fields import field as _sympy_field
@@ -388,7 +388,3 @@ def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
 def scalar_substitute(a: Scalar, bindings: Mapping[str, ScalarLike]) -> Scalar:
     """Evaluation homomorphism on parameters; see Scalar.substitute."""
     return a.substitute(bindings)
-
-
-def parse_all(texts: Iterable[str]) -> list[Scalar]:
-    return [scalar_parse(t) for t in texts]

@@ -3,10 +3,13 @@
 Each check returns a Report with per-assertion details, witnesses on failure
 and the arithmetic mode that produced each verdict.  Checks are pure
 functions of an immutable context, so they can run in any order (or
-concurrently); membership verdicts obtained by rewriting an element to zero
-are exact certificates, linear-algebra verdicts are exact unless the context
-asks for modular arithmetic, and every modular verdict records the prime and
-seed that reproduce it.
+concurrently); membership verdicts obtained by rewriting an element to zero,
+or to a nonzero normal form under confluent rules, are exact certificates,
+linear-algebra verdicts are exact unless the context asks for modular
+arithmetic, and every modular verdict records the prime and seed that
+reproduce it.  Rules and membership caches live in one shared algebra object
+per presentation content (`ncalg.algebra`), so a binding, an errata switch or
+any changed coefficient yields its own.
 """
 
 from __future__ import annotations
@@ -139,23 +142,8 @@ DEFAULT_CONTEXT = VerifyContext()
 
 
 # ---------------------------------------------------------------------------
-# shared machinery (cached on the default catalog, recomputed under bindings)
+# braid equation
 # ---------------------------------------------------------------------------
-
-
-def _rules(pres: PresentationSpec) -> RuleSystem:
-    return ncalg.orient(pres)
-
-
-@lru_cache(maxsize=8)
-def _cached_tt_rules(errata: bool) -> RuleSystem:
-    return _rules(catalog.tt_presentation(errata))
-
-
-def _tt_rules(ctx: VerifyContext) -> RuleSystem:
-    if not ctx.bindings:
-        return _cached_tt_rules(ctx.errata)
-    return _rules(ctx.tt_presentation())
 
 
 def _matrix_27(C: CMatrix, left: bool):
@@ -455,9 +443,9 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
                 note=f"ranks {cmp.rank_a}/{cmp.rank_b}",
                 counterexample=None if cmp.verdict == "equal" else str(cmp.witness),
             )
-        pres = ctx.calculus_presentation(variant)
+        calculus = ncalg.algebra(ctx.calculus_presentation(variant))
         try:
-            rules = _rules(pres)
+            rules = calculus.rule_system()
         except ncalg.InconsistentPresentationError as err:
             report.add("orientation", False, counterexample=str(err))
             return report
@@ -495,7 +483,7 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
                 counterexample=None if diff.is_zero else str(diff),
             )
         # (e) overlap analysis of the combined rule system
-        confluence = ncalg.overlap_resolve(rules)
+        confluence = calculus.confluence
         report.add(
             "overlap-analysis", True,
             note=(
@@ -559,7 +547,7 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """T . T^-1 = T^-1 . T = I, certified at degree 3 in exact mode."""
     with timed_report("inverse") as report:
         t_pres = ctx.tt_presentation()
-        oracle = MembershipOracle(t_pres, max_degree=max(4, ctx.max_degree))
+        oracle = ncalg.algebra(t_pres)
         rules = oracle.rules
         TA = t_pres.alphabet
         D = ctx.quantum_determinant()
@@ -604,7 +592,7 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         # antipode: with the inverse adjoined, sum_k S(t^i_k) t^k_j = delta
         qg = ctx.qg_presentation()
         try:
-            qg_rules = _rules(qg)
+            qg_rules = ncalg.algebra(qg).rule_system()
         except ncalg.InconsistentPresentationError as err:
             report.add("antipode", False, counterexample=str(err))
             return report
@@ -648,7 +636,7 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Quasi-commutation of the determinant with every generator."""
     with timed_report("determinant") as report:
         t_pres = ctx.tt_presentation()
-        oracle = MembershipOracle(t_pres, max_degree=max(4, ctx.max_degree))
+        oracle = ncalg.algebra(t_pres)
         rules = oracle.rules
         TA = t_pres.alphabet
         D = ctx.quantum_determinant()
@@ -734,8 +722,8 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 
 @lru_cache(maxsize=4)
 def _cached_transposed_inverse(errata: bool):
-    return _solve_transposed_inverse(catalog.tt_presentation(errata),
-                                     _cached_tt_rules(errata),
+    pres = catalog.tt_presentation(errata)
+    return _solve_transposed_inverse(pres, ncalg.algebra(pres).rule_system(),
                                      catalog.quantum_determinant())
 
 
@@ -787,17 +775,16 @@ def transposed_inverse(ctx: VerifyContext = DEFAULT_CONTEXT):
     if not ctx.bindings:
         return _cached_transposed_inverse(ctx.errata)
     pres = ctx.tt_presentation()
-    return _solve_transposed_inverse(pres, _rules(pres), ctx.quantum_determinant())
+    return _solve_transposed_inverse(pres, ncalg.algebra(pres).rule_system(),
+                                     ctx.quantum_determinant())
 
 
 def _coaction_machinery(ctx: VerifyContext, variant: str):
-    qg = ctx.qg_presentation()
+    """The algebras of qg (x) calculus and of its Dinv-free part tt (x) calculus."""
     calc = ctx.calculus_presentation(variant)
-    tensor = ncalg.algebra_tensor(qg, calc)
-    tensor_rules = _rules(tensor)
-    tfree = ncalg.algebra_tensor(ctx.tt_presentation(), calc, name="tfree")
-    tfree_rules = _rules(tfree)
-    return tensor, tensor_rules, tfree, tfree_rules
+    tensor = ncalg.algebra(ncalg.algebra_tensor(ctx.qg_presentation(), calc))
+    tfree = ncalg.algebra(ncalg.algebra_tensor(ctx.tt_presentation(), calc, name="tfree"))
+    return tensor, tfree
 
 
 def _coaction_images(ctx: VerifyContext, tensor_alphabet, W) -> dict[str, Element]:
@@ -863,7 +850,7 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
             report.add("transposed-inverse", False,
                        counterexample="no degree-2 inverse of the transposed matrix")
             return report
-        rules = _tt_rules(ctx)
+        rules = ncalg.algebra(ctx.tt_presentation()).rule_system()
         TA = catalog.t_alphabet()
         D = ctx.quantum_determinant()
         cert_ok = True
@@ -891,25 +878,25 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
             variant = "omega-inv" if fid.endswith("omega-inv") else "omega"
             if variant not in per_variant:
                 per_variant[variant] = _coaction_machinery(ctx, variant)
-            tensor, tensor_rules, tfree, tfree_rules = per_variant[variant]
-            images = _coaction_images(ctx, tensor.alphabet, W)
-            D_free = catalog.embed_element(D, tfree.alphabet)
+            tensor, tfree = per_variant[variant]
+            tensor_rules, tfree_rules = tensor.rule_system(), tfree.rule_system()
+            images = _coaction_images(ctx, tensor.pres.alphabet, W)
+            D_free = catalog.embed_element(D, tfree.pres.alphabet)
             uses_derivatives = fid.startswith(("dxi", "xd", "dd"))
             failures = []
             modular_used = False
             for ridx, rel in enumerate(ctx.relations(fid)):
-                image = _hom_image(rel, images, tensor.alphabet)
+                image = _hom_image(rel, images, tensor.pres.alphabet)
                 nf = tensor_rules.normalize(image)
-                lifted = _determinant_lift(nf, tensor.alphabet, tfree, D_free)
+                lifted = _determinant_lift(nf, tensor.pres.alphabet, tfree.pres, D_free)
                 residual = tfree_rules.normalize(lifted)
                 if residual.is_zero:
                     continue
                 # fall back to the membership oracle on the lifted element
                 mode = ctx.heavy_mode() if uses_derivatives else "exact"
-                oracle = MembershipOracle(tfree, rules=tfree_rules,
-                                          max_degree=max(residual.degree(), ctx.max_degree))
-                rep = oracle.member(residual, degree=residual.degree(), mode=mode,
-                                    prime=ctx.prime, seed=ctx.seed)
+                rep = tfree.member(residual, degree=residual.degree(), mode=mode,
+                                   prime=ctx.prime, seed=ctx.seed,
+                                   max_degree=max(residual.degree(), ctx.max_degree))
                 if rep.mode == "modular":
                     modular_used = True
                     report.prime, report.seed = rep.prime, rep.seed
@@ -931,17 +918,18 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _delta_target(errata: bool):
+def _delta_target(ctx: VerifyContext) -> MembershipOracle:
+    """The algebra of A (x) A, with both legs carrying the context's relations."""
+    tt = ctx.tt_presentation()
+
     def copy_pres(prefix: str) -> PresentationSpec:
-        specs = [(prefix + g.name[1:], g.parity, g.weight) for g in catalog.t_alphabet()]
+        specs = [(prefix + g.name[1:], g.parity, g.weight) for g in tt.alphabet]
         alphabet = ncalg.Alphabet.build(specs)
-        rels = [Element(alphabet, dict(r.terms))
-                for r in catalog.family("tt", errata).relations]
+        rels = [Element(alphabet, dict(r.terms)) for r in tt.relations]
         return PresentationSpec(prefix, alphabet, rels)
 
-    tensor = ncalg.algebra_tensor(copy_pres("l"), copy_pres("r"), "coproduct-target")
-    return tensor, _rules(tensor)
+    return ncalg.algebra(
+        ncalg.algebra_tensor(copy_pres("l"), copy_pres("r"), "coproduct-target"))
 
 
 def _delta_image(rel: Element, target_alphabet) -> Element:
@@ -966,8 +954,9 @@ def _delta_image(rel: Element, target_alphabet) -> Element:
 def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Coproduct is an algebra map; the determinant is group-like; counit axiom."""
     with timed_report("hopf") as report:
-        tensor, rules = _delta_target(ctx.errata)
-        TA = tensor.alphabet
+        target = _delta_target(ctx)
+        rules = target.rule_system()
+        TA = target.pres.alphabet
         relations = ctx.tt_presentation().relations
         failures = []
         for idx, rel in enumerate(relations):
@@ -1074,7 +1063,7 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if not bad else f"rows {bad} leave the span",
         )
         # the determinant is star-fixed modulo the ideal, so Dinv* = Dinv is sound
-        rules = _tt_rules(ctx)
+        rules = ncalg.algebra(ctx.tt_presentation()).rule_system()
         D = ctx.quantum_determinant()
         dstar = rules.normalize(catalog.star_apply(D) - D)
         report.add(
@@ -1155,7 +1144,8 @@ def check_specializations(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext):
     SA = spec2.alphabet
     try:
-        spec_rules = _rules(PresentationSpec("s", SA, [r for r in spec2.relations if r]))
+        spec_rules = ncalg.algebra(
+            PresentationSpec("s", SA, [r for r in spec2.relations if r])).rule_system()
     except ncalg.InconsistentPresentationError as err:
         return False, "", f"specialized presentation does not orient: {err}"
     t33 = SA.rank_of("t33")
@@ -1199,7 +1189,7 @@ def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext):
         rels.append(Element(WA, {(g, w_rank): one, (w_rank, g): -val}))
     rels.append(up(M) - Element.from_word(WA, (t33w, t33w)))
     try:
-        wrules = _rules(PresentationSpec("tprime", WA, rels))
+        wrules = ncalg.algebra(PresentationSpec("tprime", WA, rels)).rule_system()
     except ncalg.InconsistentPresentationError as err:
         return False, "", f"extended presentation does not orient: {err}"
     tgens = [g.name for g in SA.generators]

@@ -1,6 +1,10 @@
 """The wh3 command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from wh3 import cli
 
@@ -141,3 +145,14 @@ def test_export_every_family_round_trips(tmp_path, capsys):
         fam = catalog.family(fid)
         assert loaded.relations == fam.relations
         assert loaded.alphabet.compatible_with(fam.alphabet)
+
+
+def test_python_dash_m_entry_point():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "wh3", "matrix", "--name", "omega"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "[11 ; 11] = q/u^2" in proc.stdout

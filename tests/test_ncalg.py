@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wh3 import catalog, ncalg
-from wh3.exprs import UnknownSymbolError, parse_element
+from wh3.exprs import UnknownSymbolError, parse_element, parse_scalar
 from wh3.ncalg import (
     Alphabet,
     Element,
@@ -254,10 +254,10 @@ def test_membership_commutator_is_not_member():
 
 def test_membership_modular_reproducible():
     probe = parse_x("x1*x2 - x2*x1")
-    a = ideal_membership(probe, x_pres(), degree=2, mode="modular", seed=5)
-    b = ideal_membership(probe, x_pres(), degree=2, mode="modular", seed=5)
+    a = ideal_membership(probe, x_pres(), degree=2, mode="modular", pre_reduce=False, seed=5)
+    b = ideal_membership(probe, x_pres(), degree=2, mode="modular", pre_reduce=False, seed=5)
     assert (a.member, a.prime, a.seed, a.point) == (b.member, b.prime, b.seed, b.point)
-    assert not a.member and a.certain
+    assert not a.member and not a.certain
 
 
 def test_membership_modular_agrees_with_exact_on_probes():
@@ -270,8 +270,66 @@ def test_membership_modular_agrees_with_exact_on_probes():
         probe = Element.from_word(A, word1) - Element.from_word(A, word2).scale(
             Scalar.param("q") ** rng.randrange(-1, 2))
         exact = ideal_membership(probe, pres, degree=2, mode="exact")
-        modular = ideal_membership(probe, pres, degree=2, mode="modular")
+        modular = ideal_membership(probe, pres, degree=2, mode="modular", pre_reduce=False)
+        assert modular.route == "linear-algebra"
         assert exact.member == modular.member
+
+
+def test_membership_certificate_on_confluent_rules():
+    probe = parse_x("x1*x2 - x2*x1")
+    report = ncalg.algebra(x_pres()).member(probe, degree=2, mode="modular")
+    assert (report.member, report.route, report.mode, report.certain) == \
+        (False, "certificate", "exact", True)
+    assert report.prime is None and report.span_rank == 0
+    assert report.residual == orient(x_pres()).normalize(probe)
+
+
+def test_membership_without_certificate_uses_linear_algebra():
+    # the uncorrected quantum-matrix rules have 22 unresolved overlaps
+    oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
+    assert not oracle.confluence.confluent
+    assert len(oracle.confluence.unresolved) == 22
+    report = oracle.member(parse_element("t11*t11", oracle.pres.alphabet), degree=2)
+    assert (report.member, report.route, report.mode) == (False, "linear-algebra", "exact")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_certificate_agrees_with_raw_exact_membership(data):
+    pres = x_pres()
+    A = pres.alphabet
+    degree = data.draw(st.integers(1, 3))
+    coefficients = st.sampled_from(["1", "-1", "2", "q", "s", "1/u", "q - u^2"])
+    words = st.tuples(*[st.integers(0, 2)] * degree)
+    probe = Element.zero(A)
+    for word, coeff in data.draw(st.lists(st.tuples(words, coefficients), max_size=3)):
+        probe = probe + Element.from_word(A, word, parse_scalar(coeff))
+    # add an ideal element w1 * r * w2 so that members occur too
+    if degree >= 2 and data.draw(st.booleans()):
+        rel = pres.relations[data.draw(st.integers(0, len(pres.relations) - 1))]
+        left = data.draw(st.integers(0, degree - 2))
+        pad = data.draw(st.tuples(*[st.integers(0, 2)] * (degree - 2)))
+        probe = probe + Element.from_word(A, pad[:left]) * rel * Element.from_word(A, pad[left:])
+    oracle = ncalg.algebra(pres)
+    certified = oracle.member(probe, degree=degree)
+    raw = oracle.member(probe, degree=degree, pre_reduce=False)
+    assert certified.route in ("trivial", "reduction", "certificate")
+    assert raw.route in ("trivial", "linear-algebra")
+    assert certified.member == raw.member
+
+
+def test_algebra_is_shared_by_content():
+    base = x_pres()
+    A = Alphabet.build([(g.name, g.parity, g.weight) for g in base.alphabet])
+    copy = PresentationSpec("copy", A, [Element(A, dict(r.terms)) for r in base.relations])
+    assert ncalg.algebra(copy) is ncalg.algebra(base)
+    bound = specialize(base, {"q": Scalar.from_fraction(2)})
+    assert ncalg.algebra(bound) is not ncalg.algebra(base)
+    changed = list(base.relations)
+    word, coeff = next(iter(changed[1].terms.items()))
+    changed[1] = changed[1] + Element.from_word(base.alphabet, word, coeff)
+    other = PresentationSpec("x", base.alphabet, changed)
+    assert ncalg.algebra(other) is not ncalg.algebra(base)
 
 
 def test_membership_soundness_of_normal_forms():

@@ -32,6 +32,11 @@ def test_modular_verdicts_record_prime_and_seed(default_reports):
     assert det.status in ("pass", "pass-modular")
     assert det.prime is not None
     assert det.seed is not None
+    # the confluent quantum-matrix rules certify non-centrality exactly; the
+    # prime and seed come from the raw exact/modular agreement rows
+    noncentral = detail_map(det)["non-centrality:t21"]
+    assert noncentral.ok and not noncentral.modular
+    assert noncentral.note.endswith("(exact)")
 
 
 def test_rtt_reports_rank(default_reports):
@@ -335,6 +340,14 @@ def test_hopf_details(default_reports):
     assert details["coproduct-is-algebra-map"].ok
     assert details["determinant-group-like"].ok
     assert details["counit-axiom"].ok
+
+
+def test_hopf_holds_under_bindings():
+    # the coproduct target must carry the same bound relations as the images
+    numeric = (("q", parse_scalar("3/2")), ("u", parse_scalar("5/7")), ("s", parse_scalar("2")))
+    for bindings in (numeric, (("q", parse_scalar("u^2")),)):
+        report = verify.check_hopf(VerifyContext(bindings=bindings))
+        assert report.passed, (bindings, report.counterexample)
 
 
 # ---------------------------------------------------------------------------
