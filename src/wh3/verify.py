@@ -1094,24 +1094,45 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 
 
 def check_specializations(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
-    """The four distinguished parameter/generator specializations."""
+    """The four distinguished parameter/generator specializations.
+
+    Each specialization composes with the context's bindings.  A sub-check
+    whose specialized parameter is bound to a value that contradicts it is
+    reported as passing with a note that starts "not applicable:".
+    """
+    bound = ctx.binding_map()
     with timed_report("specializations") as report:
         # (a) s = 0: the variable algebra is the quantum plane
-        xp = PresentationSpec("x", catalog.x_alphabet(), ctx.relations("xx"))
-        s0 = ncalg.specialize(xp, {"s": 0})
-        cmp = ncalg.span_compare(s0, catalog.quantum_plane_presentation())
-        report.add("s=0-quantum-plane", cmp.verdict == "equal",
-                   note=f"span comparison: {cmp.verdict}")
-        # (b) q = u^2: the braiding is self-inverse and the calculi coincide
-        u2 = {"q": exprs.parse_scalar("u^2")}
-        self_inverse = ctx.omega().substitute(u2) == ctx.omega_inverse().substitute(u2)
-        report.add("q=u^2-self-inverse-braiding", self_inverse)
-        for kind in ("xxi", "dxi", "xd"):
-            a = [r.substitute_params(u2) for r in ctx.relations(f"{kind}-omega")]
-            b = [r.substitute_params(u2) for r in ctx.relations(f"{kind}-omega-inv")]
-            cmp = ncalg.span_compare(a, b)
-            report.add(f"q=u^2-calculi-coincide:{kind}", cmp.verdict == "equal",
+        if "s" in bound and not bound["s"].is_zero:
+            report.add("s=0-quantum-plane", True,
+                       note=f"not applicable: s is bound to {bound['s']}")
+        else:
+            xp = PresentationSpec("x", catalog.x_alphabet(), ctx.relations("xx"))
+            s0 = ncalg.specialize(xp, {"s": 0})
+            plane = catalog.quantum_plane_presentation()
+            cmp = ncalg.span_compare(s0, [ctx.apply_element(r) for r in plane.relations])
+            report.add("s=0-quantum-plane", cmp.verdict == "equal",
                        note=f"span comparison: {cmp.verdict}")
+        # (b) q = u^2: the braiding is self-inverse and the calculi coincide
+        u2 = {"q": ctx.apply_scalar(exprs.parse_scalar("u^2"))}
+        factor = ctx.apply_scalar(exprs.parse_scalar("u^2 - q"))
+        off_u2 = None
+        if "q" in bound and not factor.is_zero:
+            off_u2 = f"not applicable: the bindings give u^2 - q = {factor}"
+        kinds = ("xxi", "dxi", "xd")
+        if off_u2:
+            for detail_id in ("q=u^2-self-inverse-braiding",
+                              *(f"q=u^2-calculi-coincide:{kind}" for kind in kinds)):
+                report.add(detail_id, True, note=off_u2)
+        else:
+            self_inverse = ctx.omega().substitute(u2) == ctx.omega_inverse().substitute(u2)
+            report.add("q=u^2-self-inverse-braiding", self_inverse)
+            for kind in kinds:
+                a = [r.substitute_params(u2) for r in ctx.relations(f"{kind}-omega")]
+                b = [r.substitute_params(u2) for r in ctx.relations(f"{kind}-omega-inv")]
+                cmp = ncalg.span_compare(a, b)
+                report.add(f"q=u^2-calculi-coincide:{kind}", cmp.verdict == "equal",
+                           note=f"span comparison: {cmp.verdict}")
         # (c) t31 = t32 = 0 forces the two binomial residues
         tt = ctx.tt_presentation()
         spec = ncalg.specialize(tt, {"t31": 0, "t32": 0})
@@ -1122,26 +1143,32 @@ def check_specializations(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 names = tuple(spec.alphabet.generators[g].name for g in word)
                 residues[names] = coeff
         for expected in ((("t12", "t33"), ("t21", "t33"))):
+            detail_id = f"t3-row-residue:{'*'.join(expected)}"
+            if factor.is_zero:
+                report.add(detail_id, True, note="not applicable: the bindings make u^2 - q vanish")
+                continue
             present = expected in residues
             factor_ok = False
             if present:
                 # residue must be a multiple of (u^2 - q) * word
-                coeff = residues[expected]
-                quotient = coeff / ctx.apply_scalar(exprs.parse_scalar("u^2 - q"))
+                quotient = residues[expected] / factor
                 factor_ok = not quotient.is_zero
             report.add(
-                f"t3-row-residue:{'*'.join(expected)}", present and factor_ok,
+                detail_id, present and factor_ok,
                 note=f"specialized relation {residues.get(expected)}*{'*'.join(expected)}"
                 if present else "residue missing",
             )
         # (d) q = u^2, t31 = t32 = 0, invert t33: all t'_ij commute
-        spec2 = ncalg.specialize(tt, {**u2, "t31": 0, "t32": 0})
-        ok, note, counterexample = _tprime_commutativity(spec2, ctx)
-        report.add("t-prime-commutativity", ok, note=note, counterexample=counterexample)
+        if off_u2:
+            report.add("t-prime-commutativity", True, note=off_u2)
+        else:
+            spec2 = ncalg.specialize(tt, {**u2, "t31": 0, "t32": 0})
+            ok, note, counterexample = _tprime_commutativity(spec2, ctx, u2)
+            report.add("t-prime-commutativity", ok, note=note, counterexample=counterexample)
     return report
 
 
-def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext):
+def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext, u2: dict):
     SA = spec2.alphabet
     try:
         spec_rules = ncalg.algebra(
@@ -1161,7 +1188,6 @@ def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext):
     # subgroup determinant condition, part of the subgroup's definition
     D = ctx.quantum_determinant()
     t_alpha = catalog.t_alphabet()
-    u2 = {"q": exprs.parse_scalar("u^2")}
     terms = {}
     for w, c in D.terms.items():
         names = [t_alpha.generators[g].name for g in w]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wh3 import cli
 
 
@@ -95,6 +97,16 @@ def test_verify_spec_binding(capsys):
     # at q = u^2 the braid checks still hold
     code, _, _ = run_cli(capsys, "verify", "--check", "ybe", "--spec", "q=u^2")
     assert code == 0
+
+
+@pytest.mark.parametrize("binding", [
+    ("--set", "q=3/2,u=5/7,s=2"),
+    ("--spec", "q=u^2"),
+    ("--set", "s=0"),
+])
+def test_verify_specializations_under_bindings(capsys, binding):
+    code, out, _ = run_cli(capsys, "verify", "--check", "specializations", *binding)
+    assert code == 0, out
 
 
 def test_member_verb(capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.fields import field
 
 from wh3 import scalars
 from wh3.scalars import (
@@ -160,3 +162,107 @@ def test_format_parse_fixed_point(a):
     text = a.format()
     assert scalar_parse(text) == a
     assert scalar_parse(text).format() == text
+
+
+# ---------------------------------------------------------------------------
+# Laurent representation against a direct sympy reference
+# ---------------------------------------------------------------------------
+
+_REF_FIELD, *_REF_GENS = field("q,u,s", QQ)
+_PARAMS = tuple(Scalar.param(name) for name in "qus")
+
+
+def _holds_no_sympy(value):
+    """True iff value is stored as a Laurent term dict: int exponents, nonzero rationals."""
+    rep = value._rep
+    return type(rep) is dict and all(
+        all(type(e) is int for e in exps) and type(c) in (int, Fraction) and c
+        for exps, c in rep.items()
+    )
+
+
+def _terms(poly):
+    return {tuple(exps): Fraction(int(QQ.numer(c)), int(QQ.denom(c))) for exps, c in poly.terms()}
+
+
+def _monomial(exps):
+    value, ref = Scalar.one(), _REF_FIELD.one
+    for param, gen, e in zip(_PARAMS, _REF_GENS, exps):
+        value, ref = value * param**e, ref * gen**e
+    return value, ref
+
+
+laurent_exps = st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """A Scalar built through Scalar arithmetic and the same value in sympy."""
+    value, ref = Scalar.zero(), _REF_FIELD.zero
+    for exps, c in draw(st.lists(st.tuples(laurent_exps, rationals), min_size=1, max_size=3)):
+        mono, mono_ref = _monomial(exps)
+        value, ref = value + c * mono, ref + QQ(c.numerator, c.denominator) * mono_ref
+    if draw(st.booleans()):
+        # a two-term denominator: the value leaves the Laurent ring unless it cancels
+        (e1, e2) = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=2, max_size=2,
+                                 unique=True))
+        c1, c2 = draw(st.sampled_from([1, -1, 2])), draw(st.sampled_from([1, -3]))
+        (m1, r1), (m2, r2) = _monomial(e1), _monomial(e2)
+        value, ref = value / (c1 * m1 + c2 * m2), ref / (c1 * r1 + c2 * r2)
+    return value, ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=scalar_pairs(), b=scalar_pairs())
+def test_arithmetic_matches_sympy_reference(a, b):
+    (x, rx), (y, ry) = a, b
+    results = [(x + y, rx + ry), (x - y, rx - ry), (y - x, ry - rx), (x * y, rx * ry), (-x, -rx)]
+    if not y.is_zero:
+        results.append((x / y, rx / ry))
+    for got, ref in results:
+        assert got.format() == scalars._format_frac(ref)
+        assert got.numer_terms() == _terms(ref.numer)
+        assert got.denom_terms() == _terms(ref.denom)
+        assert got.leading_sign() == (0 if not ref else 1 if ref.numer.LC > 0 else -1)
+        assert _holds_no_sympy(got) == (len(ref.denom) == 1)
+
+
+def test_demotion_to_laurent_form():
+    q, u, _ = _PARAMS
+    quotient = (q * q - u * u) / (q - u)
+    assert quotient == q + u
+    assert hash(quotient) == hash(q + u)
+    assert quotient.format() == (q + u).format() == "q + u"
+    assert _holds_no_sympy(quotient)
+    ratio = (q - u * u) / (q - u * u)
+    assert ratio.is_one and ratio == Scalar.one() and _holds_no_sympy(ratio)
+    assert not _holds_no_sympy(Scalar.one() / (q - u * u))
+
+
+def test_laurent_results_hold_no_sympy_object():
+    q, u, s = _PARAMS
+    x = scalar_parse("(u^2-q)/q^2 + s/(3*u)")
+    for value in (x, x + q, x - s, x * x, -x, x / (2 * q * u), x / s,
+                  q**-3, Scalar.from_fraction(Fraction(5, 6))):
+        assert _holds_no_sympy(value), value
+    assert x * Scalar.one() is x and Scalar.one() * x is x
+
+
+def test_eval_mod_negative_exponents_match_fraction_arithmetic():
+    p = 2147483647
+    point = (3, 5, 7)
+    value = scalar_parse("3/4*u/(q^2*s) - 5/u^3 + 2/7*q*s^2")
+    expected = (Fraction(3, 4) * 5 / (9 * 7) - Fraction(5, 125) + Fraction(2, 7) * 3 * 49)
+    assert value.eval_mod(p, point) == expected.numerator * pow(expected.denominator, -1, p) % p
+
+
+def test_eval_mod_coefficient_denominator_divisible_by_prime():
+    from wh3.scalars import ScalarModularError
+
+    value = scalar_parse("q/7 + 1")
+    assert value.eval_mod(11, (2, 3, 4)) == (2 * pow(7, -1, 11) + 1) % 11
+    with pytest.raises(ScalarModularError):
+        value.eval_mod(7, (2, 3, 4))
+    with pytest.raises(ScalarModularError):
+        scalar_parse("1/q").eval_mod(5, (5, 3, 4))

@@ -350,6 +350,34 @@ def test_hopf_holds_under_bindings():
         assert report.passed, (bindings, report.counterexample)
 
 
+def test_specializations_compose_with_bindings():
+    numeric = (("q", parse_scalar("3/2")), ("u", parse_scalar("5/7")), ("s", parse_scalar("2")))
+    report = verify.check_specializations(VerifyContext(bindings=numeric))
+    assert report.passed, report.counterexample
+    skipped = {d.id for d in report.details if d.note.startswith("not applicable:")}
+    assert skipped == {
+        "s=0-quantum-plane",
+        "q=u^2-self-inverse-braiding",
+        "q=u^2-calculi-coincide:xxi",
+        "q=u^2-calculi-coincide:dxi",
+        "q=u^2-calculi-coincide:xd",
+        "t-prime-commutativity",
+    }
+    # on q = u^2 the (u^2 - q) residues vanish; the rest still runs for real
+    report = verify.check_specializations(VerifyContext(bindings=(("q", parse_scalar("u^2")),)))
+    assert report.passed, report.counterexample
+    skipped = {d.id for d in report.details if d.note.startswith("not applicable:")}
+    assert skipped == {"t3-row-residue:t12*t33", "t3-row-residue:t21*t33"}
+    assert detail_map(report)["s=0-quantum-plane"].note == "span comparison: equal"
+
+
+def test_specializations_run_every_subcheck_when_bindings_allow():
+    for bindings in ((("s", parse_scalar("0")),), (("u", parse_scalar("2")),)):
+        report = verify.check_specializations(VerifyContext(bindings=bindings))
+        assert report.passed, (bindings, report.counterexample)
+        assert not any(d.note.startswith("not applicable:") for d in report.details)
+
+
 # ---------------------------------------------------------------------------
 # errata-off: the documented, stable failing set
 # ---------------------------------------------------------------------------
