@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exprs
+from .linalg import ScalarEchelon
 from .ncalg import Alphabet, Element, PresentationSpec
 from .scalars import Scalar
 
@@ -122,22 +123,20 @@ class CMatrix:
         return CMatrix(out)
 
     def inverse(self) -> "CMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises if singular."""
-        n = 9
-        zero, one = Scalar.zero(), Scalar.one()
-        aug = [list(self.entries[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-            if pivot is None:
-                raise ValueError("matrix is singular over Q(q, u, s)")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [c * inv for c in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return CMatrix([row[n:] for row in aug])
+        """Exact inverse: reduce [M | I] to [I | M^-1]; raises if singular."""
+        # column (1, j) is column j of M, (0, k) column k of I, ranked below M
+        ech = ScalarEchelon(key=lambda k: k)
+        one = Scalar.one()
+        for i, row in enumerate(self.entries):
+            vec = {(1, j): c for j, c in enumerate(row)}
+            vec[(0, i)] = one
+            ech.insert(vec)
+        if any(lead[0] == 0 for lead in ech.rows):
+            raise ValueError("matrix is singular over Q(q, u, s)")
+        ech.interreduce()
+        zero = Scalar.zero()
+        return CMatrix([[ech.rows[(1, j)].get((0, k), zero) for k in range(9)]
+                        for j in range(9)])
 
     def substitute(self, bindings) -> "CMatrix":
         return CMatrix([[c.substitute(bindings) for c in row] for row in self.entries])

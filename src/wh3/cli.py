@@ -193,7 +193,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_normalize(args) -> int:
     pres = _load_algebra(args)
-    rules = ncalg.orient(pres)
+    rules = ncalg.algebra(pres).rule_system()
     element = exprs.parse_element(args.expr, pres.alphabet)
     print(rules.normalize(element).format())
     return 0

@@ -1,11 +1,18 @@
-"""Sparse Gaussian elimination over Q(q, u, s) and over prime fields.
+"""One sparse Gaussian elimination, over Q(q, u, s) or over a prime field.
 
-Vectors are dicts keyed by monomial words (tuples of generator ranks) with
-scalar or integer coefficients; the pivot of a row is its deg-lex-maximal
-word.  An Echelon accumulates rows incrementally; membership of a vector in
-the accumulated span is decided by lead-chasing reduction, which is exact.
+Vectors are dicts keyed by totally ordered column keys (monomial words, by
+default ordered deg-lex) with Scalar or integer coefficients; the pivot of a
+row is its key-maximal column.  An echelon accumulates rows incrementally,
+and membership of a vector in the accumulated span is decided exactly by
+lead-chasing reduction.  The field is a fact of the class: `ScalarEchelon`
+is exact over Q(q, u, s), `ModEchelon(prime)` works over GF(p); both run
+the same `reduce`, `insert` and `interreduce`.
 
-The modular variant evaluates exact coefficients at a random point of
+`solve_linear` and the exact 9x9 inverse (`catalog.CMatrix.inverse`) are
+built on that echelon: augmented columns ranked below the unknowns are
+reduced along with them, and the answer is read off the reduced rows.
+
+The modular route evaluates exact coefficients at a random point of
 GF(p)^3 (with q, u, s nonzero so the invertible parameters stay invertible).
 A vanishing denominator at the chosen point triggers a bounded resample.
 """
@@ -13,7 +20,7 @@ A vanishing denominator at the chosen point triggers a bounded resample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scalars import Scalar, ScalarModularError
 
@@ -24,6 +31,7 @@ __all__ = [
     "ModularPoint",
     "eval_vec_mod",
     "with_modular_retries",
+    "solve_linear",
     "DEFAULT_PRIME",
     "DEFAULT_SEED",
 ]
@@ -39,91 +47,85 @@ def deglex_key(word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class ScalarEchelon:
-    """Row-echelon span basis over Q(q, u, s), keyed by pivot word."""
+    """Row-echelon span basis keyed by pivot column, exact over Q(q, u, s).
+
+    Rows are monic: `rows[lead]` holds the entries below the pivot, whose
+    coefficient is an implicit 1.  `prime` is None here; ModEchelon sets it
+    and the same loops then work on integers modulo the prime.
+    """
+
+    prime: int | None = None
 
     def __init__(self, key=deglex_key):
         self.key = key
-        self.rows: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
+        self.rows: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict[tuple[int, ...], Scalar]) -> dict[tuple[int, ...], Scalar]:
-        """Lead-chase vec against the basis; the residual is 0 iff vec is in the span."""
-        vec = {w: c for w, c in vec.items() if not c.is_zero}
+    def reduce(self, vec: dict) -> dict:
+        """Lead-chase vec against the basis; the residual is empty iff vec is in the span."""
+        p, rows, key = self.prime, self.rows, self.key
+        if p is None:
+            vec = {w: c for w, c in vec.items() if not c.is_zero}
+        else:
+            vec = {w: c % p for w, c in vec.items() if c % p}
         while vec:
-            lead = max(vec, key=self.key)
-            row = self.rows.get(lead)
+            lead = max(vec, key=key)
+            row = rows.get(lead)
             if row is None:
                 return vec
-            factor = vec[lead]
-            for w, c in row.items():
-                acc = vec.get(w)
-                new = (acc - factor * c) if acc is not None else -(factor * c)
-                if new.is_zero:
-                    vec.pop(w, None)
-                else:
-                    vec[w] = new
+            factor = vec.pop(lead)
+            if p is None:
+                for w, c in row.items():
+                    acc = vec.get(w)
+                    new = (acc - factor * c) if acc is not None else -(factor * c)
+                    if new.is_zero:
+                        vec.pop(w, None)
+                    else:
+                        vec[w] = new
+            else:
+                for w, c in row.items():
+                    new = (vec.get(w, 0) - factor * c) % p
+                    if new:
+                        vec[w] = new
+                    else:
+                        vec.pop(w, None)
         return vec
 
-    def insert(self, vec: dict[tuple[int, ...], Scalar]):
+    def insert(self, vec: dict):
         """Reduce and, if independent, store monic; returns the new pivot or None."""
-        residual = self.reduce(dict(vec))
+        residual = self.reduce(vec)
         if not residual:
             return None
         lead = max(residual, key=self.key)
-        inv = residual[lead].inverse()
-        self.rows[lead] = {w: c * inv for w, c in residual.items()}
+        pivot = residual.pop(lead)
+        p = self.prime
+        if p is None:
+            inv = pivot.inverse()
+            self.rows[lead] = {w: c * inv for w, c in residual.items()}
+        else:
+            inv = pow(pivot, -1, p)
+            self.rows[lead] = {w: c * inv % p for w, c in residual.items()}
         return lead
 
     def interreduce(self):
-        """Reduce every stored row's tail against the other rows (reduced echelon)."""
+        """Reduce every stored row against the other rows (reduced echelon)."""
         for lead in sorted(self.rows, key=self.key):
-            row = self.rows.pop(lead)
-            tail = {w: c for w, c in row.items() if w != lead}
-            tail = self.reduce(tail)
-            tail[lead] = Scalar.one()
-            self.rows[lead] = tail
+            self.rows[lead] = self.reduce(self.rows[lead])
 
 
-class ModEchelon:
-    """Row-echelon span basis over GF(p), keyed by pivot word."""
+class ModEchelon(ScalarEchelon):
+    """The same echelon over GF(prime), on integer coefficients."""
+
+    # perfbench/tracer.py wraps insert/reduce through each class's own __dict__
+    insert = ScalarEchelon.insert
+    reduce = ScalarEchelon.reduce
 
     def __init__(self, prime: int, key=deglex_key):
+        super().__init__(key)
         self.prime = prime
-        self.key = key
-        self.rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-        p = self.prime
-        vec = {w: c % p for w, c in vec.items() if c % p}
-        while vec:
-            lead = max(vec, key=self.key)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            factor = vec[lead]
-            for w, c in row.items():
-                new = (vec.get(w, 0) - factor * c) % p
-                if new:
-                    vec[w] = new
-                else:
-                    vec.pop(w, None)
-        return vec
-
-    def insert(self, vec: dict[tuple[int, ...], int]):
-        residual = self.reduce(dict(vec))
-        if not residual:
-            return None
-        lead = max(residual, key=self.key)
-        inv = pow(residual[lead], -1, self.prime)
-        self.rows[lead] = {w: (c * inv) % self.prime for w, c in residual.items()}
-        return lead
 
 
 @dataclass(frozen=True)
@@ -171,86 +173,16 @@ def solve_linear(rows):
     """Solve a sparse exact linear system given as (coefficients, rhs) pairs.
 
     Each row is a dict unknown-key -> Scalar plus a Scalar right-hand side.
-    Unknown keys must be totally ordered (tuples).  Returns a dict assigning
-    every pivot unknown (free unknowns are zero), or None if inconsistent.
+    Unknown keys must be nonempty, totally ordered tuples.  Returns a dict
+    assigning every pivot unknown (free unknowns are zero), or None if the
+    system is inconsistent.
     """
-    pivots: dict = {}
+    # the right-hand side sits in column (), the lowest tuple: a pivot there
+    # is a row 0 = b != 0, and otherwise the reduced rows read x = -row[()]
+    ech = ScalarEchelon(key=lambda k: k)
     for cols, b in rows:
-        cols = {k: v for k, v in cols.items() if not v.is_zero}
-        while cols:
-            lead = max(cols)
-            if lead in pivots:
-                prow, pb = pivots[lead]
-                factor = cols.pop(lead)
-                for k, v in prow.items():
-                    nv = cols.get(k, _SCALAR_ZERO) - factor * v
-                    if nv.is_zero:
-                        cols.pop(k, None)
-                    else:
-                        cols[k] = nv
-                b = b - factor * pb
-            else:
-                inv = cols[lead].inverse()
-                cols = {k: v * inv for k, v in cols.items()}
-                b = b * inv
-                row = dict(cols)
-                row.pop(lead)
-                pivots[lead] = (row, b)
-                break
-        else:
-            if not b.is_zero:
-                return None
-    solution: dict = {}
-    # pivot rows only reference strictly smaller keys, so solve ascending
-    for lead in sorted(pivots):
-        row, b = pivots[lead]
-        value = b
-        for k, v in row.items():
-            value = value - v * solution.get(k, _SCALAR_ZERO)
-        solution[lead] = value
-    return solution
-
-
-_SCALAR_ZERO = Scalar.zero()
-
-
-@dataclass
-class SpanDiff:
-    """Outcome of a two-sided span comparison."""
-
-    verdict: str  # equal | A_subset_B | B_subset_A | incomparable
-    rank_a: int = 0
-    rank_b: int = 0
-    witness_a_not_in_b: dict | None = field(default=None, repr=False)
-    witness_b_not_in_a: dict | None = field(default=None, repr=False)
-
-
-def compare_spans(rows_a, rows_b, key=deglex_key) -> SpanDiff:
-    """Exact row-space comparison of two collections of sparse vectors."""
-    ech_a = ScalarEchelon(key)
-    for row in rows_a:
-        ech_a.insert(row)
-    ech_b = ScalarEchelon(key)
-    for row in rows_b:
-        ech_b.insert(row)
-    witness_b = None
-    for row in rows_b:
-        residual = ech_a.reduce(dict(row))
-        if residual:
-            witness_b = residual
-            break
-    witness_a = None
-    for row in rows_a:
-        residual = ech_b.reduce(dict(row))
-        if residual:
-            witness_a = residual
-            break
-    if witness_a is None and witness_b is None:
-        verdict = "equal"
-    elif witness_a is None:
-        verdict = "A_subset_B"
-    elif witness_b is None:
-        verdict = "B_subset_A"
-    else:
-        verdict = "incomparable"
-    return SpanDiff(verdict, ech_a.rank, ech_b.rank, witness_a, witness_b)
+        if ech.insert({**cols, (): -b}) == ():
+            return None
+    ech.interreduce()
+    zero = Scalar.zero()
+    return {lead: -row.get((), zero) for lead, row in ech.rows.items()}

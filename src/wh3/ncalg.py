@@ -32,7 +32,6 @@ from .linalg import (
     DEFAULT_SEED,
     ModEchelon,
     ScalarEchelon,
-    compare_spans,
     deglex_key,
     eval_vec_mod,
     with_modular_retries,
@@ -534,7 +533,7 @@ def orient(pres: PresentationSpec, budget: int = DEFAULT_REWRITE_BUDGET) -> Rule
             raise InconsistentPresentationError(
                 f"rank collapse: presentation forces a degree-1 relation led by {name}"
             )
-        tail = {w: -c for w, c in row.items() if w != lead}
+        tail = {w: -c for w, c in row.items()}
         if not tail and lead not in original_monomials:
             raise InconsistentPresentationError(
                 f"inconsistent presentation: forces {alphabet.format_word(lead)} = 0"
@@ -740,8 +739,7 @@ class MembershipOracle:
             self.rules = None
             self.orientation_error = err
         self._confluence: ConfluenceReport | None = None
-        self._exact_echelons: dict[tuple[int, bool], ScalarEchelon] = {}
-        self._mod_echelons: dict = {}
+        self._echelons: dict = {}
 
     def rule_system(self) -> RuleSystem:
         """The oriented rules; raises the orientation error if there are none."""
@@ -770,27 +768,29 @@ class MembershipOracle:
         n = len(alphabet)
         relations = self.pres.nonzero_relations()
         homogeneous = self.pres.all_homogeneous()
-        seen: set[frozenset] = set()
-        count = 0
-        for rel in relations:
+
+        def pads(rel):
             rdeg = rel.degree()
             if rdeg > degree:
-                continue
-            pad_totals = (
-                [degree - rdeg] if homogeneous else range(degree - rdeg + 1)
+                return ()
+            return [degree - rdeg] if homogeneous else range(degree - rdeg + 1)
+
+        # w1 * r * w2 with len(w1) + len(w2) = pad: (pad + 1) * n^pad products
+        count = sum((pad + 1) * n ** pad for rel in relations for pad in pads(rel))
+        if count > MEMBERSHIP_ROW_CAP:
+            raise DegreeBoundError(
+                f"membership row cap exceeded at degree {degree}: "
+                f"{count} products > {MEMBERSHIP_ROW_CAP}"
             )
-            for pad in pad_totals:
+        seen: set[frozenset] = set()
+        for rel in relations:
+            for pad in pads(rel):
                 for left_len in range(pad + 1):
                     right_len = pad - left_len
                     for w1 in itertools.product(range(n), repeat=left_len):
                         left = Element.from_word(alphabet, w1)
                         base = left * rel
                         for w2 in itertools.product(range(n), repeat=right_len):
-                            count += 1
-                            if count > MEMBERSHIP_ROW_CAP:
-                                raise DegreeBoundError(
-                                    f"membership row cap exceeded at degree {degree}"
-                                )
                             row = base * Element.from_word(alphabet, w2)
                             if reduced:
                                 row = self.rules.normalize(row)
@@ -800,25 +800,18 @@ class MembershipOracle:
                             if key in seen:
                                 continue
                             seen.add(key)
-                            yield dict(row.terms)
+                            yield row.terms
 
-    def _exact_echelon(self, degree: int, reduced: bool) -> ScalarEchelon:
-        ech = self._exact_echelons.get((degree, reduced))
-        if ech is None:
-            ech = ScalarEchelon(self.pres.alphabet.word_key)
-            for row in self._row_vectors(degree, reduced):
-                ech.insert(row)
-            self._exact_echelons[(degree, reduced)] = ech
-        return ech
-
-    def _mod_echelon(self, degree: int, reduced: bool, point) -> ModEchelon:
+    def _echelon(self, degree: int, reduced: bool, point=None) -> ScalarEchelon:
+        """The cached echelon of the rows: exact, or over GF(p) at a modular point."""
         key = (degree, reduced, point)
-        ech = self._mod_echelons.get(key)
+        ech = self._echelons.get(key)
         if ech is None:
-            ech = ModEchelon(point.prime, self.pres.alphabet.word_key)
+            word_key = self.pres.alphabet.word_key
+            ech = ScalarEchelon(word_key) if point is None else ModEchelon(point.prime, word_key)
             for row in self._row_vectors(degree, reduced):
-                ech.insert(eval_vec_mod(row, point))
-            self._mod_echelons[key] = ech
+                ech.insert(row if point is None else eval_vec_mod(row, point))
+            self._echelons[key] = ech
         return ech
 
     # -- the oracle ----------------------------------------------------------
@@ -852,8 +845,8 @@ class MembershipOracle:
                     note="confluent rules: a nonzero normal form is not in the ideal",
                 )
         if mode == "exact":
-            ech = self._exact_echelon(degree, reduced)
-            residual_vec = ech.reduce(dict(target.terms))
+            ech = self._echelon(degree, reduced)
+            residual_vec = ech.reduce(target.terms)
             residual = Element(self.pres.alphabet, residual_vec)
             return MembershipReport(
                 member=residual.is_zero,
@@ -866,8 +859,8 @@ class MembershipOracle:
             )
 
         def attempt(point):
-            ech = self._mod_echelon(degree, reduced, point)
-            vec = eval_vec_mod(dict(target.terms), point)
+            ech = self._echelon(degree, reduced, point)
+            vec = eval_vec_mod(target.terms, point)
             return ech, ech.reduce(vec)
 
         point, (ech, residual_vec) = with_modular_retries(attempt, prime, seed)
@@ -945,10 +938,22 @@ def span_compare(a: Sequence[Element] | PresentationSpec,
         elif not alphabet.compatible_with(rel.alphabet):
             raise ValueError("span comparison across different alphabets")
     key = alphabet.word_key if alphabet else deglex_key
-    diff = compare_spans([dict(r.terms) for r in rel_a], [dict(r.terms) for r in rel_b], key)
-    witness_vec = diff.witness_a_not_in_b or diff.witness_b_not_in_a
-    witness = Element(alphabet, witness_vec) if (witness_vec and alphabet) else None
-    return SpanComparison(diff.verdict, diff.rank_a, diff.rank_b, witness)
+    ech_a, ech_b = ScalarEchelon(key), ScalarEchelon(key)
+    for r in rel_a:
+        ech_a.insert(r.terms)
+    for r in rel_b:
+        ech_b.insert(r.terms)
+    b_not_in_a = next((res for r in rel_b if (res := ech_a.reduce(r.terms))), None)
+    a_not_in_b = next((res for r in rel_a if (res := ech_b.reduce(r.terms))), None)
+    verdict = {
+        (False, False): "equal",
+        (False, True): "A_subset_B",
+        (True, False): "B_subset_A",
+        (True, True): "incomparable",
+    }[(a_not_in_b is not None, b_not_in_a is not None)]
+    witness_vec = a_not_in_b or b_not_in_a
+    witness = Element(alphabet, witness_vec) if witness_vec else None
+    return SpanComparison(verdict, ech_a.rank, ech_b.rank, witness)
 
 
 # ---------------------------------------------------------------------------

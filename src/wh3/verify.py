@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 from . import catalog, exprs, ncalg
@@ -28,6 +28,7 @@ from .scalars import Scalar
 
 __all__ = [
     "VerifyContext",
+    "CHECKS",
     "CHECK_IDS",
     "run_check",
     "run_all",
@@ -45,22 +46,6 @@ __all__ = [
     "transposed_inverse",
     "random_omega_mutation",
 ]
-
-CHECK_IDS = (
-    "ybe",
-    "constraints",
-    "eigenstructure",
-    "calculus-omega",
-    "calculus-omega-inv",
-    "rtt",
-    "inverse",
-    "determinant",
-    "coaction",
-    "hopf",
-    "star",
-    "specializations",
-)
-
 
 @dataclass(frozen=True)
 class VerifyContext:
@@ -885,6 +870,7 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
             uses_derivatives = fid.startswith(("dxi", "xd", "dd"))
             failures = []
             modular_used = False
+            undecided = None
             for ridx, rel in enumerate(ctx.relations(fid)):
                 image = _hom_image(rel, images, tensor.pres.alphabet)
                 nf = tensor_rules.normalize(image)
@@ -894,18 +880,23 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
                     continue
                 # fall back to the membership oracle on the lifted element
                 mode = ctx.heavy_mode() if uses_derivatives else "exact"
-                rep = tfree.member(residual, degree=residual.degree(), mode=mode,
-                                   prime=ctx.prime, seed=ctx.seed,
-                                   max_degree=max(residual.degree(), ctx.max_degree))
+                try:
+                    rep = tfree.member(residual, degree=residual.degree(), mode=mode,
+                                       prime=ctx.prime, seed=ctx.seed,
+                                       max_degree=max(residual.degree(), ctx.max_degree))
+                except ncalg.DegreeBoundError as err:
+                    undecided = f"undecided: relation {ridx}: {err}"
+                    break
                 if rep.mode == "modular":
                     modular_used = True
                     report.prime, report.seed = rep.prime, rep.seed
                 if not rep.member:
                     failures.append((ridx, rep.residual or residual))
             report.add(
-                f"family:{fid}", not failures,
-                note=f"{len(ctx.relations(fid))} relations; images reduce to zero "
-                     f"after straightening Dinv left and lifting by determinant powers",
+                f"family:{fid}", not failures and undecided is None,
+                note=undecided or
+                f"{len(ctx.relations(fid))} relations; images reduce to zero "
+                f"after straightening Dinv left and lifting by determinant powers",
                 modular=modular_used,
                 counterexample=None if not failures else
                 f"relation {failures[0][0]}: {str(failures[0][1])[:160]}",
@@ -1254,32 +1245,28 @@ def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext, u2: dict)
 # ---------------------------------------------------------------------------
 
 
+CHECKS = {
+    "ybe": check_yang_baxter,
+    "constraints": check_constraints,
+    "eigenstructure": check_eigenstructure,
+    "calculus-omega": partial(check_calculus, variant="omega"),
+    "calculus-omega-inv": partial(check_calculus, variant="omega-inv"),
+    "rtt": check_rtt,
+    "inverse": check_inverse,
+    "determinant": check_determinant,
+    "coaction": check_coaction,
+    "hopf": check_hopf,
+    "star": check_star,
+    "specializations": check_specializations,
+}
+CHECK_IDS = tuple(CHECKS)
+
+
 def run_check(check_id: str, ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
-    if check_id == "ybe":
-        return check_yang_baxter(ctx)
-    if check_id == "constraints":
-        return check_constraints(ctx)
-    if check_id == "eigenstructure":
-        return check_eigenstructure(ctx)
-    if check_id == "calculus-omega":
-        return check_calculus(ctx, "omega")
-    if check_id == "calculus-omega-inv":
-        return check_calculus(ctx, "omega-inv")
-    if check_id == "rtt":
-        return check_rtt(ctx)
-    if check_id == "inverse":
-        return check_inverse(ctx)
-    if check_id == "determinant":
-        return check_determinant(ctx)
-    if check_id == "coaction":
-        return check_coaction(ctx)
-    if check_id == "hopf":
-        return check_hopf(ctx)
-    if check_id == "star":
-        return check_star(ctx)
-    if check_id == "specializations":
-        return check_specializations(ctx)
-    raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    check = CHECKS.get(check_id)
+    if check is None:
+        raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    return check(ctx)
 
 
 def run_all(ctx: VerifyContext = DEFAULT_CONTEXT,

@@ -41,6 +41,27 @@ def test_verify_selected_checks_exit_zero(capsys):
     assert "ybe" in out and "constraints" in out
 
 
+def test_normalize_unorientable_algebra_file(tmp_path, capsys):
+    doc = {"name": "collapse", "relations": ["x1 - x2"],
+           "generators": [{"name": "x1", "rank": 0}, {"name": "x2", "rank": 1}]}
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "normalize", "--algebra-file", str(path), "--expr", "x1")
+    assert code == 2
+    assert "degree-1 relation" in err
+
+
+def test_verify_undecided_coaction_prints_report_and_exits_one(capsys, monkeypatch):
+    from wh3 import ncalg
+
+    monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 1000)
+    code, out, _ = run_cli(capsys, "verify", "--check", "coaction", "--spec", "q=u^2",
+                           "--errata", "off")
+    assert code == 1
+    assert "] coaction (" in out
+    assert "FAIL family:dd: undecided: relation 0: membership row cap exceeded" in out
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--check", "nonsense")
     assert code == 2

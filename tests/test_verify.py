@@ -416,3 +416,46 @@ def test_errata_off_failing_set_is_stable(errata_off_reports):
 def test_errata_off_star_cites_flawed_rows(errata_off_reports):
     report = errata_off_reports["star"]
     assert "[9, 25, 27, 33]" in (report.counterexample or "")
+
+
+# ---------------------------------------------------------------------------
+# registry and undecided families
+# ---------------------------------------------------------------------------
+
+
+def test_check_registry_order_and_unknown_id():
+    assert verify.CHECK_IDS == tuple(verify.CHECKS)
+    assert verify.CHECK_IDS[3:5] == ("calculus-omega", "calculus-omega-inv")
+    assert verify.run_check("calculus-omega-inv").check == "calculus-omega-inv"
+    try:
+        verify.run_check("nonsense")
+    except KeyError as err:
+        assert "unknown check 'nonsense'; known: ybe, constraints" in str(err)
+    else:
+        raise AssertionError("unknown check id accepted")
+
+
+def test_coaction_row_cap_fails_family_as_undecided(monkeypatch):
+    # errata off at q = u^2 leaves xx images that only membership can decide
+    monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 1000)
+    ctx = VerifyContext(errata=False, bindings=(("q", parse_scalar("u^2")),))
+    report = verify.check_coaction(ctx, families=("xx",))
+    detail = detail_map(report)["family:xx"]
+    assert not detail.ok
+    assert detail.note.startswith("undecided: relation ")
+    assert "membership row cap exceeded at degree 4" in detail.note
+    assert report.status == "fail"
+
+
+def test_row_cap_is_checked_before_any_row_is_built(monkeypatch):
+    oracle = ncalg.MembershipOracle(catalog.x_presentation())
+    probe = parse_element("x1*x2*x3", catalog.x_alphabet())
+    # three quadratic relations, each padded by one of three letters on either side
+    monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 3 * 2 * 3 - 1)
+    monkeypatch.setattr(ncalg.Element, "from_word", None)  # any built row would fail
+    try:
+        oracle.member(probe, degree=3, pre_reduce=False)
+    except ncalg.DegreeBoundError as err:
+        assert "18 products > 17" in str(err)
+    else:
+        raise AssertionError("row cap not enforced")
