@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import exprs
 from .linalg import ScalarEchelon
-from .ncalg import Alphabet, Element, PresentationSpec
+from .ncalg import EMPTY_ALPHABET, Alphabet, Element, PresentationSpec, algebra_map
 from .scalars import Scalar
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "calculus_presentation",
     "tt_presentation",
     "qg_presentation",
-    "embed_element",
-    "embed_relations",
     "star_generator_map",
     "star_apply",
     "counit_value",
@@ -648,21 +646,6 @@ def _family_cached(fid: str, errata: bool) -> RelationFamily:
     return RelationFamily(fid, alphabet, [exprs.parse_element(t, alphabet) for t in texts])
 
 
-def embed_element(e: Element, target: Alphabet) -> Element:
-    """Re-express an element over a larger alphabet, matching generators by name."""
-    mapping = {}
-    for g in e.alphabet:
-        rank = target.rank_of(g.name)
-        if rank is None:
-            raise ValueError(f"generator {g.name!r} missing from target alphabet")
-        mapping[g.rank] = rank
-    return Element(target, {tuple(mapping[g] for g in w): c for w, c in e.terms.items()})
-
-
-def embed_relations(fam: RelationFamily, target: Alphabet) -> list[Element]:
-    return [embed_element(r, target) for r in fam.relations]
-
-
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
@@ -692,7 +675,7 @@ def calculus_presentation(variant: str, errata: bool = True) -> PresentationSpec
     alphabet = calculus_alphabet()
     relations: list[Element] = []
     for fid in ("xx", "xixi", "dd", f"xxi-{variant}", f"dxi-{variant}", f"xd-{variant}"):
-        relations.extend(embed_relations(family(fid, errata), alphabet))
+        relations.extend(algebra_map(r, alphabet) for r in family(fid, errata).relations)
     return PresentationSpec(f"calculus-{variant}", alphabet, relations)
 
 
@@ -706,7 +689,7 @@ def tt_presentation(errata: bool = True) -> PresentationSpec:
 def qg_presentation(errata: bool = True) -> PresentationSpec:
     """The ten-generator quantum group: quantum matrix plus inverse determinant."""
     alphabet = qg_alphabet()
-    relations = embed_relations(family("tt", errata), alphabet)
+    relations = [algebra_map(r, alphabet) for r in family("tt", errata).relations]
     relations.extend(family("tdinv", errata).relations)
     return PresentationSpec("qg", alphabet, relations)
 
@@ -841,7 +824,7 @@ def t_inverse() -> tuple[tuple[Element, ...], ...]:
     qg = qg_alphabet()
     dinv = Element.generator(qg, "Dinv")
     return tuple(
-        tuple(embed_element(cof, qg) * dinv for cof in row) for row in cofactor_matrix()
+        tuple(algebra_map(cof, qg) * dinv for cof in row) for row in cofactor_matrix()
     )
 
 
@@ -903,17 +886,7 @@ def star_apply(e: Element) -> Element:
 
 def counit_value(e: Element) -> Scalar:
     """Counit: t^i_j -> delta_ij, Dinv -> 1 (only defined over the t alphabets)."""
-    total = Scalar.zero()
-    for word, coeff in e.terms.items():
-        keep = True
-        for g in word:
-            name = e.alphabet.generators[g].name
-            if name == "Dinv":
-                continue
-            if len(name) == 3 and name.startswith("t") and name[1] == name[2]:
-                continue
-            keep = False
-            break
-        if keep:
-            total = total + coeff
-    return total
+    images = {g.name: int(g.name == "Dinv" or (len(g.name) == 3 and g.name[0] == "t"
+                                               and g.name[1] == g.name[2]))
+              for g in e.alphabet}
+    return algebra_map(e, EMPTY_ALPHABET, images).scalar_value()

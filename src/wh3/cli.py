@@ -6,7 +6,9 @@ import argparse
 import json
 import sys
 
-from . import catalog, exprs, ncalg, verify
+from sympy import isprime
+
+from . import catalog, exprs, ncalg, scalars, verify
 from .linalg import DEFAULT_PRIME, DEFAULT_SEED
 from .reports import reports_to_json
 
@@ -37,10 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", help="comma-separated check ids")
     p_verify.add_argument("--all", action="store_true", help="run every check")
     p_verify.add_argument("--list", action="store_true", help="list check ids and exit")
-    p_verify.add_argument("--mode", choices=("mixed", "exact", "modular"), default="mixed")
+    p_verify.add_argument("--mode", choices=("mixed", "exact"), default="mixed",
+                          help="exact skips every modular elimination")
     p_verify.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--max-degree", type=int, default=4)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--errata", choices=("on", "off"), default="on",
                           help="off verifies the uncorrected transcription")
@@ -115,13 +117,22 @@ def _parse_mutation(text: str | None) -> tuple:
         row, col = cell.split(",")
         row_pair = (int(row[0]), int(row[1]))
         col_pair = (int(col[0]), int(col[1]))
+        if len(row) != 2 or len(col) != 2 or not all(
+                1 <= i <= 3 for i in row_pair + col_pair):
+            raise ValueError
     except (ValueError, IndexError):
         raise UsageError(
-            f"bad mutation {text!r}; expected omega:RC,MN=EXPR like omega:11,11=1"
+            f"bad mutation {text!r}; expected omega:RC,MN=EXPR like omega:11,11=1 "
+            f"with indices 1..3"
         )
     if target != "omega":
         raise UsageError("only omega mutations are supported")
     return ((row_pair, col_pair, exprs.parse_scalar(value)),)
+
+
+def _check_prime(prime: int) -> None:
+    if prime < 5 or not isprime(prime):
+        raise UsageError(f"--prime {prime} is not a prime of at least 5")
 
 
 def _load_algebra(args) -> ncalg.PresentationSpec:
@@ -160,6 +171,7 @@ def _cmd_verify(args) -> int:
                              f"known: {', '.join(verify.CHECK_IDS)}")
     else:
         raise UsageError("choose --all or --check ids")
+    _check_prime(args.prime)
     bindings = _parse_bindings(args.bindings)
     if args.spec:
         bindings = bindings + _parse_bindings(args.spec)
@@ -168,7 +180,6 @@ def _cmd_verify(args) -> int:
         mode=args.mode,
         prime=args.prime,
         seed=args.seed,
-        max_degree=args.max_degree,
         bindings=bindings,
         omega_mutations=_parse_mutation(args.mutate),
     )
@@ -200,6 +211,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    _check_prime(args.prime)
     pres = _load_algebra(args)
     element = exprs.parse_element(args.expr, pres.alphabet)
     report = ncalg.ideal_membership(
@@ -279,7 +291,7 @@ def run(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (exprs.ExprError, ncalg.InconsistentPresentationError,
+    except (exprs.ExprError, scalars.ScalarError, ncalg.InconsistentPresentationError,
             ncalg.DegreeBoundError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -59,6 +59,7 @@ __all__ = [
     "ideal_membership",
     "span_compare",
     "SpanComparison",
+    "algebra_map",
     "algebra_tensor",
     "specialize",
     "presentation_to_json",
@@ -957,8 +958,59 @@ def span_compare(a: Sequence[Element] | PresentationSpec,
 
 
 # ---------------------------------------------------------------------------
-# tensor products and specialization
+# algebra maps, tensor products and specialization
 # ---------------------------------------------------------------------------
+
+
+def algebra_map(e: Element, target: Alphabet, images: Mapping[str, object] = {}) -> Element:
+    """The algebra homomorphism sending each generator to its image over target.
+
+    images[name] is an Element over target or a scalar: 0 deletes every word
+    containing the letter, 1 drops the letter.  A generator without an image
+    goes to the generator of target with the same name.  Images of names
+    outside e's alphabet are ignored.
+    """
+    # per source rank: None (the word dies), a target word, or an Element
+    letters: list = []
+    for g in e.alphabet:
+        image = images.get(g.name)
+        if image is None:
+            rank = target.rank_of(g.name)
+            if rank is None:
+                raise ValueError(f"generator {g.name!r} has no image and is missing "
+                                 f"from the target alphabet")
+            letters.append((rank,))
+            continue
+        if not isinstance(image, Element):
+            image = Element.from_scalar(target, image)
+        elif not image.alphabet.compatible_with(target):
+            raise ValueError(f"image of {g.name!r} lives over another alphabet")
+        if image.is_zero:
+            letters.append(None)
+        elif len(image.terms) == 1 and next(iter(image.terms.values())).is_one:
+            letters.append(next(iter(image.terms)))
+        else:
+            letters.append(image)
+    out: dict[tuple[int, ...], Scalar] = {}
+    for word, coeff in e.terms.items():
+        piece = {(): coeff}
+        for g in word:
+            image = letters[g]
+            if image is None:
+                break
+            if isinstance(image, tuple):
+                piece = {w + image: c for w, c in piece.items()}
+            else:
+                piece = (Element(target, piece) * image).terms
+        else:
+            for w, c in piece.items():
+                acc = out.get(w)
+                new = c if acc is None else acc + c
+                if new.is_zero:
+                    out.pop(w, None)
+                else:
+                    out[w] = new
+    return Element(target, out)
 
 
 def algebra_tensor(a: PresentationSpec, b: PresentationSpec,
@@ -976,13 +1028,7 @@ def algebra_tensor(a: PresentationSpec, b: PresentationSpec,
     ]
     alphabet = Alphabet.build(specs)
     offset = len(a.alphabet)
-    relations: list[Element] = []
-    for rel in a.relations:
-        relations.append(Element(alphabet, dict(rel.terms)))
-    for rel in b.relations:
-        relations.append(
-            Element(alphabet, {tuple(g + offset for g in w): c for w, c in rel.terms.items()})
-        )
+    relations = [algebra_map(r, alphabet) for r in (*a.relations, *b.relations)]
     one = Scalar.one()
     for ga in range(len(a.alphabet)):
         for gb in range(offset, len(alphabet)):
@@ -999,57 +1045,23 @@ def specialize(pres: PresentationSpec, bindings: Mapping[str, object],
     zero elements) so downstream checks can see which inputs became trivial.
     """
     param_bindings: dict[str, object] = {}
-    zero_gens: set[str] = set()
-    one_gens: set[str] = set()
+    images: dict[str, object] = {}
     for key, value in bindings.items():
         if key in ("q", "u", "s"):
             param_bindings[key] = value
         elif pres.alphabet.rank_of(key) is not None:
-            if value == 0:
-                zero_gens.add(key)
-            elif value == 1:
-                one_gens.add(key)
-            else:
+            if not (value == 0 or value == 1):
                 raise ValueError(f"generator {key!r} may only be bound to 0 or 1")
+            images[key] = value
         else:
             raise ValueError(f"unknown symbol {key!r} in specialization")
-    kept = [g for g in pres.alphabet if g.name not in zero_gens and g.name not in one_gens]
+    kept = [g for g in pres.alphabet if g.name not in images]
     new_alphabet = Alphabet.build([(g.name, g.parity, g.weight) for g in kept])
-    rank_map: dict[int, int | None] = {}
-    for g in pres.alphabet:
-        if g.name in zero_gens:
-            rank_map[g.rank] = -1  # word dies
-        elif g.name in one_gens:
-            rank_map[g.rank] = None  # letter disappears
-        else:
-            rank_map[g.rank] = new_alphabet.rank_of(g.name)
-    relations: list[Element] = []
-    for rel in pres.relations:
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for word, coeff in rel.terms.items():
-            if param_bindings:
-                coeff = coeff.substitute(param_bindings)
-                if coeff.is_zero:
-                    continue
-            new_word: list[int] = []
-            dead = False
-            for g in word:
-                mapped = rank_map[g]
-                if mapped == -1:
-                    dead = True
-                    break
-                if mapped is not None:
-                    new_word.append(mapped)
-            if dead:
-                continue
-            key = tuple(new_word)
-            acc = terms.get(key)
-            new = coeff if acc is None else acc + coeff
-            if new.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        relations.append(Element(new_alphabet, terms))
+    relations = [
+        algebra_map(rel.substitute_params(param_bindings) if param_bindings else rel,
+                    new_alphabet, images)
+        for rel in pres.relations
+    ]
     return PresentationSpec(name or f"{pres.name}|specialized", new_alphabet, relations)
 
 

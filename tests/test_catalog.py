@@ -6,7 +6,7 @@ import pytest
 
 from wh3 import catalog, ncalg
 from wh3.catalog import CMatrix
-from wh3.exprs import parse_scalar
+from wh3.exprs import parse_element, parse_scalar
 from wh3.ncalg import span_compare
 from wh3.scalars import Scalar
 
@@ -66,7 +66,7 @@ def test_generated_families_match_transcription():
         for kind, fid in (("xxi", f"xxi-{variant}"), ("dxi", f"dxi-{variant}"),
                           ("xd", f"xd-{variant}"), ("xixi", "xixi")):
             generated = catalog.generate_from_C(matrix, kind).relations
-            transcribed = catalog.embed_relations(catalog.family(fid), target)
+            transcribed = [ncalg.algebra_map(r, target) for r in catalog.family(fid).relations]
             assert span_compare(generated, transcribed).verdict == "equal", (variant, kind)
 
 
@@ -139,6 +139,33 @@ def test_counit_values():
         assert catalog.counit_value(rel).is_zero
     for rel in catalog.family("tt", errata=False).relations:
         assert catalog.counit_value(rel).is_zero  # typos are counit-invisible
+
+
+def _counit_by_words(e):
+    """The counit as a loop over words: t^i_j -> delta_ij, Dinv -> 1."""
+    total = Scalar.zero()
+    for word, coeff in e.terms.items():
+        names = [e.alphabet.generators[g].name for g in word]
+        if all(n == "Dinv" or (n[0] == "t" and n[1] == n[2]) for n in names):
+            total = total + coeff
+    return total
+
+
+def test_counit_value_on_dinv_words():
+    qg = catalog.qg_alphabet()
+    samples = [
+        "Dinv", "Dinv*t11*Dinv*t22 - 3*t12*Dinv + (q/u)*t33*Dinv*Dinv", "t13*t31 + s",
+        *(r.format() for r in catalog.family("tdinv").relations),
+        *(r.format() for r in catalog.family("tdinv", errata=False).relations),
+    ]
+    for text in samples:
+        e = parse_element(text, qg)
+        assert catalog.counit_value(e) == _counit_by_words(e), text
+    for row in catalog.t_inverse():
+        for entry in row:
+            assert catalog.counit_value(entry) == _counit_by_words(entry)
+    assert catalog.counit_value(parse_element("Dinv*t11*Dinv*t22 - 3*t12*Dinv", qg)) == \
+        Scalar.one()
 
 
 def test_t_inverse_shape():

@@ -180,12 +180,32 @@ def test_export_every_family_round_trips(tmp_path, capsys):
         assert loaded.alphabet.compatible_with(fam.alphabet)
 
 
-def test_python_dash_m_entry_point():
+def run_module(*argv):
+    """`python -m wh3 ARGV` from this checkout, in a fresh interpreter."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "wh3", "matrix", "--name", "omega"],
+    return subprocess.run([sys.executable, "-m", "wh3", *argv],
                           cwd=root, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_entry_point():
+    proc = run_module("matrix", "--name", "omega")
     assert proc.returncode == 0, proc.stderr
     assert "[11 ; 11] = q/u^2" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--check", "ybe", "--set", "q=0"), "denominator to zero"),
+    (("matrix", "--set", "u=0"), "denominator to zero"),
+    (("verify", "--check", "determinant", "--prime", "4"), "--prime 4 is not a prime"),
+    (("verify", "--check", "determinant", "--prime", "1"), "--prime 1 is not a prime"),
+    (("verify", "--check", "ybe", "--mutate", "omega:44,11=1"), "indices 1..3"),
+])
+def test_malformed_input_exits_two_with_one_line(argv, message):
+    proc = run_module(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines

@@ -12,6 +12,7 @@ from wh3.ncalg import (
     Element,
     InconsistentPresentationError,
     PresentationSpec,
+    algebra_map,
     algebra_tensor,
     derivation_apply,
     ideal_membership,
@@ -431,6 +432,82 @@ def test_specialize_rejects_bad_bindings():
         specialize(x_pres(), {"x1": 2})
     with pytest.raises(ValueError):
         specialize(x_pres(), {"y9": 0})
+
+
+# ---------------------------------------------------------------------------
+# algebra maps
+# ---------------------------------------------------------------------------
+
+MAP_SCALARS = ("1", "-2", "1/3", "q", "s/u", "q - u^2", "1/(q - u^2)")
+MAP_CASES = (
+    (catalog.x_alphabet(), catalog.calculus_alphabet()),
+    (catalog.t_alphabet(), catalog.qg_alphabet()),
+)
+
+
+@st.composite
+def map_elements(draw, alphabet, max_terms=4, max_length=3):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        word = tuple(draw(st.lists(st.integers(0, len(alphabet) - 1), max_size=max_length)))
+        terms[word] = parse_scalar(draw(st.sampled_from(MAP_SCALARS)))
+    return Element(alphabet, terms)
+
+
+@st.composite
+def map_images(draw, source, target):
+    """Images mixing 0, 1, same-name defaults, renames, scalars and sums."""
+    images = {}
+    for g in source:
+        kind = draw(st.sampled_from(("same", "zero", "one", "rename", "scalar", "sum")))
+        if kind == "zero":
+            images[g.name] = 0
+        elif kind == "one":
+            images[g.name] = 1
+        elif kind == "rename":
+            images[g.name] = Element.generator(target, draw(st.sampled_from(target.names())))
+        elif kind == "scalar":
+            images[g.name] = parse_scalar(draw(st.sampled_from(MAP_SCALARS)))
+        elif kind == "sum":
+            images[g.name] = draw(map_elements(target, max_terms=3, max_length=2))
+    return images
+
+
+@st.composite
+def map_case(draw):
+    source, target = draw(st.sampled_from(MAP_CASES))
+    return (draw(map_elements(source)), draw(map_elements(source)), target,
+            draw(map_images(source, target)))
+
+
+@settings(max_examples=60)
+@given(map_case())
+def test_algebra_map_is_an_algebra_homomorphism(case):
+    a, b, target, images = case
+    image_a, image_b = algebra_map(a, target, images), algebra_map(b, target, images)
+    assert algebra_map(a * b, target, images) == image_a * image_b
+    assert algebra_map(a + b, target, images) == image_a + image_b
+    assert algebra_map(a.scale(parse_scalar("q/s")), target, images) == \
+        image_a.scale(parse_scalar("q/s"))
+
+
+def test_algebra_map_letters():
+    calc = catalog.calculus_alphabet()
+    e = parse_x("x1*x2 - q*x2*x1 - s*x3*x3")
+    assert algebra_map(e, calc).format() == "x1*x2 - q*x2*x1 - s*x3*x3"
+    assert algebra_map(e, calc, {"x3": 0}).format() == "x1*x2 - q*x2*x1"
+    assert algebra_map(e, calc, {"x3": 1}).format() == "-s + x1*x2 - q*x2*x1"
+    assert algebra_map(e, calc, {"x2": Element.generator(calc, "xi2")}).format() == \
+        "-q*xi2*x1 + x1*xi2 - s*x3*x3"
+
+
+def test_algebra_map_needs_an_image_for_generators_missing_from_target():
+    e = Element.generator(catalog.t_alphabet(), "t11")
+    with pytest.raises(ValueError, match="t11"):
+        algebra_map(e, catalog.x_alphabet())
+    assert algebra_map(e, catalog.x_alphabet(), {**{g: 0 for g in e.alphabet.names()},
+                                                 "t11": 1}) == \
+        Element.from_scalar(catalog.x_alphabet(), 1)
 
 
 # ---------------------------------------------------------------------------

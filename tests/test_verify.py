@@ -141,7 +141,7 @@ def test_calculus_mutation_fails_derivative_annihilation():
         mutated.append(rel)
     assert any(r.format() == "-(q/u^2)*x1*d2 + d2*x1" for r in mutated)
     rules = ncalg.orient(ncalg.PresentationSpec("mutated", target, mutated))
-    first = catalog.embed_element(catalog.family("xx").relations[0], target)
+    first = ncalg.algebra_map(catalog.family("xx").relations[0], target)
     residual = rules.normalize(Element.generator(target, "d2") * first)
     assert not residual.is_zero
 
@@ -249,7 +249,7 @@ def test_calculus_mutation_sensitivity():
         echelons[kind] = ech
     for trial in range(20):
         kind, fid = rng.choice((("xxi", "xxi-omega"), ("dxi", "dxi-omega"), ("xd", "xd-omega")))
-        fam = catalog.embed_relations(catalog.family(fid), target)
+        fam = [ncalg.algebra_map(r, target) for r in catalog.family(fid).relations]
         rel = fam[rng.randrange(len(fam))]
         word = sorted(rel.terms)[rng.randrange(len(rel.terms))]
         mutated = rel + Element.from_word(target, word, Scalar.param("u"))
@@ -416,6 +416,40 @@ def test_errata_off_failing_set_is_stable(errata_off_reports):
 def test_errata_off_star_cites_flawed_rows(errata_off_reports):
     report = errata_off_reports["star"]
     assert "[9, 25, 27, 33]" in (report.counterexample or "")
+
+
+def test_failing_details_do_not_keep_their_passing_note(default_reports, errata_off_reports):
+    # a rank pair is a measurement, true whichever way the comparison goes
+    kept = [
+        (check, d.id, d.note)
+        for check, report in errata_off_reports.items()
+        for d in report.details
+        if not d.ok and d.note and not d.note.startswith("ranks ")
+        and d.note in {p.note for p in default_reports[check].details if p.id == d.id}
+    ]
+    assert kept == []
+    notes = {d.id: d.note for d in errata_off_reports["star"].details}
+    assert notes["quantum-matrix-relations"] == \
+        "star images of 4 of 36 transcribed rows leave the span"
+
+
+def test_central_determinant_fails_with_its_own_note():
+    # at q = u = 1 every lambda is 1
+    ctx = VerifyContext(bindings=(("q", parse_scalar("1")), ("u", parse_scalar("1"))))
+    detail = detail_map(verify.check_determinant(ctx))["some-lambda-nontrivial"]
+    assert not detail.ok
+    assert detail.note == "no generator has a lambda other than 1"
+
+
+def test_failing_coaction_family_says_what_failed(monkeypatch):
+    # lift every image to the determinant, which is not in the ideal
+    monkeypatch.setattr(verify, "_determinant_lift", lambda nf, alphabet, D_free: D_free)
+    report = verify.check_coaction(VerifyContext(), families=("xx",))
+    detail = detail_map(report)["family:xx"]
+    assert not detail.ok
+    assert detail.note == ("3 of 3 relation images do not reduce to zero after "
+                           "straightening Dinv left and lifting by determinant powers")
+    assert report.counterexample.startswith("relation 0: ")
 
 
 # ---------------------------------------------------------------------------
