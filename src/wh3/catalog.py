@@ -699,11 +699,11 @@ def qg_presentation(errata: bool = True) -> PresentationSpec:
 # ---------------------------------------------------------------------------
 
 
-def generate_from_C(C: CMatrix, kind: str) -> RelationFamily:
+def generate_from_C(C: CMatrix, C_inv: CMatrix, kind: str) -> RelationFamily:
     """Build a calculus relation family mechanically from a braiding matrix.
 
     Kinds: 'xxi' (variables vs one-forms), 'dxi' (derivatives vs one-forms,
-    using the inverse matrix), 'xd' (derivatives vs variables, with the
+    from the inverse matrix C_inv), 'xd' (derivatives vs variables, with the
     inhomogeneous unit term) and 'xixi' (one-form square relations).
     """
     alphabet = calculus_alphabet()
@@ -722,12 +722,11 @@ def generate_from_C(C: CMatrix, kind: str) -> RelationFamily:
                         terms[(xi[m], x[n])] = -c
                 relations.append(Element(alphabet, terms))
     elif kind == "dxi":
-        K = C.inverse()
         for k in (1, 2, 3):
             for l in (1, 2, 3):
                 terms = {(d[k], xi[l]): one}
                 for (m, n) in PAIRS:
-                    c = K.entry((l, m), (k, n))
+                    c = C_inv.entry((l, m), (k, n))
                     if not c.is_zero:
                         terms[(xi[n], d[m])] = -c
                 relations.append(Element(alphabet, terms))

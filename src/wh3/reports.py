@@ -7,6 +7,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from .scalars import ScalarError
+
 __all__ = ["Detail", "Report", "timed_report", "reports_to_json"]
 
 
@@ -77,11 +79,17 @@ class Report:
 
 @contextmanager
 def timed_report(check: str):
-    """Create a Report, time its construction and finalize the status."""
+    """Create a Report, time its construction and finalize the status.
+
+    A ScalarError inside the block ends the check with one failing detail
+    whose note starts "undecided:"; the details added before it are kept.
+    """
     report = Report(check)
     start = time.perf_counter()
     try:
         yield report
+    except ScalarError as err:
+        report.add("scalar-error", False, note=f"undecided: {err}")
     finally:
         report.millis = int((time.perf_counter() - start) * 1000)
         report.finalize()

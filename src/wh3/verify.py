@@ -3,31 +3,35 @@
 Each check returns a Report with per-assertion details, witnesses on failure
 and the arithmetic mode that produced each verdict.  Checks are pure
 functions of an immutable context, so they can run in any order (or
-concurrently); membership verdicts obtained by rewriting an element to zero,
-or to a nonzero normal form under confluent rules, are exact certificates,
-linear-algebra verdicts are exact unless the context asks for modular
-arithmetic, and every modular verdict records the prime and seed that
-reproduce it.  Rules and membership caches live in one shared algebra object
-per presentation content (`ncalg.algebra`), so a binding, an errata switch or
-any changed coefficient yields its own.
+concurrently).  Each reads its inputs from `ctx.bound`, where the bindings
+are applied once, before the check starts; nothing derived from them is bound
+again, and a scalar error inside a check is an `undecided:` detail of it.
+Membership verdicts obtained by rewriting an element to zero, or to a nonzero
+normal form under confluent rules, are exact certificates, linear-algebra
+verdicts are exact unless the context asks for modular arithmetic, and every
+modular verdict records the prime and seed that reproduce it.  Rules and
+membership caches live in one shared algebra object per presentation content
+(`ncalg.algebra`), so a binding, an errata switch or any changed coefficient
+yields its own.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, partial
 from typing import Sequence
 
 from . import catalog, exprs, ncalg
 from .catalog import CMatrix, PAIRS
 from .linalg import DEFAULT_PRIME, DEFAULT_SEED, ScalarEchelon, solve_linear
-from .ncalg import Element, MembershipOracle, PresentationSpec, RuleSystem
+from .ncalg import Element, MembershipOracle, PresentationSpec
 from .reports import Report, timed_report
 from .scalars import Scalar
 
 __all__ = [
     "VerifyContext",
+    "BoundInputs",
     "CHECKS",
     "CHECK_IDS",
     "run_check",
@@ -43,83 +47,86 @@ __all__ = [
     "check_hopf",
     "check_star",
     "check_specializations",
-    "transposed_inverse",
     "random_omega_mutation",
 ]
 
 @dataclass(frozen=True)
 class VerifyContext:
-    """Immutable configuration shared by all checks."""
+    """Immutable configuration shared by all checks.
+
+    `bindings` ((param, Scalar), ...) is one simultaneous substitution, whose
+    values may mention parameters (q -> 2*q); `omega_mutations` ((row_pair,
+    col_pair, Scalar), ...) then replace braiding entries.  See `bound`.
+    """
 
     errata: bool = True
     mode: str = "mixed"  # mixed (per-check defaults) | exact (no modular elimination)
     prime: int = DEFAULT_PRIME
     seed: int = DEFAULT_SEED
-    bindings: tuple = ()  # ((param, Scalar), ...) applied to matrices/relations
-    omega_mutations: tuple = ()  # ((row_pair, col_pair, Scalar), ...)
+    bindings: tuple = ()
+    omega_mutations: tuple = ()
 
-    # -- parameterized inputs ------------------------------------------------
-
-    def binding_map(self) -> dict[str, Scalar]:
-        return dict(self.bindings)
-
-    def apply_scalar(self, value: Scalar) -> Scalar:
-        if not self.bindings:
-            return value
-        return value.substitute(self.binding_map())
-
-    def apply_element(self, e: Element) -> Element:
-        if not self.bindings:
-            return e
-        return e.substitute_params(self.binding_map())
-
-    def apply_matrix(self, m: CMatrix) -> CMatrix:
-        if self.bindings:
-            m = m.substitute(self.binding_map())
-        return m
-
-    def omega(self) -> CMatrix:
-        m = self.apply_matrix(catalog.omega())
-        for row_pair, col_pair, value in self.omega_mutations:
-            m = m.with_entry(row_pair, col_pair, value)
-        return m
-
-    def omega_inverse(self) -> CMatrix:
-        if not self.bindings and not self.omega_mutations:
-            return catalog.omega_inverse()
-        return self.omega().inverse()
-
-    def braiding(self, variant: str) -> CMatrix:
-        return self.omega() if variant == "omega" else self.omega_inverse()
-
-    def relations(self, fid: str) -> list[Element]:
-        return [self.apply_element(r) for r in catalog.family(fid, self.errata).relations]
-
-    def presentation(self, fid: str) -> PresentationSpec:
-        fam = catalog.family(fid, self.errata)
-        return PresentationSpec(fid, fam.alphabet, self.relations(fid))
-
-    def tt_presentation(self) -> PresentationSpec:
-        base = catalog.tt_presentation(self.errata)
-        return PresentationSpec(base.name, base.alphabet,
-                                [self.apply_element(r) for r in base.relations])
-
-    def qg_presentation(self) -> PresentationSpec:
-        base = catalog.qg_presentation(self.errata)
-        return PresentationSpec(base.name, base.alphabet,
-                                [self.apply_element(r) for r in base.relations])
-
-    def calculus_presentation(self, variant: str) -> PresentationSpec:
-        base = catalog.calculus_presentation(variant, self.errata)
-        return PresentationSpec(base.name, base.alphabet,
-                                [self.apply_element(r) for r in base.relations])
-
-    def quantum_determinant(self) -> Element:
-        return self.apply_element(catalog.quantum_determinant())
+    @cached_property
+    def bound(self) -> "BoundInputs":
+        """The inputs under the bindings and mutations; raises ScalarError if undefined."""
+        return BoundInputs(self)
 
     def heavy_mode(self) -> str:
         """Arithmetic for large eliminations: modular unless exact was forced."""
         return "exact" if self.mode == "exact" else "modular"
+
+
+class BoundInputs:
+    """Every transcribed input of one context, bound once; checks only read it.
+
+    q, u, s, the braiding and its inverse, every relation family, the plane, tt,
+    qg and calculus presentations, determinant, cofactors, Dinv table and W.
+    """
+
+    def __init__(self, ctx: VerifyContext):
+        values, memo = dict(ctx.bindings), {}
+
+        def bind(value):
+            # the one substitution of the bindings: every parameter at once,
+            # each distinct coefficient once
+            if not values:
+                return value
+            if isinstance(value, Element):
+                return value.map_coefficients(bind)
+            if isinstance(value, CMatrix):
+                return CMatrix([[bind(c) for c in row] for row in value.entries])
+            if value not in memo:
+                memo[value] = value.substitute(values)
+            return memo[value]
+
+        def presentation(pres: PresentationSpec) -> PresentationSpec:
+            return PresentationSpec(pres.name, pres.alphabet, [bind(r) for r in pres.relations])
+
+        self.q, self.u, self.s = (bind(Scalar.param(name)) for name in "qus")
+        self.omega = bind(catalog.omega())
+        for row_pair, col_pair, value in ctx.omega_mutations:
+            self.omega = self.omega.with_entry(row_pair, col_pair, value)
+        self.omega_inv = (self.omega.inverse() if ctx.bindings or ctx.omega_mutations
+                          else catalog.omega_inverse())
+        # calculus variant -> (its braiding, the inverse)
+        self.braidings = {"omega": (self.omega, self.omega_inv),
+                          "omega-inv": (self.omega_inv, self.omega)}
+        self.families = {fid: [bind(r) for r in catalog.family(fid, ctx.errata).relations]
+                         for fid in catalog.FAMILY_IDS}
+        self.plane = presentation(catalog.quantum_plane_presentation())
+        self.tt = presentation(catalog.tt_presentation(ctx.errata))
+        self.qg = presentation(catalog.qg_presentation(ctx.errata))
+        self.calculus = {variant: presentation(catalog.calculus_presentation(variant, ctx.errata))
+                         for variant in ("omega", "omega-inv")}
+        self.determinant = bind(catalog.quantum_determinant())
+        self.cofactors = [[bind(c) for c in row] for row in catalog.cofactor_matrix()]
+        self.dinv = {name: bind(catalog.dinv_factor(name, ctx.errata))
+                     for name in catalog.t_alphabet().names()}
+
+    @cached_property
+    def W(self):
+        """The degree-2 numerators of the inverse transposed quantum matrix, or None."""
+        return _solve_transposed_inverse(self.tt, self.determinant)
 
 
 DEFAULT_CONTEXT = VerifyContext()
@@ -163,9 +170,9 @@ def _mul_27(A: dict, B: dict) -> dict:
 
 def check_yang_baxter(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Braid consistency: (C(x)1)(1(x)C)(C(x)1) = (1(x)C)(C(x)1)(1(x)C)."""
+    inp = ctx.bound
     with timed_report("ybe") as report:
-        for variant in ("omega", "omega-inv"):
-            C = ctx.braiding(variant)
+        for variant, (C, _) in inp.braidings.items():
             C1 = _matrix_27(C, True)
             C2 = _matrix_27(C, False)
             lhs = _mul_27(_mul_27(C1, C2), C1)
@@ -194,14 +201,14 @@ def check_yang_baxter(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 
 
 _CONSTRAINT_LINEAR = (
-    # (lhs cell, coefficient text, rhs cell, constant text):
+    # (lhs cell, coefficient parameter, rhs cell, constant: -1 or a parameter):
     # C[lhs cell] = coefficient * C[rhs cell] + constant
-    (((1, 2), (1, 2)), "q", ((2, 1), (1, 2)), "-1"),
+    (((1, 2), (1, 2)), "q", ((2, 1), (1, 2)), -1),
     (((1, 2), (2, 1)), "q", ((2, 1), (2, 1)), "q"),
-    (((1, 3), (1, 3)), "u", ((3, 1), (1, 3)), "-1"),
+    (((1, 3), (1, 3)), "u", ((3, 1), (1, 3)), -1),
     (((1, 3), (3, 1)), "u", ((3, 1), (3, 1)), "u"),
     (((3, 2), (2, 3)), "u", ((2, 3), (2, 3)), "u"),
-    (((3, 2), (3, 2)), "u", ((2, 3), (3, 2)), "-1"),
+    (((3, 2), (3, 2)), "u", ((2, 3), (3, 2)), -1),
 )
 
 _CONSTRAINT_PRODUCTS = (
@@ -213,24 +220,20 @@ _CONSTRAINT_PRODUCTS = (
 
 def check_constraints(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """The seven linear coefficient identities and three vanishing products."""
+    inp = ctx.bound
     with timed_report("constraints") as report:
-        for variant in ("omega", "omega-inv"):
-            C = ctx.braiding(variant)
+        for variant, (C, _) in inp.braidings.items():
             for idx, (lhs_cell, coeff, rhs_cell, const) in enumerate(_CONSTRAINT_LINEAR, 1):
                 lhs = C.entry(*lhs_cell)
-                rhs = ctx.apply_scalar(exprs.parse_scalar(coeff)) * C.entry(*rhs_cell) \
-                    + ctx.apply_scalar(exprs.parse_scalar(const))
+                rhs = getattr(inp, coeff) * C.entry(*rhs_cell) \
+                    + (getattr(inp, const) if isinstance(const, str) else const)
                 report.add(
                     f"linear-{idx}:{variant}", lhs == rhs,
                     counterexample=None if lhs == rhs else f"{lhs} != {rhs}",
                 )
             # the seventh identity mixes two coefficients and the unit
             lhs = C.entry((1, 2), (3, 3))
-            rhs = (
-                ctx.apply_scalar(Scalar.param("q")) * C.entry((2, 1), (3, 3))
-                + ctx.apply_scalar(Scalar.param("s")) * C.entry((3, 3), (3, 3))
-                + ctx.apply_scalar(Scalar.param("s"))
-            )
+            rhs = inp.q * C.entry((2, 1), (3, 3)) + inp.s * C.entry((3, 3), (3, 3)) + inp.s
             report.add(
                 f"linear-7:{variant}", lhs == rhs,
                 counterexample=None if lhs == rhs else f"{lhs} != {rhs}",
@@ -303,9 +306,9 @@ def _eigen_ratio(vec: dict, image: dict):
 
 def check_eigenstructure(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Relation spans as invariant subspaces of the braiding actions."""
+    inp = ctx.bound
     with timed_report("eigenstructure") as report:
-        omega = ctx.omega()
-        omega_inv = ctx.omega_inverse()
+        omega, omega_inv = inp.omega, inp.omega_inv
         # (detail id, family, letter, action on its pair vectors, note suffix)
         cases = []
         for label, M in (("omega", omega), ("omega-inv", omega_inv)):
@@ -320,7 +323,7 @@ def check_eigenstructure(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         for detail_id, fid, letter, action, suffix in cases:
             values = set()
             ok = True
-            for rel in ctx.relations(fid):
+            for rel in inp.families[fid]:
                 vec = _pair_vector(rel, (f"{letter}1", f"{letter}2", f"{letter}3"))
                 ratio = _eigen_ratio(vec, action(vec))
                 if ratio is None:
@@ -391,27 +394,28 @@ def _exterior_images(alphabet) -> dict[str, Element]:
 
 def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega") -> Report:
     """Internal consistency of one differential calculus."""
+    inp = ctx.bound
     with timed_report(f"calculus-{variant}") as report:
-        C = ctx.braiding(variant)
+        C, C_inv = inp.braidings[variant]
         target = catalog.calculus_alphabet()
         # (a) generation from the braiding matrix reproduces the transcription
         for kind, fid in (("xxi", f"xxi-{variant}"), ("dxi", f"dxi-{variant}"),
                           ("xd", f"xd-{variant}"), ("xixi", "xixi")):
-            generated = [ctx.apply_element(r) for r in catalog.generate_from_C(C, kind).relations]
-            transcribed = [ncalg.algebra_map(r, target) for r in ctx.relations(fid)]
+            generated = catalog.generate_from_C(C, C_inv, kind).relations
+            transcribed = [ncalg.algebra_map(r, target) for r in inp.families[fid]]
             cmp = ncalg.span_compare(generated, transcribed)
             report.add(
                 f"generated-vs-transcribed:{kind}", cmp.verdict == "equal",
                 note=f"ranks {cmp.rank_a}/{cmp.rank_b}",
                 counterexample=None if cmp.verdict == "equal" else str(cmp.witness),
             )
-        calculus = ncalg.algebra(ctx.calculus_presentation(variant))
+        calculus = ncalg.algebra(inp.calculus[variant])
         try:
             rules = calculus.rule_system()
         except ncalg.InconsistentPresentationError as err:
             report.add("orientation", False, counterexample=str(err))
             return report
-        xx = [ncalg.algebra_map(r, target) for r in ctx.relations("xx")]
+        xx = [ncalg.algebra_map(r, target) for r in inp.families["xx"]]
         # (b) derivatives annihilate the variable relations
         for ridx, rel in enumerate(xx, 1):
             for i in (1, 2, 3):
@@ -464,10 +468,11 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
 
 def check_rtt(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """The exchange condition generates exactly the transcribed relations."""
+    inp = ctx.bound
     with timed_report("rtt") as report:
-        gen = [ctx.apply_element(r) for r in catalog.rtt_generate(ctx.omega()).relations]
-        gen_inv = [ctx.apply_element(r) for r in catalog.rtt_generate(ctx.omega_inverse()).relations]
-        fam = ctx.tt_presentation().relations
+        gen = catalog.rtt_generate(inp.omega).relations
+        gen_inv = catalog.rtt_generate(inp.omega_inv).relations
+        fam = inp.tt.relations
         cmp = ncalg.span_compare(gen, fam)
         report.add(
             "generated-vs-transcribed", cmp.verdict == "equal",
@@ -504,19 +509,18 @@ def _strip_dinv(nf: Element, t_alphabet) -> Element | None:
 
 def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """T . T^-1 = T^-1 . T = I, certified at degree 3 in exact mode."""
+    inp = ctx.bound
     with timed_report("inverse") as report:
-        t_pres = ctx.tt_presentation()
-        oracle = ncalg.algebra(t_pres)
+        oracle = ncalg.algebra(inp.tt)
         rules = oracle.rules
-        TA = t_pres.alphabet
-        D = ctx.quantum_determinant()
-        cof = [[ctx.apply_element(c) for c in row] for row in catalog.cofactor_matrix()]
+        TA = inp.tt.alphabet
+        D = inp.determinant
         t = catalog.t_matrix()
         for i in range(3):
             for j in range(3):
                 total = Element.zero(TA)
                 for k in range(3):
-                    total = total + t[i][k] * cof[k][j]
+                    total = total + t[i][k] * inp.cofactors[k][j]
                 if i == j:
                     total = total - D
                 rep = oracle.member(total, degree=3, mode="exact")
@@ -532,7 +536,7 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             for j in range(3):
                 total = Element.zero(TA)
                 for k in range(3):
-                    total = total + cof[i][k] * t[k][j]
+                    total = total + inp.cofactors[i][k] * t[k][j]
                 nf = rules.normalize(total)
                 if i == j:
                     diag.append(nf)
@@ -549,19 +553,19 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             ),
         )
         # antipode: with the inverse adjoined, sum_k S(t^i_k) t^k_j = delta
-        qg = ctx.qg_presentation()
         try:
-            qg_rules = ncalg.algebra(qg).rule_system()
+            qg_rules = ncalg.algebra(inp.qg).rule_system()
         except ncalg.InconsistentPresentationError as err:
             report.add("antipode", False, counterexample=str(err))
             return report
-        QG = qg.alphabet
-        tinv = catalog.t_inverse()
+        QG = inp.qg.alphabet
+        dinv = Element.generator(QG, "Dinv")
+        antipode = [[ncalg.algebra_map(c, QG) * dinv for c in row] for row in inp.cofactors]
         for i in range(3):
             for j in range(3):
                 total = Element.zero(QG)
                 for k in range(3):
-                    total = total + ctx.apply_element(tinv[i][k]) * ncalg.algebra_map(t[k][j], QG)
+                    total = total + antipode[i][k] * ncalg.algebra_map(t[k][j], QG)
                 nf = qg_rules.normalize(total)
                 stripped = _strip_dinv(nf, TA)
                 if stripped is None:
@@ -576,7 +580,7 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                     counterexample=None if rep.member else str(rep.residual),
                 )
         # counit kills every relation
-        bad = [idx for idx, rel in enumerate(t_pres.relations)
+        bad = [idx for idx, rel in enumerate(inp.tt.relations)
                if not catalog.counit_value(rel).is_zero]
         report.add(
             "counit-on-relations", not bad,
@@ -593,12 +597,12 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 
 def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Quasi-commutation of the determinant with every generator."""
+    inp = ctx.bound
     with timed_report("determinant") as report:
-        t_pres = ctx.tt_presentation()
-        oracle = ncalg.algebra(t_pres)
+        oracle = ncalg.algebra(inp.tt)
         rules = oracle.rules
-        TA = t_pres.alphabet
-        D = ctx.quantum_determinant()
+        TA = inp.tt.alphabet
+        D = inp.determinant
         lam: dict[str, Scalar] = {}
         for name in TA.names():
             g = Element.generator(TA, name)
@@ -618,8 +622,7 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 continue
             lam[name] = ratio
             rep = oracle.member(g * D - D.scale(ratio) * g, degree=4, mode="exact")
-            table = catalog.dinv_factor(name, ctx.errata)
-            table = ctx.apply_scalar(table)
+            table = inp.dinv[name]
             matches = (not table.is_zero) and table == ratio.inverse()
             report.add(
                 f"lambda:{name}", rep.member and matches,
@@ -681,14 +684,7 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _cached_transposed_inverse(errata: bool):
-    pres = catalog.tt_presentation(errata)
-    return _solve_transposed_inverse(pres, ncalg.algebra(pres).rule_system(),
-                                     catalog.quantum_determinant())
-
-
-def _solve_transposed_inverse(pres: PresentationSpec, rules: RuleSystem, D: Element):
+def _solve_transposed_inverse(pres: PresentationSpec, D: Element):
     """Solve sum_j W[l][j] t^k_j == delta_lk D for the degree-2 matrix W.
 
     W is the numerator of the inverse of the transposed quantum matrix (which
@@ -696,6 +692,7 @@ def _solve_transposed_inverse(pres: PresentationSpec, rules: RuleSystem, D: Elem
     Dinv * W[l][j] transforms the derivatives.
     """
     A = pres.alphabet
+    rules = ncalg.algebra(pres).rule_system()
     t_rank = {(i, j): A.rank_of(f"t{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
     normal2 = [(a, b) for a in range(9) for b in range(a, 9)]
     D_nf = rules.normalize(D)
@@ -731,24 +728,7 @@ def _solve_transposed_inverse(pres: PresentationSpec, rules: RuleSystem, D: Elem
     return result
 
 
-def transposed_inverse(ctx: VerifyContext = DEFAULT_CONTEXT):
-    """The degree-2 numerators of the inverse transposed quantum matrix."""
-    if not ctx.bindings:
-        return _cached_transposed_inverse(ctx.errata)
-    pres = ctx.tt_presentation()
-    return _solve_transposed_inverse(pres, ncalg.algebra(pres).rule_system(),
-                                     ctx.quantum_determinant())
-
-
-def _coaction_machinery(ctx: VerifyContext, variant: str):
-    """The algebras of qg (x) calculus and of its Dinv-free part tt (x) calculus."""
-    calc = ctx.calculus_presentation(variant)
-    tensor = ncalg.algebra(ncalg.algebra_tensor(ctx.qg_presentation(), calc))
-    tfree = ncalg.algebra(ncalg.algebra_tensor(ctx.tt_presentation(), calc, name="tfree"))
-    return tensor, tfree
-
-
-def _coaction_images(ctx: VerifyContext, tensor_alphabet, W) -> dict[str, Element]:
+def _coaction_images(tensor_alphabet, W) -> dict[str, Element]:
     images: dict[str, Element] = {}
     dinv = Element.generator(tensor_alphabet, "Dinv")
     for i in (1, 2, 3):
@@ -793,15 +773,16 @@ COACTION_DEFAULT_FAMILIES = (
 def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
                    families: Sequence[str] = COACTION_DEFAULT_FAMILIES) -> Report:
     """Invariance of every calculus relation family under the quantum matrix."""
+    inp = ctx.bound
     with timed_report("coaction") as report:
-        W = transposed_inverse(ctx)
+        W = inp.W
         if W is None:
             report.add("transposed-inverse", False,
                        counterexample="no degree-2 inverse of the transposed matrix")
             return report
-        rules = ncalg.algebra(ctx.tt_presentation()).rule_system()
+        rules = ncalg.algebra(inp.tt).rule_system()
         TA = catalog.t_alphabet()
-        D = ctx.quantum_determinant()
+        D = inp.determinant
         cert_ok = True
         for l in (1, 2, 3):
             for k in (1, 2, 3):
@@ -826,16 +807,20 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
                 continue
             variant = "omega-inv" if fid.endswith("omega-inv") else "omega"
             if variant not in per_variant:
-                per_variant[variant] = _coaction_machinery(ctx, variant)
+                # the algebras of qg (x) calculus and of its Dinv-free part tt (x) calculus
+                calc = inp.calculus[variant]
+                per_variant[variant] = (
+                    ncalg.algebra(ncalg.algebra_tensor(inp.qg, calc)),
+                    ncalg.algebra(ncalg.algebra_tensor(inp.tt, calc, name="tfree")))
             tensor, tfree = per_variant[variant]
             tensor_rules, tfree_rules = tensor.rule_system(), tfree.rule_system()
-            images = _coaction_images(ctx, tensor.pres.alphabet, W)
+            images = _coaction_images(tensor.pres.alphabet, W)
             D_free = ncalg.algebra_map(D, tfree.pres.alphabet)
             uses_derivatives = fid.startswith(("dxi", "xd", "dd"))
             failures = []
             modular_used = False
             undecided = None
-            relations = ctx.relations(fid)
+            relations = inp.families[fid]
             for ridx, rel in enumerate(relations):
                 image = ncalg.algebra_map(rel, tensor.pres.alphabet, images)
                 nf = tensor_rules.normalize(image)
@@ -882,9 +867,8 @@ def _leg_images(prefix: str, target) -> dict[str, Element]:
             for i in "123" for j in "123"}
 
 
-def _delta_target(ctx: VerifyContext) -> MembershipOracle:
-    """The algebra of A (x) A, with both legs carrying the context's relations."""
-    tt = ctx.tt_presentation()
+def _delta_target(tt: PresentationSpec) -> MembershipOracle:
+    """The algebra of A (x) A, with both legs carrying the relations of tt."""
 
     def copy_pres(prefix: str) -> PresentationSpec:
         specs = [(prefix + g.name[1:], g.parity, g.weight) for g in tt.alphabet]
@@ -913,15 +897,16 @@ def _coproduct_images(target) -> dict[str, Element]:
 
 def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Coproduct is an algebra map; the determinant is group-like; counit axiom."""
+    inp = ctx.bound
     with timed_report("hopf") as report:
-        target = _delta_target(ctx)
+        target = _delta_target(inp.tt)
         rules = target.rule_system()
         TA = target.pres.alphabet
         delta = _coproduct_images(TA)
-        relations = ctx.tt_presentation().relations
+        relations = inp.tt.relations
         failures = []
         for idx, rel in enumerate(relations):
-            nf = rules.normalize(ctx.apply_element(ncalg.algebra_map(rel, TA, delta)))
+            nf = rules.normalize(ncalg.algebra_map(rel, TA, delta))
             if not nf.is_zero:
                 failures.append((idx, nf))
         report.add(
@@ -932,10 +917,10 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if not failures else
             f"relation {failures[0][0]}: {str(failures[0][1])[:160]}",
         )
-        D = ctx.quantum_determinant()
+        D = inp.determinant
         left = ncalg.algebra_map(D, TA, _leg_images("l", TA))
         right = ncalg.algebra_map(D, TA, _leg_images("r", TA))
-        diff = rules.normalize(ctx.apply_element(ncalg.algebra_map(D, TA, delta)) - left * right)
+        diff = rules.normalize(ncalg.algebra_map(D, TA, delta) - left * right)
         report.add(
             "determinant-group-like", diff.is_zero,
             note="Delta(D) - D(x)D reduces to zero at bidegree (3,3), exactly" if diff.is_zero
@@ -979,6 +964,7 @@ def _outside_span(relations: Sequence[Element], images: Sequence[Element], word_
 
 def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """The star antihomomorphism respects every relation family it touches."""
+    inp = ctx.bound
     with timed_report("star") as report:
         mapping = catalog.star_generator_map()
         involutive = all(mapping[mapping[name]] == name for name in mapping)
@@ -986,7 +972,7 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                    note=f"{len(mapping)} generators checked, star o star = id")
         # variable relations: the span is star-stable; the central relation is
         # literally fixed, the two light-cone rows swap up to a unit
-        xx = ctx.relations("xx")
+        xx = inp.families["xx"]
         images = [catalog.star_apply(rel) for rel in xx]
         outside = _outside_span(xx, images, catalog.x_alphabet().word_key)
         for idx, (rel, image) in enumerate(zip(xx, images), 1):
@@ -1003,7 +989,7 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             note="the deformation relation x1*x2 - q*x2*x1 - s*x3^2 is star-fixed",
         )
         # quantum matrix relations
-        tt = ctx.tt_presentation().relations
+        tt = inp.tt.relations
         bad = _outside_span(tt, [catalog.star_apply(rel) for rel in tt],
                             catalog.t_alphabet().word_key)
         report.add(
@@ -1013,8 +999,8 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if not bad else f"rows {bad} leave the span",
         )
         # the determinant is star-fixed modulo the ideal, so Dinv* = Dinv is sound
-        rules = ncalg.algebra(ctx.tt_presentation()).rule_system()
-        D = ctx.quantum_determinant()
+        rules = ncalg.algebra(inp.tt).rule_system()
+        D = inp.determinant
         dstar = rules.normalize(catalog.star_apply(D) - D)
         report.add(
             "determinant-star-fixed", dstar.is_zero,
@@ -1023,12 +1009,11 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if dstar.is_zero else str(dstar)[:160],
         )
         # inverse-determinant commutation rules
-        qg = ctx.qg_presentation()
-        tdinv = ctx.presentation("tdinv").relations
+        tdinv = inp.families["tdinv"]
         bad = _outside_span(
-            qg.relations,
-            [catalog.star_apply(ncalg.algebra_map(rel, qg.alphabet)) for rel in tdinv],
-            qg.alphabet.word_key)
+            inp.qg.relations,
+            [catalog.star_apply(ncalg.algebra_map(rel, inp.qg.alphabet)) for rel in tdinv],
+            inp.qg.alphabet.word_key)
         report.add(
             "inverse-determinant-relations", not bad,
             note="star images of the commutation rules are ideal members" if not bad
@@ -1046,46 +1031,49 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 def check_specializations(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """The four distinguished parameter/generator specializations.
 
-    Each specialization composes with the context's bindings.  A sub-check
-    whose specialized parameter is bound to a value that contradicts it is
-    reported as passing with a note that starts "not applicable:".
+    Each specialization is applied after the bindings, to both sides of every
+    comparison.  A sub-check that the bindings rule out passes with a note
+    that starts "not applicable:".
     """
-    bound = ctx.binding_map()
+    inp = ctx.bound
     with timed_report("specializations") as report:
         # (a) s = 0: the variable algebra is the quantum plane
-        if "s" in bound and not bound["s"].is_zero:
+        if not inp.s.substitute({"s": 0}).is_zero:
             report.add("s=0-quantum-plane", True,
-                       note=f"not applicable: s is bound to {bound['s']}")
+                       note=f"not applicable: s is bound to {inp.s}")
         else:
-            xp = PresentationSpec("x", catalog.x_alphabet(), ctx.relations("xx"))
-            s0 = ncalg.specialize(xp, {"s": 0})
-            plane = catalog.quantum_plane_presentation()
-            cmp = ncalg.span_compare(s0, [ctx.apply_element(r) for r in plane.relations])
+            xp = PresentationSpec("x", catalog.x_alphabet(), inp.families["xx"])
+            cmp = ncalg.span_compare(ncalg.specialize(xp, {"s": 0}),
+                                     ncalg.specialize(inp.plane, {"s": 0}))
             report.add("s=0-quantum-plane", cmp.verdict == "equal",
                        note=f"span comparison: {cmp.verdict}")
-        # (b) q = u^2: the braiding is self-inverse and the calculi coincide
-        u2 = {"q": ctx.apply_scalar(exprs.parse_scalar("u^2"))}
-        factor = ctx.apply_scalar(exprs.parse_scalar("u^2 - q"))
-        off_u2 = None
-        if "q" in bound and not factor.is_zero:
-            off_u2 = f"not applicable: the bindings give u^2 - q = {factor}"
+        # (b) q = u^2: the braiding is self-inverse and the calculi coincide;
+        # q := u^2 after the bindings if q is free, else the bindings must give it
+        factor = inp.u * inp.u - inp.q
+        u2, off_u2 = {}, None
+        if inp.q != Scalar.param("q"):
+            if not factor.is_zero:
+                off_u2 = f"not applicable: the bindings give u^2 - q = {factor}"
+        elif any(exps[0] for exps in (*inp.u.numer_terms(), *inp.u.denom_terms())):
+            off_u2 = f"not applicable: the bindings give u = {inp.u}, which mentions q"
+        else:
+            u2 = {"q": inp.u * inp.u}
         kinds = ("xxi", "dxi", "xd")
         if off_u2:
             for detail_id in ("q=u^2-self-inverse-braiding",
                               *(f"q=u^2-calculi-coincide:{kind}" for kind in kinds)):
                 report.add(detail_id, True, note=off_u2)
         else:
-            self_inverse = ctx.omega().substitute(u2) == ctx.omega_inverse().substitute(u2)
+            self_inverse = inp.omega.substitute(u2) == inp.omega_inv.substitute(u2)
             report.add("q=u^2-self-inverse-braiding", self_inverse)
             for kind in kinds:
-                a = [r.substitute_params(u2) for r in ctx.relations(f"{kind}-omega")]
-                b = [r.substitute_params(u2) for r in ctx.relations(f"{kind}-omega-inv")]
+                a = [r.substitute_params(u2) for r in inp.families[f"{kind}-omega"]]
+                b = [r.substitute_params(u2) for r in inp.families[f"{kind}-omega-inv"]]
                 cmp = ncalg.span_compare(a, b)
                 report.add(f"q=u^2-calculi-coincide:{kind}", cmp.verdict == "equal",
                            note=f"span comparison: {cmp.verdict}")
         # (c) t31 = t32 = 0 forces the two binomial residues
-        tt = ctx.tt_presentation()
-        spec = ncalg.specialize(tt, {"t31": 0, "t32": 0})
+        spec = ncalg.specialize(inp.tt, {"t31": 0, "t32": 0})
         residues = {}
         for rel in spec.relations:
             if rel and len(rel.terms) == 1:
@@ -1112,13 +1100,13 @@ def check_specializations(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         if off_u2:
             report.add("t-prime-commutativity", True, note=off_u2)
         else:
-            spec2 = ncalg.specialize(tt, {**u2, "t31": 0, "t32": 0})
-            ok, note, counterexample = _tprime_commutativity(spec2, ctx, u2)
+            spec2 = ncalg.specialize(inp.tt, {**u2, "t31": 0, "t32": 0})
+            ok, note, counterexample = _tprime_commutativity(spec2, inp.determinant, u2)
             report.add("t-prime-commutativity", ok, note=note, counterexample=counterexample)
     return report
 
 
-def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext, u2: dict):
+def _tprime_commutativity(spec2: PresentationSpec, D: Element, u2: dict):
     SA = spec2.alphabet
     try:
         spec_rules = ncalg.algebra(
@@ -1136,7 +1124,7 @@ def _tprime_commutativity(spec2: PresentationSpec, ctx: VerifyContext, u2: dict)
         nu[g.name] = rhs.terms[(g.rank, t33)]
     # the specialized determinant factors as M * t33; M - t33^2 is the deformed
     # subgroup determinant condition, part of the subgroup's definition
-    D_spec = ncalg.algebra_map(ctx.quantum_determinant().substitute_params(u2), SA,
+    D_spec = ncalg.algebra_map(D.substitute_params(u2), SA,
                                {"t31": 0, "t32": 0})
     if not all(w and w[-1] == t33 for w in D_spec.terms):
         return False, "", "specialized determinant does not factor through t33"

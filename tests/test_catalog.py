@@ -62,16 +62,17 @@ def test_family_alias_names():
 
 def test_generated_families_match_transcription():
     target = catalog.calculus_alphabet()
-    for variant, matrix in (("omega", catalog.omega()), ("omega-inv", catalog.omega_inverse())):
+    om, oi = catalog.omega(), catalog.omega_inverse()
+    for variant, matrix, inverse in (("omega", om, oi), ("omega-inv", oi, om)):
         for kind, fid in (("xxi", f"xxi-{variant}"), ("dxi", f"dxi-{variant}"),
                           ("xd", f"xd-{variant}"), ("xixi", "xixi")):
-            generated = catalog.generate_from_C(matrix, kind).relations
+            generated = catalog.generate_from_C(matrix, inverse, kind).relations
             transcribed = [ncalg.algebra_map(r, target) for r in catalog.family(fid).relations]
             assert span_compare(generated, transcribed).verdict == "equal", (variant, kind)
 
 
 def test_generate_from_identity_braiding():
-    fam = catalog.generate_from_C(CMatrix.identity(), "xxi")
+    fam = catalog.generate_from_C(CMatrix.identity(), CMatrix.identity(), "xxi")
     A = fam.alphabet
     expected = {
         frozenset({(A.rank_of(f"x{k}"), A.rank_of(f"xi{l}")),

@@ -62,6 +62,13 @@ def test_verify_undecided_coaction_prints_report_and_exits_one(capsys, monkeypat
     assert "FAIL family:dd: undecided: relation 0: membership row cap exceeded" in out
 
 
+def test_verify_scalar_error_inside_a_check_prints_report_and_exits_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--check", "specializations",
+                           "--mutate", "omega:33,33=((q-u^2)/u^2)")
+    assert code == 1
+    assert "FAIL scalar-error: undecided: substitution sends denominator to zero" in out
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--check", "nonsense")
     assert code == 2

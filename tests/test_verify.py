@@ -1,6 +1,9 @@
 """The verification checks, their witnesses, and their negative controls."""
 
 import random
+from pathlib import Path
+
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from wh3 import catalog, ncalg, verify
 from wh3.catalog import CMatrix, PAIRS
@@ -8,7 +11,7 @@ from wh3.exprs import parse_element, parse_scalar
 from wh3.linalg import ScalarEchelon
 from wh3.ncalg import Element, MembershipOracle
 from wh3.reports import reports_to_json
-from wh3.scalars import Scalar
+from wh3.scalars import Scalar, ScalarSubstitutionError
 from wh3.verify import VerifyContext
 
 
@@ -238,7 +241,7 @@ def test_calculus_mutation_sensitivity():
     rng = random.Random(777)
     target = catalog.calculus_alphabet()
     generated = {
-        kind: catalog.generate_from_C(catalog.omega(), kind).relations
+        kind: catalog.generate_from_C(catalog.omega(), catalog.omega_inverse(), kind).relations
         for kind in ("xxi", "dxi", "xd")
     }
     echelons = {}
@@ -371,6 +374,28 @@ def test_specializations_compose_with_bindings():
     assert detail_map(report)["s=0-quantum-plane"].note == "span comparison: equal"
 
 
+def test_specializations_apply_after_bindings_that_mention_parameters():
+    # s := 0 reaches both sides of the quantum-plane comparison, and a bound s
+    # that vanishes at s = 0 does not rule it out
+    for name, value in (("q", "s"), ("u", "s+1"), ("q", "u^2*s+u^2"), ("s", "2*s")):
+        report = verify.check_specializations(
+            VerifyContext(bindings=((name, parse_scalar(value)),)))
+        assert report.passed, (name, value, report.counterexample)
+        assert detail_map(report)["s=0-quantum-plane"].note == "span comparison: equal"
+    # q := u^2 is no specialization when the bound u mentions q
+    report = verify.check_specializations(VerifyContext(bindings=(("u", parse_scalar("q")),)))
+    assert report.passed, report.counterexample
+    skipped = {d.id for d in report.details
+               if d.note == "not applicable: the bindings give u = q, which mentions q"}
+    assert skipped == {
+        "q=u^2-self-inverse-braiding",
+        "q=u^2-calculi-coincide:xxi",
+        "q=u^2-calculi-coincide:dxi",
+        "q=u^2-calculi-coincide:xd",
+        "t-prime-commutativity",
+    }
+
+
 def test_specializations_run_every_subcheck_when_bindings_allow():
     for bindings in ((("s", parse_scalar("0")),), (("u", parse_scalar("2")),)):
         report = verify.check_specializations(VerifyContext(bindings=bindings))
@@ -493,3 +518,68 @@ def test_row_cap_is_checked_before_any_row_is_built(monkeypatch):
         assert "18 products > 17" in str(err)
     else:
         raise AssertionError("row cap not enforced")
+
+
+# ---------------------------------------------------------------------------
+# bind once, fail locally
+# ---------------------------------------------------------------------------
+
+
+def test_parameter_valued_binding_is_applied_once():
+    # generated relations and coproduct images come from bound inputs; binding
+    # them again would turn q into 4q on one side
+    ctx = VerifyContext(bindings=(("q", parse_scalar("2*q")),))
+    for check in ("calculus-omega", "calculus-omega-inv", "rtt", "hopf"):
+        report = verify.run_check(check, ctx)
+        assert report.passed, (check, report.counterexample)
+
+
+def test_bound_inputs_are_built_once_per_context(monkeypatch):
+    inverses = []
+    inverse = CMatrix.inverse
+    monkeypatch.setattr(CMatrix, "inverse", lambda m: inverses.append(m) or inverse(m))
+    mutation = (((1, 1), (1, 1), parse_scalar("q/u^2 + 1")),)
+    ctx = VerifyContext(omega_mutations=mutation)
+    verify.run_all(ctx, ("ybe", "constraints", "eigenstructure", "calculus-omega",
+                         "calculus-omega-inv", "rtt"))
+    assert ctx.bound is ctx.bound
+    assert len(inverses) == 1
+
+
+GENERIC_CHECKS = tuple(c for c in verify.CHECK_IDS if c not in ("determinant", "coaction"))
+
+
+@settings(max_examples=4)
+@given(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 3))
+def test_rational_points_keep_the_generic_verdicts(default_reports, point):
+    q, u, s = point
+    # q = u^2 is the specialization the paper singles out; at q = -u^2 the
+    # braiding eigenvalues -1 and q/u^2 coincide
+    assume(q != u * u and q != -u * u)
+    ctx = VerifyContext(bindings=tuple(zip("qus", map(Scalar.from_fraction, point))))
+    try:
+        ctx.bound
+    except ScalarSubstitutionError:
+        reject()
+    statuses = {r.check: r.status for r in verify.run_all(ctx, GENERIC_CHECKS)}
+    assert statuses == {c: default_reports[c].status for c in GENERIC_CHECKS}, point
+
+
+def test_mutated_contexts_report_every_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import MUTATION_CHECKS
+
+    checks = (*MUTATION_CHECKS, "specializations")
+    rng = random.Random(5)
+    mutations = [((3, 3), (3, 3), parse_scalar("(q - u^2)/u^2"))]
+    mutations += [verify.random_omega_mutation(rng) for _ in range(8)]
+    for mutation in mutations:
+        reports = verify.run_all(VerifyContext(omega_mutations=(mutation,)), checks)
+        assert [r.check for r in reports] == list(checks), mutation
+    # the first mutation puts q - u^2 in a denominator of the inverse braiding:
+    # q := u^2 is undecided, and the detail before it is kept
+    report = verify.check_specializations(VerifyContext(omega_mutations=(mutations[0],)))
+    assert [d.id for d in report.details] == ["s=0-quantum-plane", "scalar-error"]
+    assert report.details[1].note == ("undecided: substitution sends denominator to zero "
+                                      "in q*s/(q - u^2)")
+    assert report.status == "fail"
