@@ -23,11 +23,12 @@ from functools import lru_cache
 from . import exprs
 from .linalg import ScalarEchelon
 from .ncalg import EMPTY_ALPHABET, Alphabet, Element, PresentationSpec, algebra_map
-from .scalars import Scalar
+from .scalars import Scalar, ScalarError
 
 __all__ = [
     "PAIRS",
     "CMatrix",
+    "SingularMatrixError",
     "omega",
     "omega_inverse",
     "FAMILY_IDS",
@@ -63,6 +64,10 @@ __all__ = [
 
 PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 PAIR_INDEX = {p: i for i, p in enumerate(PAIRS)}
+
+
+class SingularMatrixError(ScalarError):
+    """A matrix to be inverted is singular over Q(q, u, s)."""
 
 
 class CMatrix:
@@ -130,7 +135,7 @@ class CMatrix:
             vec[(0, i)] = one
             ech.insert(vec)
         if any(lead[0] == 0 for lead in ech.rows):
-            raise ValueError("matrix is singular over Q(q, u, s)")
+            raise SingularMatrixError("matrix is singular over Q(q, u, s)")
         ech.interreduce()
         zero = Scalar.zero()
         return CMatrix([[ech.rows[(1, j)].get((0, k), zero) for k in range(9)]

@@ -65,12 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--expr", required=True)
     p_norm.add_argument("--errata", choices=("on", "off"), default="on")
 
-    p_member = sub.add_parser("member", help="degree-bounded ideal membership")
+    p_member = sub.add_parser("member", help="ideal membership")
     p_member.add_argument("--algebra", default=None)
     p_member.add_argument("--algebra-file", default=None)
     p_member.add_argument("--expr", required=True)
     p_member.add_argument("--degree", type=int, default=None)
-    p_member.add_argument("--mode", choices=("exact", "modular"), default="exact")
+    p_member.add_argument("--mode", choices=("exact", "modular"), default="exact",
+                          help="exact: the normal form under rules completed to the "
+                               "degree; modular: elimination on the raw rows "
+                               "w1*r*w2 over GF(p)")
     p_member.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p_member.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_member.add_argument("--errata", choices=("on", "off"), default="on")
@@ -96,7 +99,7 @@ class UsageError(Exception):
 def _parse_bindings(text: str | None) -> tuple:
     if not text:
         return ()
-    out = []
+    out = {}
     for piece in text.split(","):
         if "=" not in piece:
             raise UsageError(f"bad binding {piece!r}; expected name=value")
@@ -104,8 +107,10 @@ def _parse_bindings(text: str | None) -> tuple:
         name = name.strip()
         if name not in ("q", "u", "s"):
             raise UsageError(f"unknown parameter {name!r} in --set/--spec")
-        out.append((name, exprs.parse_scalar(value)))
-    return tuple(out)
+        if name in out:
+            raise UsageError(f"parameter {name} given more than once in --set/--spec")
+        out[name] = exprs.parse_scalar(value)
+    return tuple(out.items())
 
 
 def _parse_mutation(text: str | None) -> tuple:
@@ -172,15 +177,12 @@ def _cmd_verify(args) -> int:
     else:
         raise UsageError("choose --all or --check ids")
     _check_prime(args.prime)
-    bindings = _parse_bindings(args.bindings)
-    if args.spec:
-        bindings = bindings + _parse_bindings(args.spec)
     ctx = verify.VerifyContext(
         errata=args.errata == "on",
         mode=args.mode,
         prime=args.prime,
         seed=args.seed,
-        bindings=bindings,
+        bindings=_parse_bindings(",".join(filter(None, (args.bindings, args.spec)))),
         omega_mutations=_parse_mutation(args.mutate),
     )
     reports = verify.run_all(ctx, checks)
@@ -234,7 +236,8 @@ def _cmd_member(args) -> int:
     else:
         verdict = "member" if report.member else "not a member"
         certainty = "certain" if report.certain else "probabilistic"
-        print(f"{verdict} ({certainty}; {report.route}, {report.mode}, degree {report.degree})")
+        print(report.note if report.note.startswith("undecided:") else
+              f"{verdict} ({certainty}; {report.route}, {report.mode}, degree {report.degree})")
         if report.residual is not None:
             print(f"residual: {report.residual.format()}")
     return 0 if report.member else 1

@@ -2,20 +2,19 @@
 
 Elements are finite scalar combinations of words over a ranked alphabet.
 Quadratic presentations are oriented into monic, strictly deg-lex-decreasing
-rewrite rules; normal forms, overlap (diamond) analysis, graded derivations,
-degree-bounded ideal membership and span comparison are built on top.
+rewrite rules; normal forms, overlap (diamond) analysis with completion to a
+degree bound, graded derivations, ideal membership and span comparison are
+built on top.
 
-Normalization is linear in the element (each word is rewritten independently,
-leftmost redex first, with per-word memoization).  That linearity is what
-makes the membership oracle below exact: an element lies in the span of
-bounded relation multiples iff its normal form lies in the span of the normal
-forms of those multiples, whether or not the rule system is confluent.
-
-When overlap analysis finds the rule system confluent, Bergman's diamond
-lemma makes the normal words a basis of the quotient, so e lies in the ideal
-iff NF(e) = 0, in both directions and at every degree; membership then needs
-no rows and no elimination.  `algebra(pres)` returns the one object per
-presentation content that holds the rules, that certificate and the caches.
+Normalization is linear and subtracts explicit ideal elements, so NF(e) = 0
+certifies that e lies in the ideal.  For confluent rules Bergman's diamond
+lemma makes the normal words a basis of the quotient, so NF(e) != 0 certifies
+the converse.  Other rules are completed to degree d (every ambiguity of
+length <= d resolved); for homogeneous relations the normal words of length
+<= d are then a basis of the quotient in those degrees, and the normal form
+decides membership exactly again.  `algebra(pres)` returns the one object
+per presentation content that holds the rules, the certificate, the
+completions and the caches.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ __all__ = [
 
 DEFAULT_REWRITE_BUDGET = 2_000_000
 DEFAULT_MEMBERSHIP_DEGREE = 4
-DEFAULT_MAX_MEMBERSHIP_DEGREE = 8
 MEMBERSHIP_ROW_CAP = 400_000
 ALGEBRA_CACHE_SIZE = 32
 
@@ -361,9 +359,6 @@ class PresentationSpec:
     def nonzero_relations(self) -> list[Element]:
         return [r for r in self.relations if not r.is_zero]
 
-    def max_relation_degree(self) -> int:
-        return max((r.degree() for r in self.nonzero_relations()), default=0)
-
     def all_homogeneous(self) -> bool:
         return all(r.is_homogeneous() for r in self.nonzero_relations())
 
@@ -562,8 +557,6 @@ class ConfluenceReport:
     overlaps_checked: int
     unresolved: list[OverlapDefect]
     rules_added: list[tuple[int, ...]]
-    passes: int
-    degree_bound_hit: bool
     system: RuleSystem
 
 
@@ -584,27 +577,28 @@ def _ambiguities(rules: Mapping[tuple[int, ...], Element]):
                         yield a, (0, a), (i, b)
 
 
-def overlap_resolve(rs: RuleSystem, complete_up_to: int = 2, max_passes: int = 20) -> ConfluenceReport:
+def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None) -> ConfluenceReport:
     """Check every overlap ambiguity; optionally complete up to a degree bound.
 
     For each word admitting two rule applications, both reduction paths are
-    normalized and compared.  With complete_up_to > 2, nonzero differences
-    are oriented (deg-lex-maximal word becomes the new left side) and added,
-    iterating to a fixpoint or the degree bound.
+    normalized and compared.  With complete_up_to = d, ambiguity words longer
+    than d are skipped and every nonzero difference is oriented into a new
+    rule (its deg-lex-maximal word becomes the left side), iterating until
+    every ambiguity of length <= d resolves.  A difference led by a word of
+    length <= 1 puts a constant or a generator into the ideal: that rank
+    collapse raises InconsistentPresentationError naming the element.
     """
     system = rs
     added: list[tuple[int, ...]] = []
-    degree_bound_hit = False
-    passes = 0
     overlaps_checked = 0
-    unresolved: list[OverlapDefect] = []
     while True:
-        passes += 1
-        unresolved = []
+        unresolved: list[OverlapDefect] = []
         seen = set()
         for word, (pos_a, lhs_a), (pos_b, lhs_b) in _ambiguities(system.rules):
             key = (word, pos_a, lhs_a, pos_b, lhs_b)
             if key in seen or (pos_a, lhs_a) == (pos_b, lhs_b):
+                continue
+            if complete_up_to is not None and len(word) > complete_up_to:
                 continue
             seen.add(key)
             overlaps_checked += 1
@@ -613,23 +607,21 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int = 2, max_passes: int = 2
             diff = system.normalize(path_a) - system.normalize(path_b)
             if not diff.is_zero:
                 unresolved.append(OverlapDefect(lhs_a, lhs_b, word, diff))
-        if not unresolved or complete_up_to <= 2 or passes >= max_passes:
+        if not unresolved or complete_up_to is None:
             break
         new_rules = {}
         for defect in unresolved:
             lead = defect.difference.lead_word()
             if len(lead) < 2:
-                continue  # degenerate defect: a rank collapse, not a rule
-            if len(lead) > complete_up_to:
-                degree_bound_hit = True
-                continue
+                raise InconsistentPresentationError(
+                    f"rank collapse: the ambiguity {system.alphabet.format_word(defect.word)} "
+                    f"puts {defect.difference} into the ideal"
+                )
             inv = defect.difference.terms[lead].inverse()
             tail = {
                 w: -(c * inv) for w, c in defect.difference.terms.items() if w != lead
             }
             new_rules[lead] = Element(system.alphabet, tail)
-        if not new_rules:
-            break
         added.extend(new_rules)
         system = system.extended(new_rules)
     return ConfluenceReport(
@@ -637,8 +629,6 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int = 2, max_passes: int = 2
         overlaps_checked=overlaps_checked,
         unresolved=unresolved,
         rules_added=added,
-        passes=passes,
-        degree_bound_hit=degree_bound_hit,
         system=system,
     )
 
@@ -712,23 +702,24 @@ class MembershipOracle:
     """The algebra of one presentation: rules, confluence certificate, membership.
 
     Holds the oriented rules (with their normal-form cache), the confluence
-    certificate, computed on first need, and the echelon caches of
-    degree-bounded two-sided ideal membership.  Obtain shared instances
-    through `algebra(pres)`.
+    certificate, the completions and the echelons of the raw rows, each
+    computed on first need.  Obtain shared instances through `algebra(pres)`.
 
-    Routes of `member`, with pre-reduction on:
+    `member(e, degree, mode)` has two routes:
 
-    - NF(e) = 0 is an explicit ideal decomposition: a member, exactly.
-    - NF(e) != 0 and the rules are confluent: by the diamond lemma e is not
-      in the ideal, exactly; no rows are built whatever the mode.
-    - otherwise the spanning rows { w1 * r * w2 } are normalized and NF(e)
-      is reduced against them, exactly or over GF(p).  Normalization is
-      linear and subtracts explicit ideal elements, so membership of e is
-      membership of NF(e) in the span of the normalized rows.
+    - mode "exact": the normal form of e under `completion(degree)`.  Zero is
+      a member, exactly (route "reduction").  Nonzero is an exact non-member
+      (route "certificate") when the rules are confluent or the relations
+      homogeneous; otherwise the verdict is not certain and its note starts
+      "undecided:".  No rows are built.
+    - modes "rows" and "modular": elimination on the raw rows w1 * r * w2,
+      exactly or over GF(p), independent of the rules.  A modular verdict is
+      never certain: an unlucky point can drop the rank of the rows or of
+      the residual.
 
-    With pre_reduce=False the raw rows are used, an independent route.
-    Modular verdicts are probabilistic either way: an unlucky evaluation
-    point can drop the rank of the rows or of the residual.
+    A completion that puts a constant or a generator into the ideal raises
+    InconsistentPresentationError ("rank collapse: ..."), each time it is
+    asked for, like the orientation error.
     """
 
     def __init__(self, pres: PresentationSpec):
@@ -740,6 +731,7 @@ class MembershipOracle:
             self.rules = None
             self.orientation_error = err
         self._confluence: ConfluenceReport | None = None
+        self._completions: dict = {}
         self._echelons: dict = {}
 
     def rule_system(self) -> RuleSystem:
@@ -755,15 +747,30 @@ class MembershipOracle:
             self._confluence = overlap_resolve(self.rule_system())
         return self._confluence
 
+    def completion(self, degree: int) -> RuleSystem:
+        """The rules with every ambiguity of length <= degree resolved (cached).
+
+        Confluent rules are their own completion.  Raises the orientation
+        error, or the rank collapse that the completion met.
+        """
+        if degree not in self._completions:
+            try:
+                self._completions[degree] = self.rules if self.confluence.confluent \
+                    else overlap_resolve(self.rules, complete_up_to=degree).system
+            except InconsistentPresentationError as err:
+                self._completions[degree] = err
+        found = self._completions[degree]
+        if isinstance(found, InconsistentPresentationError):
+            raise found
+        return found
+
     # -- row generation ------------------------------------------------------
 
-    def _row_vectors(self, degree: int, reduced: bool):
-        """Yield the distinct spanning rows w1*r*w2, normalized when asked.
+    def _row_vectors(self, degree: int):
+        """Yield the distinct raw spanning rows w1*r*w2.
 
-        The same (linear) normalization must be applied to rows and probe
-        alike, so reduced and raw rows feed separate echelons.  Only those
-        echelons are cached: an object shared for the whole run would
-        otherwise keep every degree-4 row and its coefficients alive.
+        Only their echelons are cached: an object shared for the whole run
+        would otherwise keep every degree-4 row and its coefficients alive.
         """
         alphabet = self.pres.alphabet
         n = len(alphabet)
@@ -793,24 +800,20 @@ class MembershipOracle:
                         base = left * rel
                         for w2 in itertools.product(range(n), repeat=right_len):
                             row = base * Element.from_word(alphabet, w2)
-                            if reduced:
-                                row = self.rules.normalize(row)
-                            if row.is_zero:
-                                continue
                             key = frozenset(row.terms.items())
                             if key in seen:
                                 continue
                             seen.add(key)
                             yield row.terms
 
-    def _echelon(self, degree: int, reduced: bool, point=None) -> ScalarEchelon:
+    def _echelon(self, degree: int, point=None) -> ScalarEchelon:
         """The cached echelon of the rows: exact, or over GF(p) at a modular point."""
-        key = (degree, reduced, point)
+        key = (degree, point)
         ech = self._echelons.get(key)
         if ech is None:
             word_key = self.pres.alphabet.word_key
             ech = ScalarEchelon(word_key) if point is None else ModEchelon(point.prime, word_key)
-            for row in self._row_vectors(degree, reduced):
+            for row in self._row_vectors(degree):
                 ech.insert(row if point is None else eval_vec_mod(row, point))
             self._echelons[key] = ech
         return ech
@@ -818,37 +821,30 @@ class MembershipOracle:
     # -- the oracle ----------------------------------------------------------
 
     def member(self, e: Element, degree: int | None = None, mode: str = "exact",
-               pre_reduce: bool = True, prime: int = DEFAULT_PRIME,
-               seed: int = DEFAULT_SEED,
-               max_degree: int = DEFAULT_MAX_MEMBERSHIP_DEGREE) -> MembershipReport:
-        if mode not in ("exact", "modular"):
+               prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED) -> MembershipReport:
+        if mode not in ("exact", "rows", "modular"):
             raise ValueError(f"unknown membership mode {mode!r}")
         if degree is None:
             degree = max(e.degree(), DEFAULT_MEMBERSHIP_DEGREE)
         if e.degree() > degree:
             raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {degree}")
-        if degree > max_degree:
-            raise DegreeBoundError(f"degree {degree} exceeds configured bound {max_degree}")
         if e.is_zero:
             return MembershipReport(True, True, "trivial", "exact", degree)
-        reduced = pre_reduce and self.rules is not None
-        target = e
-        if reduced:
-            target = self.rules.normalize(e)
-            if target.is_zero:
-                return MembershipReport(
-                    True, True, "reduction", "exact", degree,
-                    note="normal form vanishes: explicit ideal decomposition",
-                )
-            if self.confluence.confluent:
-                return MembershipReport(
-                    False, True, "certificate", "exact", degree, residual=target,
-                    note="confluent rules: a nonzero normal form is not in the ideal",
-                )
         if mode == "exact":
-            ech = self._echelon(degree, reduced)
-            residual_vec = ech.reduce(target.terms)
-            residual = Element(self.pres.alphabet, residual_vec)
+            nf = self.completion(degree).normalize(e)
+            if nf.is_zero:
+                return MembershipReport(True, True, "reduction", "exact", degree,
+                                        note="normal form vanishes: explicit ideal decomposition")
+            if self.confluence.confluent or self.pres.all_homogeneous():
+                return MembershipReport(False, True, "certificate", "exact", degree, residual=nf,
+                                        note="nonzero normal form under confluent or "
+                                             f"homogeneous rules completed to degree {degree}")
+            return MembershipReport(False, False, "reduction", "exact", degree, residual=nf,
+                                    note="undecided: nonzero normal form under rules completed "
+                                         f"to degree {degree}, neither confluent nor homogeneous")
+        if mode == "rows":
+            ech = self._echelon(degree)
+            residual = Element(self.pres.alphabet, ech.reduce(e.terms))
             return MembershipReport(
                 member=residual.is_zero,
                 certain=True,
@@ -860,9 +856,8 @@ class MembershipOracle:
             )
 
         def attempt(point):
-            ech = self._echelon(degree, reduced, point)
-            vec = eval_vec_mod(target.terms, point)
-            return ech, ech.reduce(vec)
+            ech = self._echelon(degree, point)
+            return ech, ech.reduce(eval_vec_mod(e.terms, point))
 
         point, (ech, residual_vec) = with_modular_retries(attempt, prime, seed)
         member = not residual_vec
@@ -908,10 +903,10 @@ def algebra(pres: PresentationSpec) -> MembershipOracle:
 
 
 def ideal_membership(e: Element, pres: PresentationSpec, degree: int | None = None,
-                     mode: str = "exact", pre_reduce: bool = True,
-                     prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED) -> MembershipReport:
-    """One-shot degree-bounded ideal membership (see MembershipOracle)."""
-    return algebra(pres).member(e, degree, mode, pre_reduce, prime, seed)
+                     mode: str = "exact", prime: int = DEFAULT_PRIME,
+                     seed: int = DEFAULT_SEED) -> MembershipReport:
+    """One-shot ideal membership (see MembershipOracle)."""
+    return algebra(pres).member(e, degree, mode, prime, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,19 @@ functions of an immutable context, so they can run in any order (or
 concurrently).  Each reads its inputs from `ctx.bound`, where the bindings
 are applied once, before the check starts; nothing derived from them is bound
 again, and a scalar error inside a check is an `undecided:` detail of it.
-Membership verdicts obtained by rewriting an element to zero, or to a nonzero
-normal form under confluent rules, are exact certificates, linear-algebra
-verdicts are exact unless the context asks for modular arithmetic, and every
-modular verdict records the prime and seed that reproduce it.  Rules and
-membership caches live in one shared algebra object per presentation content
-(`ncalg.algebra`), so a binding, an errata switch or any changed coefficient
-yields its own.
+Membership is decided by the normal form under rules completed to the
+element's degree: a vanishing normal form, or a nonzero one under confluent or
+homogeneous rules, is an exact certificate, and anything else is reported
+`undecided:`.  The only modular verdicts are the raw-row cross-checks of the
+determinant, and each records the prime and seed that reproduce it.  Rules,
+completions and membership caches live in one shared algebra object per
+presentation content (`ncalg.algebra`), so a binding, an errata switch or any
+changed coefficient yields its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -70,10 +72,6 @@ class VerifyContext:
     def bound(self) -> "BoundInputs":
         """The inputs under the bindings and mutations; raises ScalarError if undefined."""
         return BoundInputs(self)
-
-    def heavy_mode(self) -> str:
-        """Arithmetic for large eliminations: modular unless exact was forced."""
-        return "exact" if self.mode == "exact" else "modular"
 
 
 class BoundInputs:
@@ -647,7 +645,7 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                     note=f"exact by {exact.route}; modular half skipped (--mode exact)",
                 )
                 continue
-            modular = oracle.member(probe, degree=4, mode="modular", pre_reduce=False,
+            modular = oracle.member(probe, degree=4, mode="modular",
                                     prime=ctx.prime, seed=ctx.seed)
             report.prime, report.seed = modular.prime, modular.seed
             report.add(
@@ -660,15 +658,11 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             noncentral = lam["t21"] != Scalar.one()
             g = Element.generator(TA, "t21")
             probe = g * D - D * g
-            rep = oracle.member(probe, degree=4, mode=ctx.heavy_mode(),
-                                prime=ctx.prime, seed=ctx.seed)
-            if rep.prime:
-                report.prime, report.seed = rep.prime, rep.seed
+            rep = oracle.member(probe, degree=4)
             report.add(
-                "non-centrality:t21", noncentral and not rep.member,
+                "non-centrality:t21", noncentral and rep.certain and not rep.member,
                 note=f"lambda(t21) = {lam.get('t21')}; membership of the untwisted "
                      f"commutator: {rep.member} ({rep.mode})",
-                modular=rep.mode == "modular",
             )
         nontrivial = any(v != Scalar.one() for v in lam.values())
         report.add(
@@ -816,10 +810,8 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
             tensor_rules, tfree_rules = tensor.rule_system(), tfree.rule_system()
             images = _coaction_images(tensor.pres.alphabet, W)
             D_free = ncalg.algebra_map(D, tfree.pres.alphabet)
-            uses_derivatives = fid.startswith(("dxi", "xd", "dd"))
             failures = []
-            modular_used = False
-            undecided = None
+            stopped = None  # a rank collapse or an undecided verdict ends the family
             relations = inp.families[fid]
             for ridx, rel in enumerate(relations):
                 image = ncalg.algebra_map(rel, tensor.pres.alphabet, images)
@@ -828,28 +820,24 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
                 residual = tfree_rules.normalize(lifted)
                 if residual.is_zero:
                     continue
-                # fall back to the membership oracle on the lifted element
-                mode = ctx.heavy_mode() if uses_derivatives else "exact"
+                # decide the lifted element by its normal form under completed rules
                 try:
-                    rep = tfree.member(residual, degree=residual.degree(), mode=mode,
-                                       prime=ctx.prime, seed=ctx.seed,
-                                       max_degree=residual.degree())
-                except ncalg.DegreeBoundError as err:
-                    undecided = f"undecided: relation {ridx}: {err}"
+                    rep = tfree.member(residual, degree=residual.degree())
+                except ncalg.InconsistentPresentationError as err:
+                    stopped = f"{err} (deciding relation {ridx})"
                     break
-                if rep.mode == "modular":
-                    modular_used = True
-                    report.prime, report.seed = rep.prime, rep.seed
+                if not rep.certain:
+                    stopped = f"{rep.note} (relation {ridx})"
+                    break
                 if not rep.member:
-                    failures.append((ridx, rep.residual or residual))
+                    failures.append((ridx, rep.residual))
             outcome = (f"{len(relations)} relations; images reduce to zero" if not failures
                        else f"{len(failures)} of {len(relations)} relation images do not "
                             f"reduce to zero")
             report.add(
-                f"family:{fid}", not failures and undecided is None,
-                note=undecided or
+                f"family:{fid}", not failures and stopped is None,
+                note=stopped or
                 f"{outcome} after straightening Dinv left and lifting by determinant powers",
-                modular=modular_used,
                 counterexample=None if not failures else
                 f"relation {failures[0][0]}: {str(failures[0][1])[:160]}",
             )
@@ -1140,29 +1128,29 @@ def _tprime_commutativity(spec2: PresentationSpec, D: Element, u2: dict):
         g = WA.rank_of(name)
         rels.append(Element(WA, {(g, w_rank): one, (w_rank, g): -val}))
     rels.append(ncalg.algebra_map(M, WA) - Element.from_word(WA, (t33w, t33w)))
+    tprime = ncalg.algebra(PresentationSpec("tprime", WA, rels))
     try:
-        wrules = ncalg.algebra(PresentationSpec("tprime", WA, rels)).rule_system()
+        wrules = tprime.rule_system()
     except ncalg.InconsistentPresentationError as err:
         return False, "", f"extended presentation does not orient: {err}"
-    tgens = [g.name for g in SA.generators]
-    failures = []
-    for a in range(len(tgens)):
-        for b in range(a + 1, len(tgens)):
-            ta = Element.generator(WA, tgens[a]) * Element.generator(WA, "w")
-            tb = Element.generator(WA, tgens[b]) * Element.generator(WA, "w")
-            comm = wrules.normalize(ta * tb - tb * ta)
+    w = Element.generator(WA, "w")
+
+    def noncommuting(rules, pairs):
+        out = []
+        for a, b in pairs:
+            ta, tb = Element.generator(WA, a) * w, Element.generator(WA, b) * w
+            comm = rules.normalize(ta * tb - tb * ta)
             if not comm.is_zero:
-                failures.append((tgens[a], tgens[b], comm))
+                out.append((a, b, comm))
+        return out
+
+    failures = noncommuting(wrules, itertools.combinations([g.name for g in SA.generators], 2))
     if failures:
-        completion = ncalg.overlap_resolve(wrules, complete_up_to=4)
-        still = []
-        for a, b, _ in failures:
-            ta = Element.generator(WA, a) * Element.generator(WA, "w")
-            tb = Element.generator(WA, b) * Element.generator(WA, "w")
-            comm = completion.system.normalize(ta * tb - tb * ta)
-            if not comm.is_zero:
-                still.append((a, b, comm))
-        failures = still
+        try:
+            completed = tprime.completion(4)
+        except ncalg.InconsistentPresentationError as err:
+            return False, "", f"extended presentation collapses: {err}"
+        failures = noncommuting(completed, [(a, b) for a, b, _ in failures])
     nu_text = ", ".join(f"{k}:{v}" for k, v in nu.items())
     note = (
         "derived inverse rules g*w = nu*w*g with nu = {%s}; the deformed subgroup "

@@ -51,15 +51,20 @@ def test_normalize_unorientable_algebra_file(tmp_path, capsys):
     assert "degree-1 relation" in err
 
 
-def test_verify_undecided_coaction_prints_report_and_exits_one(capsys, monkeypatch):
-    from wh3 import ncalg
-
-    monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 1000)
+def test_verify_collapsed_coaction_prints_report_and_exits_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "coaction", "--spec", "q=u^2",
                            "--errata", "off")
     assert code == 1
     assert "] coaction (" in out
-    assert "FAIL family:dd: undecided: relation 0: membership row cap exceeded" in out
+    assert "FAIL family:dd: rank collapse: the ambiguity " in out
+    assert "undecided" not in out
+
+
+def test_verify_rejects_a_parameter_given_twice(capsys):
+    code, out, err = run_cli(capsys, "verify", "--check", "specializations",
+                             "--set", "q=3/2", "--spec", "q=u^2")
+    assert (code, out) == (2, "")
+    assert err == "error: parameter q given more than once in --set/--spec\n"
 
 
 def test_verify_scalar_error_inside_a_check_prints_report_and_exits_one(capsys):
@@ -151,6 +156,25 @@ def test_member_verb(capsys):
     assert "not a member" in out
 
 
+def test_member_modular_mode_uses_the_raw_rows(capsys):
+    code, out, _ = run_cli(capsys, "member", "--algebra", "x", "--mode", "modular",
+                           "--expr", "x1*x2 - x2*x1", "--degree", "2")
+    assert code == 1
+    assert out.startswith("not a member (probabilistic; linear-algebra, modular, degree 2)")
+
+
+def test_member_prints_an_undecided_verdict(tmp_path, capsys):
+    # neither homogeneous nor confluent: a nonzero normal form decides nothing
+    doc = {"name": "affine", "relations": ["y*x - q*x*y - x", "y*y - x*x - 1"],
+           "generators": [{"name": "x", "rank": 0}, {"name": "y", "rank": 1}]}
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "member", "--algebra-file", str(path),
+                           "--expr", "x*y", "--degree", "3")
+    assert code == 1
+    assert out.startswith("undecided: nonzero normal form under rules completed to degree 3")
+
+
 def test_matrix_verb(capsys):
     code, out, _ = run_cli(capsys, "matrix", "--name", "omega", "--format", "json")
     assert code == 0
@@ -209,6 +233,7 @@ def test_python_dash_m_entry_point():
     (("verify", "--check", "determinant", "--prime", "4"), "--prime 4 is not a prime"),
     (("verify", "--check", "determinant", "--prime", "1"), "--prime 1 is not a prime"),
     (("verify", "--check", "ybe", "--mutate", "omega:44,11=1"), "indices 1..3"),
+    (("verify", "--check", "ybe", "--mutate", "omega:12,21=0"), "matrix is singular"),
 ])
 def test_malformed_input_exits_two_with_one_line(argv, message):
     proc = run_module(*argv)

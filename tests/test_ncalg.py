@@ -255,8 +255,8 @@ def test_membership_commutator_is_not_member():
 
 def test_membership_modular_reproducible():
     probe = parse_x("x1*x2 - x2*x1")
-    a = ideal_membership(probe, x_pres(), degree=2, mode="modular", pre_reduce=False, seed=5)
-    b = ideal_membership(probe, x_pres(), degree=2, mode="modular", pre_reduce=False, seed=5)
+    a = ideal_membership(probe, x_pres(), degree=2, mode="modular", seed=5)
+    b = ideal_membership(probe, x_pres(), degree=2, mode="modular", seed=5)
     assert (a.member, a.prime, a.seed, a.point) == (b.member, b.prime, b.seed, b.point)
     assert not a.member and not a.certain
 
@@ -271,27 +271,91 @@ def test_membership_modular_agrees_with_exact_on_probes():
         probe = Element.from_word(A, word1) - Element.from_word(A, word2).scale(
             Scalar.param("q") ** rng.randrange(-1, 2))
         exact = ideal_membership(probe, pres, degree=2, mode="exact")
-        modular = ideal_membership(probe, pres, degree=2, mode="modular", pre_reduce=False)
+        modular = ideal_membership(probe, pres, degree=2, mode="modular")
         assert modular.route == "linear-algebra"
         assert exact.member == modular.member
 
 
 def test_membership_certificate_on_confluent_rules():
     probe = parse_x("x1*x2 - x2*x1")
-    report = ncalg.algebra(x_pres()).member(probe, degree=2, mode="modular")
+    report = ncalg.algebra(x_pres()).member(probe, degree=2)
     assert (report.member, report.route, report.mode, report.certain) == \
         (False, "certificate", "exact", True)
     assert report.prime is None and report.span_rank == 0
     assert report.residual == orient(x_pres()).normalize(probe)
 
 
-def test_membership_without_certificate_uses_linear_algebra():
-    # the uncorrected quantum-matrix rules have 22 unresolved overlaps
+def test_membership_on_homogeneous_rules_without_confluence_is_certified():
+    # the uncorrected quantum-matrix rules have 22 unresolved overlaps; they are
+    # homogeneous, so the normal form under the completed rules decides exactly
     oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
     assert not oracle.confluence.confluent
     assert len(oracle.confluence.unresolved) == 22
     report = oracle.member(parse_element("t11*t11", oracle.pres.alphabet), degree=2)
-    assert (report.member, report.route, report.mode) == (False, "linear-algebra", "exact")
+    assert (report.member, report.route, report.mode, report.certain) == \
+        (False, "certificate", "exact", True)
+    assert report.span_rank == 0 and report.prime is None
+
+
+def test_completion_resolves_every_short_ambiguity():
+    oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
+    completed = oracle.completion(3)
+    assert oracle.completion(3) is completed
+    assert len(completed) > len(oracle.rules)
+    assert overlap_resolve(completed, complete_up_to=3).rules_added == []
+    # confluent rules are their own completion
+    x_algebra = ncalg.algebra(x_pres())
+    assert x_algebra.completion(5) is x_algebra.rules
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_completion_agrees_with_raw_exact_rows_on_errata_off_tt(data):
+    # homogeneous and not confluent: completion to the degree decides exactly
+    oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
+    A = oracle.pres.alphabet
+    degree = data.draw(st.integers(2, 3))
+    coefficients = st.sampled_from(["1", "-1", "q", "u/q", "s"])
+    words = st.tuples(*[st.integers(0, len(A) - 1)] * degree)
+    probe = Element.zero(A)
+    for word, coeff in data.draw(st.lists(st.tuples(words, coefficients), max_size=2)):
+        probe = probe + Element.from_word(A, word, parse_scalar(coeff))
+    # add ideal elements w1 * r * w2 so that members occur too
+    for ridx in data.draw(st.lists(st.integers(0, len(oracle.pres.relations) - 1),
+                                   min_size=1, max_size=2)):
+        pad = data.draw(st.tuples(*[st.integers(0, len(A) - 1)] * (degree - 2)))
+        left = data.draw(st.integers(0, degree - 2))
+        probe = probe + (Element.from_word(A, pad[:left]) * oracle.pres.relations[ridx]
+                         * Element.from_word(A, pad[left:]))
+    completed = oracle.member(probe, degree=degree)
+    raw = oracle.member(probe, degree=degree, mode="rows")
+    assert completed.certain and completed.route in ("trivial", "reduction", "certificate")
+    assert completed.member == raw.member
+
+
+def test_membership_is_undecided_without_confluence_or_homogeneity():
+    A = Alphabet.build([("x", 0), ("y", 0)])
+    pres = PresentationSpec(
+        "affine", A, [parse_element(t, A) for t in ("y*x - q*x*y - x", "y*y - x*x - 1")])
+    oracle = ncalg.algebra(pres)
+    assert not oracle.confluence.confluent and not pres.all_homogeneous()
+    report = oracle.member(parse_element("x*y", A), degree=3)
+    assert (report.member, report.certain, report.mode) == (False, False, "exact")
+    assert report.note.startswith("undecided: ")
+    # x*y + x/(q - 1) lies in the ideal, but only a degree-4 ambiguity shows it
+    assert oracle.member(parse_element("x*y + (1/(q - 1))*x", A), degree=4).member
+
+
+def test_completion_reports_a_rank_collapse():
+    A = Alphabet.build([("x", 0), ("y", 0)])
+    # y*x*x read two ways: (x*y + x)*x = y + 2 against y*1 = y
+    pres = PresentationSpec(
+        "collapse", A, [parse_element(t, A) for t in ("y*x - x*y - x", "x*x - 1")])
+    oracle = ncalg.algebra(pres)
+    for _ in range(2):  # the collapse is cached and raised again
+        with pytest.raises(InconsistentPresentationError,
+                           match="rank collapse: the ambiguity y\\*x\\*x puts 2 into"):
+            oracle.member(parse_element("y*y*y", A), degree=3)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -313,7 +377,7 @@ def test_certificate_agrees_with_raw_exact_membership(data):
         probe = probe + Element.from_word(A, pad[:left]) * rel * Element.from_word(A, pad[left:])
     oracle = ncalg.algebra(pres)
     certified = oracle.member(probe, degree=degree)
-    raw = oracle.member(probe, degree=degree, pre_reduce=False)
+    raw = oracle.member(probe, degree=degree, mode="rows")
     assert certified.route in ("trivial", "reduction", "certificate")
     assert raw.route in ("trivial", "linear-algebra")
     assert certified.member == raw.member

@@ -494,15 +494,23 @@ def test_check_registry_order_and_unknown_id():
         raise AssertionError("unknown check id accepted")
 
 
-def test_coaction_row_cap_fails_family_as_undecided(monkeypatch):
-    # errata off at q = u^2 leaves xx images that only membership can decide
-    monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 1000)
+def test_coaction_fails_collapsed_families_without_building_rows(monkeypatch):
+    # errata off at q = u^2 leaves images that only membership can decide; the
+    # completion of the tensor rules puts a derivative into the ideal
+    def no_rows(self, degree):
+        raise AssertionError("membership rows built")
+
+    monkeypatch.setattr(MembershipOracle, "_row_vectors", no_rows)
     ctx = VerifyContext(errata=False, bindings=(("q", parse_scalar("u^2")),))
-    report = verify.check_coaction(ctx, families=("xx",))
-    detail = detail_map(report)["family:xx"]
-    assert not detail.ok
-    assert detail.note.startswith("undecided: relation ")
-    assert "membership row cap exceeded at degree 4" in detail.note
+    report = verify.check_coaction(ctx)
+    families = {d.id: d for d in report.details if d.id.startswith("family:")}
+    assert len(families) == len(verify.COACTION_DEFAULT_FAMILIES)
+    # the one-form images reduce to zero before any membership question
+    assert families.pop("family:xixi").ok
+    for detail in families.values():
+        assert not detail.ok, detail.id
+        assert detail.note.startswith("rank collapse: the ambiguity "), detail.note
+        assert "(u^4 - 1)*d2 into the ideal" in detail.note
     assert report.status == "fail"
 
 
@@ -513,7 +521,7 @@ def test_row_cap_is_checked_before_any_row_is_built(monkeypatch):
     monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 3 * 2 * 3 - 1)
     monkeypatch.setattr(ncalg.Element, "from_word", None)  # any built row would fail
     try:
-        oracle.member(probe, degree=3, pre_reduce=False)
+        oracle.member(probe, degree=3, mode="rows")
     except ncalg.DegreeBoundError as err:
         assert "18 products > 17" in str(err)
     else:
