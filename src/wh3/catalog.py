@@ -128,7 +128,7 @@ class CMatrix:
     def inverse(self) -> "CMatrix":
         """Exact inverse: reduce [M | I] to [I | M^-1]; raises if singular."""
         # column (1, j) is column j of M, (0, k) column k of I, ranked below M
-        ech = ScalarEchelon(key=lambda k: k)
+        ech = ScalarEchelon()
         one = Scalar.one()
         for i, row in enumerate(self.entries):
             vec = {(1, j): c for j, c in enumerate(row)}

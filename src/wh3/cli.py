@@ -231,15 +231,25 @@ def _cmd_member(args) -> int:
         "prime": report.prime,
         "seed": report.seed,
     }
+    support = [pres.alphabet.format_word(w) for w in report.support]
+    if report.mode == "modular":
+        doc.update(point=report.point, residual_support=support, note=report.note)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
         verdict = "member" if report.member else "not a member"
         certainty = "certain" if report.certain else "probabilistic"
-        print(report.note if report.note.startswith("undecided:") else
+        undecided = report.note.startswith("undecided:")
+        print(report.note if undecided else
               f"{verdict} ({certainty}; {report.route}, {report.mode}, degree {report.degree})")
         if report.residual is not None:
             print(f"residual: {report.residual.format()}")
+        if support:
+            # the residual's values live in GF(p) at the point, not in Q(q, u, s)
+            print(f"residual over GF({report.prime}) at (q, u, s) = {report.point}, "
+                  f"support: {', '.join(support)}")
+            if not undecided:
+                print(report.note)
     return 0 if report.member else 1
 
 

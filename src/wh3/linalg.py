@@ -1,12 +1,14 @@
 """One sparse Gaussian elimination, over Q(q, u, s) or over a prime field.
 
-Vectors are dicts keyed by totally ordered column keys (monomial words, by
-default ordered deg-lex) with Scalar or integer coefficients; the pivot of a
-row is its key-maximal column.  An echelon accumulates rows incrementally,
-and membership of a vector in the accumulated span is decided exactly by
-lead-chasing reduction.  The field is a fact of the class: `ScalarEchelon`
-is exact over Q(q, u, s), `ModEchelon(prime)` works over GF(p); both run
-the same `reduce`, `insert` and `interreduce`.
+Vectors are dicts from columns to Scalar or integer coefficients.  Columns
+compare by their natural order (integers, or tuples of them) and the pivot
+of a row is its largest column; words of an algebra enter as the integers
+that `ncalg.Alphabet.encode` numbers in the algebra's word order, so no key
+function runs inside the elimination.  An echelon accumulates rows
+incrementally, and membership of a vector in the accumulated span is decided
+exactly by lead-chasing reduction.  The field is a fact of the class:
+`ScalarEchelon` is exact over Q(q, u, s), `ModEchelon(prime)` works over
+GF(p); both run the same `reduce`, `insert` and `interreduce`.
 
 `solve_linear` and the exact 9x9 inverse (`catalog.CMatrix.inverse`) are
 built on that echelon: augmented columns ranked below the unknowns are
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from .scalars import Scalar, ScalarModularError
 
 __all__ = [
-    "deglex_key",
     "ScalarEchelon",
     "ModEchelon",
     "ModularPoint",
@@ -41,11 +42,6 @@ DEFAULT_SEED = 12345
 MODULAR_RETRIES = 8
 
 
-def deglex_key(word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Total order key: degree first, then lexicographic on generator ranks."""
-    return (len(word), word)
-
-
 class ScalarEchelon:
     """Row-echelon span basis keyed by pivot column, exact over Q(q, u, s).
 
@@ -56,8 +52,7 @@ class ScalarEchelon:
 
     prime: int | None = None
 
-    def __init__(self, key=deglex_key):
-        self.key = key
+    def __init__(self):
         self.rows: dict = {}
 
     @property
@@ -66,13 +61,13 @@ class ScalarEchelon:
 
     def reduce(self, vec: dict) -> dict:
         """Lead-chase vec against the basis; the residual is empty iff vec is in the span."""
-        p, rows, key = self.prime, self.rows, self.key
+        p, rows = self.prime, self.rows
         if p is None:
             vec = {w: c for w, c in vec.items() if not c.is_zero}
         else:
             vec = {w: c % p for w, c in vec.items() if c % p}
         while vec:
-            lead = max(vec, key=key)
+            lead = max(vec)
             row = rows.get(lead)
             if row is None:
                 return vec
@@ -99,7 +94,7 @@ class ScalarEchelon:
         residual = self.reduce(vec)
         if not residual:
             return None
-        lead = max(residual, key=self.key)
+        lead = max(residual)
         pivot = residual.pop(lead)
         p = self.prime
         if p is None:
@@ -112,7 +107,7 @@ class ScalarEchelon:
 
     def interreduce(self):
         """Reduce every stored row against the other rows (reduced echelon)."""
-        for lead in sorted(self.rows, key=self.key):
+        for lead in sorted(self.rows):
             self.rows[lead] = self.reduce(self.rows[lead])
 
 
@@ -123,8 +118,8 @@ class ModEchelon(ScalarEchelon):
     insert = ScalarEchelon.insert
     reduce = ScalarEchelon.reduce
 
-    def __init__(self, prime: int, key=deglex_key):
-        super().__init__(key)
+    def __init__(self, prime: int):
+        super().__init__()
         self.prime = prime
 
 
@@ -145,9 +140,9 @@ class ModularPoint:
         return ModularPoint(prime, seed, attempt, values)
 
 
-def eval_vec_mod(vec: dict[tuple[int, ...], Scalar], point: ModularPoint) -> dict[tuple[int, ...], int]:
+def eval_vec_mod(vec: dict, point: ModularPoint) -> dict:
     """Evaluate an exact vector entrywise; raises ScalarModularError on bad points."""
-    out: dict[tuple[int, ...], int] = {}
+    out: dict = {}
     for w, c in vec.items():
         v = c.eval_mod(point.prime, point.values)
         if v:
@@ -155,10 +150,15 @@ def eval_vec_mod(vec: dict[tuple[int, ...], Scalar], point: ModularPoint) -> dic
     return out
 
 
-def with_modular_retries(func, prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED):
-    """Run func(point) resampling the point when a denominator vanishes."""
+def with_modular_retries(func, prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED,
+                         first_attempt: int = 0):
+    """Run func(point) resampling the point when a denominator vanishes.
+
+    Points are the attempts first_attempt, first_attempt + 1, ... of the seed,
+    so a second run from the attempt after a used point is independent of it.
+    """
     last_error = None
-    for attempt in range(MODULAR_RETRIES):
+    for attempt in range(first_attempt, first_attempt + MODULAR_RETRIES):
         point = ModularPoint.generate(prime, seed, attempt)
         try:
             return point, func(point)
@@ -179,7 +179,7 @@ def solve_linear(rows):
     """
     # the right-hand side sits in column (), the lowest tuple: a pivot there
     # is a row 0 = b != 0, and otherwise the reduced rows read x = -row[()]
-    ech = ScalarEchelon(key=lambda k: k)
+    ech = ScalarEchelon()
     for cols, b in rows:
         if ech.insert({**cols, (): -b}) == ():
             return None

@@ -31,7 +31,6 @@ from .linalg import (
     DEFAULT_SEED,
     ModEchelon,
     ScalarEchelon,
-    deglex_key,
     eval_vec_mod,
     with_modular_retries,
 )
@@ -135,6 +134,42 @@ class Alphabet:
 
     def word_key(self, word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return (sum(self.weights[g] for g in word), word)
+
+    def encode(self, word: tuple[int, ...], max_len: int, at: int = 0) -> int:
+        """The integer of a word of length <= max_len, ordered exactly as word_key.
+
+        Total weight, then the letters as base-(n+1) digits rank + 1 padded
+        with 0 to max_len digits, so a prefix sorts below its extensions.
+        With at > 0 the digits start at letter position at: the codes of the
+        consecutive pieces of a word add up to the code of the word.
+        """
+        if at + len(word) > max_len:
+            raise ValueError(f"word of length {len(word)} at {at} exceeds length {max_len}")
+        base, weights = len(self.generators) + 1, self.weights
+        weight = digits = 0
+        for g in word:
+            weight += weights[g]
+            digits = digits * base + g + 1
+        return weight * base ** max_len + digits * base ** (max_len - at - len(word))
+
+    def decode(self, code: int, max_len: int) -> tuple[int, ...]:
+        """The word that encode(word, max_len) numbers code."""
+        base = len(self.generators) + 1
+        digits = code % base ** max_len
+        letters = []
+        while digits:
+            digits, digit = divmod(digits, base)
+            if digit:  # 0 is padding
+                letters.append(digit - 1)
+        return tuple(reversed(letters))
+
+    def encode_terms(self, terms: Mapping[tuple[int, ...], object], max_len: int) -> dict:
+        """An echelon vector: every word of terms encoded for max_len."""
+        return {self.encode(w, max_len): c for w, c in terms.items()}
+
+    def decode_terms(self, vec: Mapping[int, object], max_len: int) -> dict:
+        """The words and coefficients of an echelon vector built by encode_terms."""
+        return {self.decode(k, max_len): c for k, c in vec.items()}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -305,7 +340,7 @@ class Element:
         if not self.terms:
             return "0"
         pieces = []
-        for word in sorted(self.terms, key=deglex_key):
+        for word in sorted(self.terms, key=lambda w: (len(w), w)):
             coeff = self.terms[word]
             if coeff.leading_sign() < 0:
                 sign, body_scalar = "-", -coeff
@@ -507,7 +542,7 @@ def orient(pres: PresentationSpec, budget: int = DEFAULT_REWRITE_BUDGET) -> Rule
     """
     alphabet = pres.alphabet
     original_monomials = set()
-    echelon = ScalarEchelon(alphabet.word_key)
+    echelon = ScalarEchelon()
     for rel in pres.relations:
         if rel.is_zero:
             continue
@@ -517,11 +552,12 @@ def orient(pres: PresentationSpec, budget: int = DEFAULT_REWRITE_BUDGET) -> Rule
             )
         if len(rel.terms) == 1:
             original_monomials.add(rel.lead_word())
-        echelon.insert(dict(rel.terms))
+        echelon.insert(alphabet.encode_terms(rel.terms, 2))
     echelon.interreduce()
     rules: dict[tuple[int, ...], Element] = {}
-    for lead in sorted(echelon.rows, key=alphabet.word_key):
-        row = echelon.rows[lead]
+    for code in sorted(echelon.rows):
+        lead = alphabet.decode(code, 2)
+        row = alphabet.decode_terms(echelon.rows[code], 2)
         if len(lead) == 0:
             raise InconsistentPresentationError("presentation forces a nonzero constant to vanish")
         if len(lead) == 1:
@@ -695,6 +731,7 @@ class MembershipReport:
     prime: int | None = None
     seed: int | None = None
     point: tuple[int, int, int] | None = None
+    support: tuple[tuple[int, ...], ...] = ()  # residual words over GF(p), at point
     note: str = ""
 
 
@@ -713,13 +750,19 @@ class MembershipOracle:
       homogeneous; otherwise the verdict is not certain and its note starts
       "undecided:".  No rows are built.
     - modes "rows" and "modular": elimination on the raw rows w1 * r * w2,
-      exactly or over GF(p), independent of the rules.  A modular verdict is
-      never certain: an unlucky point can drop the rank of the rows or of
-      the residual.
+      exactly or over GF(p), independent of the rules.  Their columns are
+      the words' `Alphabet.encode` integers for length degree; residuals
+      are decoded back to words.  A modular verdict is never certain: an
+      unlucky point can drop the rank of the rows or of the residual.  So a
+      modular non-member is checked again at the next point of the seed,
+      the note names both points and starts "undecided:" if they disagree,
+      and `support` holds the residual's words at the first point (its
+      GF(p) values are not coefficients over Q(q, u, s)).
 
-    A completion that puts a constant or a generator into the ideal raises
-    InconsistentPresentationError ("rank collapse: ..."), each time it is
-    asked for, like the orientation error.
+    Completions start from the largest cached completion below their
+    degree.  A completion that puts a constant or a generator into the
+    ideal raises InconsistentPresentationError ("rank collapse: ..."), each
+    time it or a higher completion is asked for, like the orientation error.
     """
 
     def __init__(self, pres: PresentationSpec):
@@ -750,13 +793,19 @@ class MembershipOracle:
     def completion(self, degree: int) -> RuleSystem:
         """The rules with every ambiguity of length <= degree resolved (cached).
 
-        Confluent rules are their own completion.  Raises the orientation
-        error, or the rank collapse that the completion met.
+        Confluent rules are their own completion.  Otherwise the completion
+        starts from the largest cached completion below degree, a valid start
+        since its added rules are ideal elements.  Raises the orientation
+        error, or the rank collapse that this or a lower completion met.
         """
         if degree not in self._completions:
+            below = [d for d in self._completions if d < degree]
+            start = self._completions[max(below)] if below else self.rules
             try:
-                self._completions[degree] = self.rules if self.confluence.confluent \
-                    else overlap_resolve(self.rules, complete_up_to=degree).system
+                if isinstance(start, InconsistentPresentationError):
+                    raise start
+                self._completions[degree] = start if self.confluence.confluent \
+                    else overlap_resolve(start, complete_up_to=degree).system
             except InconsistentPresentationError as err:
                 self._completions[degree] = err
         found = self._completions[degree]
@@ -766,13 +815,18 @@ class MembershipOracle:
 
     # -- row generation ------------------------------------------------------
 
-    def _row_vectors(self, degree: int):
-        """Yield the distinct raw spanning rows w1*r*w2.
+    def _row_vectors(self, degree: int, point=None):
+        """Yield the distinct raw spanning rows w1*r*w2 on encoded words.
 
+        w1*r*w2 is r with w1 and w2 concatenated to each of its words, so a
+        row is r's own coefficients, exact or evaluated once per relation at
+        the modular point, on the sums of the codes of the three pieces
+        (`Alphabet.encode` with at).  Rows are distinct as exact vectors.
         Only their echelons are cached: an object shared for the whole run
-        would otherwise keep every degree-4 row and its coefficients alive.
+        would otherwise keep every degree-4 row alive.
         """
         alphabet = self.pres.alphabet
+        encode = alphabet.encode
         n = len(alphabet)
         relations = self.pres.nonzero_relations()
         homogeneous = self.pres.all_homogeneous()
@@ -791,30 +845,39 @@ class MembershipOracle:
                 f"{count} products > {MEMBERSHIP_ROW_CAP}"
             )
         seen: set[frozenset] = set()
+        coeff_ids: dict[Scalar, int] = {}  # exact coefficients, for the dedup key
         for rel in relations:
+            if not pads(rel):
+                continue
+            words = list(rel.terms)
+            cids = [coeff_ids.setdefault(rel.terms[w], len(coeff_ids)) for w in words]
+            # raises ScalarModularError at a point where a denominator vanishes
+            values = rel.terms if point is None else eval_vec_mod(rel.terms, point)
+            row_values = [values.get(w) for w in words]  # None where zero mod p
             for pad in pads(rel):
                 for left_len in range(pad + 1):
-                    right_len = pad - left_len
+                    mids = [encode(w, degree, left_len) for w in words]
+                    # w2 after each word of r, wherever that word ends
+                    rights = [[encode(w2, degree, left_len + len(w)) for w in words]
+                              for w2 in itertools.product(range(n), repeat=pad - left_len)]
                     for w1 in itertools.product(range(n), repeat=left_len):
-                        left = Element.from_word(alphabet, w1)
-                        base = left * rel
-                        for w2 in itertools.product(range(n), repeat=right_len):
-                            row = base * Element.from_word(alphabet, w2)
-                            key = frozenset(row.terms.items())
+                        left = encode(w1, degree)
+                        for right in rights:
+                            codes = [left + mid + r for mid, r in zip(mids, right)]
+                            key = frozenset(zip(codes, cids))
                             if key in seen:
                                 continue
                             seen.add(key)
-                            yield row.terms
+                            yield {k: v for k, v in zip(codes, row_values) if v}
 
     def _echelon(self, degree: int, point=None) -> ScalarEchelon:
         """The cached echelon of the rows: exact, or over GF(p) at a modular point."""
         key = (degree, point)
         ech = self._echelons.get(key)
         if ech is None:
-            word_key = self.pres.alphabet.word_key
-            ech = ScalarEchelon(word_key) if point is None else ModEchelon(point.prime, word_key)
-            for row in self._row_vectors(degree):
-                ech.insert(row if point is None else eval_vec_mod(row, point))
+            ech = ScalarEchelon() if point is None else ModEchelon(point.prime)
+            for row in self._row_vectors(degree, point):
+                ech.insert(row)
             self._echelons[key] = ech
         return ech
 
@@ -842,9 +905,11 @@ class MembershipOracle:
             return MembershipReport(False, False, "reduction", "exact", degree, residual=nf,
                                     note="undecided: nonzero normal form under rules completed "
                                          f"to degree {degree}, neither confluent nor homogeneous")
+        alphabet = self.pres.alphabet
+        vec = alphabet.encode_terms(e.terms, degree)
         if mode == "rows":
             ech = self._echelon(degree)
-            residual = Element(self.pres.alphabet, ech.reduce(e.terms))
+            residual = Element(alphabet, alphabet.decode_terms(ech.reduce(vec), degree))
             return MembershipReport(
                 member=residual.is_zero,
                 certain=True,
@@ -857,12 +922,11 @@ class MembershipOracle:
 
         def attempt(point):
             ech = self._echelon(degree, point)
-            return ech, ech.reduce(eval_vec_mod(e.terms, point))
+            return ech, ech.reduce(eval_vec_mod(vec, point))
 
         point, (ech, residual_vec) = with_modular_retries(attempt, prime, seed)
-        member = not residual_vec
-        return MembershipReport(
-            member=member,
+        report = MembershipReport(
+            member=not residual_vec,
             # a point can drop the rank of the rows (a false non-member) or of
             # the residual (a false member): neither verdict is certain
             certain=False,
@@ -870,11 +934,20 @@ class MembershipOracle:
             mode="modular",
             degree=degree,
             span_rank=ech.rank,
-            residual=None if member else Element(self.pres.alphabet, {w: Scalar.from_fraction(c) for w, c in residual_vec.items()}),
             prime=point.prime,
             seed=point.seed,
             point=point.values,
         )
+        if residual_vec:
+            # a non-member is rechecked at the next independent point
+            report.support = tuple(alphabet.decode(k, degree) for k in sorted(residual_vec))
+            second, (_, second_vec) = with_modular_retries(attempt, prime, seed, point.attempt + 1)
+            first_at = f"(q, u, s) = {point.values} (attempt {point.attempt})"
+            second_at = f"{second.values} (attempt {second.attempt})"
+            report.note = (f"not a member at two GF({point.prime}) points: {first_at} and {second_at}"
+                           if second_vec else
+                           f"undecided: not a member at {first_at} but a member at {second_at}")
+        return report
 
 
 _ALGEBRAS: OrderedDict = OrderedDict()
@@ -933,14 +1006,16 @@ def span_compare(a: Sequence[Element] | PresentationSpec,
             alphabet = rel.alphabet
         elif not alphabet.compatible_with(rel.alphabet):
             raise ValueError("span comparison across different alphabets")
-    key = alphabet.word_key if alphabet else deglex_key
-    ech_a, ech_b = ScalarEchelon(key), ScalarEchelon(key)
-    for r in rel_a:
-        ech_a.insert(r.terms)
-    for r in rel_b:
-        ech_b.insert(r.terms)
-    b_not_in_a = next((res for r in rel_b if (res := ech_a.reduce(r.terms))), None)
-    a_not_in_b = next((res for r in rel_a if (res := ech_b.reduce(r.terms))), None)
+    max_len = max((r.degree() for r in itertools.chain(rel_a, rel_b)), default=0)
+    vec_a = [alphabet.encode_terms(r.terms, max_len) for r in rel_a]
+    vec_b = [alphabet.encode_terms(r.terms, max_len) for r in rel_b]
+    ech_a, ech_b = ScalarEchelon(), ScalarEchelon()
+    for vec in vec_a:
+        ech_a.insert(vec)
+    for vec in vec_b:
+        ech_b.insert(vec)
+    b_not_in_a = next((res for vec in vec_b if (res := ech_a.reduce(vec))), None)
+    a_not_in_b = next((res for vec in vec_a if (res := ech_b.reduce(vec))), None)
     verdict = {
         (False, False): "equal",
         (False, True): "A_subset_B",
@@ -948,7 +1023,8 @@ def span_compare(a: Sequence[Element] | PresentationSpec,
         (True, True): "incomparable",
     }[(a_not_in_b is not None, b_not_in_a is not None)]
     witness_vec = a_not_in_b or b_not_in_a
-    witness = Element(alphabet, witness_vec) if witness_vec else None
+    witness = None if not witness_vec else \
+        Element(alphabet, alphabet.decode_terms(witness_vec, max_len))
     return SpanComparison(verdict, ech_a.rank, ech_b.rank, witness)
 
 

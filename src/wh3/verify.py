@@ -484,10 +484,10 @@ def check_rtt(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if cmp2.verdict == "equal" else str(cmp2.witness),
         )
         report.add("rank", cmp.rank_b == 36, note=f"transcribed span rank {cmp.rank_b}")
-        ech = ScalarEchelon(catalog.t_alphabet().word_key)
+        ech = ScalarEchelon()
         dependent = []
         for idx, rel in enumerate(fam):
-            if rel.is_zero or ech.insert(dict(rel.terms)) is None:
+            if rel.is_zero or ech.insert(rel.alphabet.encode_terms(rel.terms, 2)) is None:
                 dependent.append(idx)
         report.add(
             "independent-rows", not dependent,
@@ -942,12 +942,15 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _outside_span(relations: Sequence[Element], images: Sequence[Element], word_key) -> list[int]:
+def _outside_span(relations: Sequence[Element], images: Sequence[Element]) -> list[int]:
     """Indices of the images that leave the linear span of the relations."""
-    ech = ScalarEchelon(word_key)
+    alphabet = relations[0].alphabet
+    max_len = max(e.degree() for e in (*relations, *images))
+    ech = ScalarEchelon()
     for rel in relations:
-        ech.insert(dict(rel.terms))
-    return [idx for idx, image in enumerate(images) if ech.reduce(dict(image.terms))]
+        ech.insert(alphabet.encode_terms(rel.terms, max_len))
+    return [idx for idx, image in enumerate(images)
+            if ech.reduce(alphabet.encode_terms(image.terms, max_len))]
 
 
 def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
@@ -962,7 +965,7 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         # literally fixed, the two light-cone rows swap up to a unit
         xx = inp.families["xx"]
         images = [catalog.star_apply(rel) for rel in xx]
-        outside = _outside_span(xx, images, catalog.x_alphabet().word_key)
+        outside = _outside_span(xx, images)
         for idx, (rel, image) in enumerate(zip(xx, images), 1):
             member = idx - 1 not in outside
             note = "star image is the relation itself" if image == rel else \
@@ -978,8 +981,7 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         )
         # quantum matrix relations
         tt = inp.tt.relations
-        bad = _outside_span(tt, [catalog.star_apply(rel) for rel in tt],
-                            catalog.t_alphabet().word_key)
+        bad = _outside_span(tt, [catalog.star_apply(rel) for rel in tt])
         report.add(
             "quantum-matrix-relations", not bad,
             note="star image of every transcribed row stays in the span" if not bad
@@ -1000,8 +1002,7 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         tdinv = inp.families["tdinv"]
         bad = _outside_span(
             inp.qg.relations,
-            [catalog.star_apply(ncalg.algebra_map(rel, inp.qg.alphabet)) for rel in tdinv],
-            inp.qg.alphabet.word_key)
+            [catalog.star_apply(ncalg.algebra_map(rel, inp.qg.alphabet)) for rel in tdinv])
         report.add(
             "inverse-determinant-relations", not bad,
             note="star images of the commutation rules are ideal members" if not bad

@@ -200,7 +200,7 @@ def test_criterion_13_property_suites():
         ctx = VerifyContext(omega_mutations=(verify.random_omega_mutation(rng),))
         ok = ok and verify.check_yang_baxter(ctx).status == "fail"
     from wh3.linalg import ScalarEchelon
-    gen_ech = ScalarEchelon(catalog.t_alphabet().word_key)
+    gen_ech = ScalarEchelon()
     for rel in catalog.rtt_generate(catalog.omega()).relations:
         if not rel.is_zero:
             gen_ech.insert(dict(rel.terms))

@@ -97,7 +97,7 @@ def test_rtt_generation_verbatim_rows_differ():
     gen = catalog.rtt_generate(catalog.omega()).relations
     verbatim = catalog.family("tt", errata=False).relations
     from wh3.linalg import ScalarEchelon
-    ech = ScalarEchelon(catalog.t_alphabet().word_key)
+    ech = ScalarEchelon()
     for rel in gen:
         if not rel.is_zero:
             ech.insert(dict(rel.terms))

@@ -163,6 +163,24 @@ def test_member_modular_mode_uses_the_raw_rows(capsys):
     assert out.startswith("not a member (probabilistic; linear-algebra, modular, degree 2)")
 
 
+def test_member_modular_residual_is_its_support_at_the_point(capsys):
+    code, out, _ = run_cli(capsys, "member", "--algebra", "t", "--mode", "modular",
+                           "--expr", "t11*t22-t22*t11")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "not a member (probabilistic; linear-algebra, modular, degree 4)"
+    # GF(p) values are no coefficients over Q(q, u, s): only the words are printed
+    assert lines[1].startswith("residual over GF(2147483647) at (q, u, s) = (")
+    assert lines[1].endswith("), support: t11*t22, t22*t11")
+    assert lines[2].startswith("not a member at two GF(2147483647) points: ")
+    assert "2147483646" not in out
+    code, out, _ = run_cli(capsys, "member", "--algebra", "t", "--mode", "modular",
+                           "--expr", "t11*t22-t22*t11", "--format", "json")
+    doc = json.loads(out)
+    assert (doc["residual"], doc["residual_support"]) == (None, ["t11*t22", "t22*t11"])
+    assert len(doc["point"]) == 3 and doc["note"] == lines[2]
+
+
 def test_member_prints_an_undecided_verdict(tmp_path, capsys):
     # neither homogeneous nor confluent: a nonzero normal form decides nothing
     doc = {"name": "affine", "relations": ["y*x - q*x*y - x", "y*y - x*x - 1"],

@@ -75,9 +75,9 @@ def test_mod_rank_equals_exact_rank_on_raw_degree_three_tt_rows():
             gen = Element.from_word(alphabet, (g,))
             rows.append(dict((gen * rel).terms))
             rows.append(dict((rel * gen).terms))
-    exact = ScalarEchelon(alphabet.word_key)
+    exact = ScalarEchelon()
     point = ModularPoint.generate()
-    modular = ModEchelon(point.prime, alphabet.word_key)
+    modular = ModEchelon(point.prime)
     for row in rows:
         exact.insert(row)
         modular.insert(eval_vec_mod(row, point))

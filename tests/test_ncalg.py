@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from wh3 import catalog, ncalg
 from wh3.exprs import UnknownSymbolError, parse_element, parse_scalar
+from wh3.linalg import ModularPoint
 from wh3.ncalg import (
     Alphabet,
     Element,
     InconsistentPresentationError,
+    MembershipOracle,
     PresentationSpec,
     algebra_map,
     algebra_tensor,
@@ -245,7 +247,7 @@ def test_membership_commutator_is_not_member():
     assert report.certain
     # independent rank oracle: adjoining the probe grows the span
     from wh3.linalg import ScalarEchelon
-    ech = ScalarEchelon(catalog.x_alphabet().word_key)
+    ech = ScalarEchelon()
     for rel in x_pres().relations:
         ech.insert(dict(rel.terms))
     base_rank = ech.rank
@@ -356,6 +358,112 @@ def test_completion_reports_a_rank_collapse():
         with pytest.raises(InconsistentPresentationError,
                            match="rank collapse: the ambiguity y\\*x\\*x puts 2 into"):
             oracle.member(parse_element("y*y*y", A), degree=3)
+
+
+def test_completion_starts_from_the_largest_cached_completion_below(monkeypatch):
+    starts = []
+    resolve = ncalg.overlap_resolve
+
+    def spy(rs, complete_up_to=None):
+        starts.append(rs)
+        return resolve(rs, complete_up_to)
+
+    monkeypatch.setattr(ncalg, "overlap_resolve", spy)
+    oracle = MembershipOracle(catalog.tt_presentation(errata=False))
+    oracle.confluence
+    third = oracle.completion(3)
+    oracle.completion(4)
+    assert starts[1:] == [oracle.rules, third]
+
+
+@pytest.fixture(scope="module")
+def fresh_errata_off_tt_completion():
+    return overlap_resolve(orient(catalog.tt_presentation(errata=False)), complete_up_to=4).system
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_completion_from_a_lower_one_gives_the_fresh_normal_forms(
+        fresh_errata_off_tt_completion, data):
+    fresh = fresh_errata_off_tt_completion
+    oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
+    oracle.completion(3)
+    A = oracle.pres.alphabet
+    words = st.tuples(*[st.integers(0, len(A) - 1)] * 4)
+    coefficients = st.sampled_from(["1", "-1", "q", "u/q", "s"])
+    probe = Element.zero(A)
+    for word, coeff in data.draw(st.lists(st.tuples(words, coefficients), min_size=1, max_size=3)):
+        probe = probe + Element.from_word(A, word, parse_scalar(coeff))
+    assert oracle.completion(4).normalize(probe) == fresh.normalize(probe)
+
+
+def test_completion_raises_a_collapse_met_below_without_completing_again(monkeypatch):
+    A = Alphabet.build([("x", 0), ("y", 0)])
+    pres = PresentationSpec(
+        "collapse", A, [parse_element(t, A) for t in ("y*x - x*y - x", "x*x - 1")])
+    oracle = MembershipOracle(pres)
+    with pytest.raises(InconsistentPresentationError) as below:
+        oracle.completion(3)
+    monkeypatch.setattr(ncalg, "overlap_resolve", None)  # completing again would fail here
+    with pytest.raises(InconsistentPresentationError) as above:
+        oracle.completion(5)
+    assert above.value is below.value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_word_codes_follow_word_key_and_decode(data):
+    n = data.draw(st.integers(1, 4))
+    A = Alphabet.build([(f"g{i}", 0, data.draw(st.integers(1, 3))) for i in range(n)])
+    max_len = data.draw(st.integers(1, 5))
+    drawn = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=max_len), min_size=1,
+                               max_size=8))
+    words = sorted({tuple(w[:k]) for w in drawn for k in range(len(w) + 1)})  # with prefixes
+    by_code = sorted(words, key=lambda w: A.encode(w, max_len))
+    assert by_code == sorted(words, key=A.word_key)
+    assert len({A.encode(w, max_len) for w in words}) == len(words)
+    for w in words:
+        assert A.decode(A.encode(w, max_len), max_len) == w
+        # pieces placed at their offsets add up to the whole word
+        cut = data.draw(st.integers(0, len(w)))
+        assert A.encode(w[:cut], max_len) + A.encode(w[cut:], max_len, cut) == A.encode(w, max_len)
+    with pytest.raises(ValueError):
+        A.encode((0,) * (max_len + 1), max_len)
+
+
+@pytest.mark.parametrize("errata, rank", [(True, 6066), (False, 6188)])
+def test_raw_degree_four_modular_rank_of_tt(errata, rank):
+    # the determinant's cross-check: 8748 raw rows w1*r*w2 over GF(p)
+    oracle = MembershipOracle(catalog.tt_presentation(errata=errata))
+    assert sum(1 for _ in oracle._row_vectors(4)) == 8748
+    g = Element.generator(oracle.pres.alphabet, "t21")
+    report = oracle.member(g * oracle.pres.relations[0] * g, degree=4, mode="modular")
+    assert (report.member, report.span_rank, report.note) == (True, rank, "")
+
+
+def test_modular_non_member_is_rechecked_at_a_second_point():
+    report = ideal_membership(parse_x("x1*x2 - x2*x1"), x_pres(), degree=2, mode="modular")
+    first, second = (ModularPoint.generate(attempt=a).values for a in (0, 1))
+    assert (report.member, report.certain, report.point) == (False, False, first)
+    assert report.note == (f"not a member at two GF({report.prime}) points: (q, u, s) = "
+                           f"{first} (attempt 0) and {second} (attempt 1)")
+    A = x_pres().alphabet
+    assert [A.format_word(w) for w in report.support] == ["x3*x3", "x1*x2"]
+    assert report.residual is None
+
+
+def test_modular_points_that_disagree_leave_the_verdict_undecided():
+    # q - q0 vanishes at the first point only, so x*y leaves the span there alone
+    q0 = ModularPoint.generate().values[0]
+    A = Alphabet.build([("x", 0), ("y", 0)])
+    pres = PresentationSpec("unlucky", A, [parse_element(f"(q - {q0})*x*y", A)])
+    report = ncalg.algebra(pres).member(parse_element("x*y", A), degree=2, mode="modular")
+    assert (report.member, report.certain) == (False, False)
+    second = ModularPoint.generate(attempt=1).values
+    assert report.note == (f"undecided: not a member at (q, u, s) = "
+                           f"{(q0, *ModularPoint.generate().values[1:])} (attempt 0) "
+                           f"but a member at {second} (attempt 1)")
+    assert ncalg.algebra(pres).member(parse_element("x*y", A), degree=2, mode="rows").member
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

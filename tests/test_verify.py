@@ -179,11 +179,11 @@ def test_coaction_negative_control_dropped_relations():
     # certify non-membership with the tensor-quotient oracle: project each
     # t-coefficient modulo the weakened span and the x-part modulo the
     # variable relations; a nonzero image cannot lie in the combined ideal
-    ech_t = ScalarEchelon(tt.alphabet.word_key)
+    ech_t = ScalarEchelon()
     for rel_t in weakened.relations:
         ech_t.insert(dict(rel_t.terms))
     assert ech_t.rank == 34
-    ech_x = ScalarEchelon(xp.alphabet.word_key)
+    ech_x = ScalarEchelon()
     for rel_x in xp.relations:
         ech_x.insert(dict(rel_x.terms))
     offset = len(tt.alphabet)
@@ -223,7 +223,7 @@ def test_ybe_mutation_sensitivity():
 def test_rtt_mutation_sensitivity():
     rng = random.Random(424242)
     gen = catalog.rtt_generate(catalog.omega()).relations
-    ech = ScalarEchelon(catalog.t_alphabet().word_key)
+    ech = ScalarEchelon()
     for rel in gen:
         if not rel.is_zero:
             ech.insert(dict(rel.terms))
@@ -246,7 +246,7 @@ def test_calculus_mutation_sensitivity():
     }
     echelons = {}
     for kind, rels in generated.items():
-        ech = ScalarEchelon(target.word_key)
+        ech = ScalarEchelon()
         for rel in rels:
             ech.insert(dict(rel.terms))
         echelons[kind] = ech
