@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exprs
-from .linalg import ScalarEchelon
+from .linalg import ScalarEchelon, add_into
 from .ncalg import EMPTY_ALPHABET, Alphabet, Element, PresentationSpec, algebra_map
 from .scalars import Scalar, ScalarError
 
@@ -32,7 +32,6 @@ __all__ = [
     "omega",
     "omega_inverse",
     "FAMILY_IDS",
-    "RelationFamily",
     "ErrataEntry",
     "ERRATA",
     "DERIVATIONS",
@@ -100,6 +99,11 @@ class CMatrix:
     def entry(self, row_pair, col_pair) -> Scalar:
         return self.entries[PAIR_INDEX[tuple(row_pair)]][PAIR_INDEX[tuple(col_pair)]]
 
+    def row(self, row_pair) -> dict:
+        """The nonzero entries of one row, keyed by column pair."""
+        return {p: c for p, c in zip(PAIRS, self.entries[PAIR_INDEX[tuple(row_pair)]])
+                if not c.is_zero}
+
     def with_entry(self, row_pair, col_pair, value: Scalar) -> "CMatrix":
         rows = [list(r) for r in self.entries]
         rows[PAIR_INDEX[tuple(row_pair)]][PAIR_INDEX[tuple(col_pair)]] = value
@@ -157,11 +161,9 @@ class CMatrix:
         return True
 
     def nonzero_cells(self):
-        for (i, j) in PAIRS:
-            for (l, m) in PAIRS:
-                value = self.entry((i, j), (l, m))
-                if not value.is_zero:
-                    yield (i, j), (l, m), value
+        for row_pair in PAIRS:
+            for col_pair, value in self.row(row_pair).items():
+                yield row_pair, col_pair, value
 
 
 _OMEGA_TABLE = {
@@ -601,18 +603,6 @@ _FAMILY_TABLES = {
     "tdinv": _TDINV_TABLE,
 }
 
-CALCULUS_FAMILY_IDS = FAMILY_IDS[:9]
-
-
-@dataclass
-class RelationFamily:
-    id: str
-    alphabet: Alphabet
-    relations: list[Element]
-
-    def __len__(self) -> int:
-        return len(self.relations)
-
 
 def _family_alphabet(fid: str) -> Alphabet:
     if fid == "xx":
@@ -635,20 +625,23 @@ def canonical_family_id(fid: str) -> str:
     return fid
 
 
-def family(fid: str, errata: bool = True) -> RelationFamily:
-    """A transcribed relation family, with errata applied unless disabled."""
+def family(fid: str, errata: bool = True) -> PresentationSpec:
+    """A transcribed relation family named by its id, with errata unless disabled.
+
+    The result is shared between callers and must not be modified.
+    """
     return _family_cached(canonical_family_id(fid), errata)
 
 
 @lru_cache(maxsize=None)
-def _family_cached(fid: str, errata: bool) -> RelationFamily:
+def _family_cached(fid: str, errata: bool) -> PresentationSpec:
     texts = list(_FAMILY_TABLES[fid])
     if errata:
         for entry in ERRATA:
             if entry.family == fid:
                 texts[entry.index] = entry.corrected
     alphabet = _family_alphabet(fid)
-    return RelationFamily(fid, alphabet, [exprs.parse_element(t, alphabet) for t in texts])
+    return PresentationSpec(fid, alphabet, [exprs.parse_element(t, alphabet) for t in texts])
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +697,7 @@ def qg_presentation(errata: bool = True) -> PresentationSpec:
 # ---------------------------------------------------------------------------
 
 
-def generate_from_C(C: CMatrix, C_inv: CMatrix, kind: str) -> RelationFamily:
+def generate_from_C(C: CMatrix, C_inv: CMatrix, kind: str) -> PresentationSpec:
     """Build a calculus relation family mechanically from a braiding matrix.
 
     Kinds: 'xxi' (variables vs one-forms), 'dxi' (derivatives vs one-forms,
@@ -749,49 +742,28 @@ def generate_from_C(C: CMatrix, C_inv: CMatrix, kind: str) -> RelationFamily:
     elif kind == "xixi":
         for k in (1, 2, 3):
             for l in (1, 2, 3):
-                terms = {(xi[k], xi[l]): one}
-                for (m, n) in PAIRS:
-                    c = C.entry((k, l), (m, n))
-                    if not c.is_zero:
-                        key = (xi[m], xi[n])
-                        acc = terms.get(key)
-                        terms[key] = c if acc is None else acc + c
-                relations.append(Element(alphabet, terms))
+                terms = {(xi[m], xi[n]): c for (m, n), c in C.row((k, l)).items()}
+                relations.append(Element(alphabet, add_into(terms, {(xi[k], xi[l]): one})))
     else:
         raise ValueError(f"unknown generation kind {kind!r}")
-    return RelationFamily(f"generated-{kind}", alphabet, relations)
+    return PresentationSpec(f"generated-{kind}", alphabet, relations)
 
 
-def rtt_generate(R: CMatrix) -> RelationFamily:
+def rtt_generate(R: CMatrix) -> PresentationSpec:
     """The 81 formal exchange relations R^{ji}_{kl} t^k_m t^l_n = t^j_l t^i_k R^{lk}_{mn}."""
     alphabet = t_alphabet()
     t = {(i, j): alphabet.rank_of(f"t{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
+    columns: dict = {pair: {} for pair in PAIRS}
+    for row, col, c in R.nonzero_cells():
+        columns[col][row] = c
     relations = []
     for (j, i) in PAIRS:
         for (m, n) in PAIRS:
-            terms: dict = {}
-            for (k, l) in PAIRS:
-                c = R.entry((j, i), (k, l))
-                if not c.is_zero:
-                    key = (t[(k, m)], t[(l, n)])
-                    acc = terms.get(key)
-                    new = c if acc is None else acc + c
-                    if new.is_zero:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = new
-            for (l, k) in PAIRS:
-                c = R.entry((l, k), (m, n))
-                if not c.is_zero:
-                    key = (t[(j, l)], t[(i, k)])
-                    acc = terms.get(key)
-                    new = -c if acc is None else acc - c
-                    if new.is_zero:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = new
+            # the words of each side are distinct; the two sides can cancel
+            terms = {(t[(k, m)], t[(l, n)]): c for (k, l), c in R.row((j, i)).items()}
+            add_into(terms, {(t[(j, l)], t[(i, k)]): -c for (l, k), c in columns[(m, n)].items()})
             relations.append(Element(alphabet, terms))
-    return RelationFamily("generated-tt", alphabet, relations)
+    return PresentationSpec("generated-tt", alphabet, relations)
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,16 @@ def _check_prime(prime: int) -> None:
 
 def _load_algebra(args) -> ncalg.PresentationSpec:
     errata = getattr(args, "errata", "on") == "on"
-    if getattr(args, "algebra_file", None):
-        with open(args.algebra_file, "r", encoding="utf-8") as handle:
-            return ncalg.presentation_from_json(json.load(handle))
+    path = getattr(args, "algebra_file", None)
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return ncalg.presentation_from_json(json.load(handle))
+        except KeyError as err:
+            raise UsageError(f"malformed algebra file {path}: missing key {err}")
+        except (ValueError, TypeError) as err:
+            # invalid JSON, text or generators, or a document of the wrong shape
+            raise UsageError(f"malformed algebra file {path}: {err}")
     name = args.algebra
     if not name:
         raise UsageError("choose --algebra NAME or --algebra-file PATH")
@@ -157,8 +164,7 @@ def _load_algebra(args) -> ncalg.PresentationSpec:
             f"unknown algebra {name!r}; names: {', '.join(sorted(ALGEBRA_NAMES))} "
             f"or families: {', '.join(catalog.FAMILY_IDS)}"
         )
-    fam = catalog.family(fid, errata)
-    return ncalg.PresentationSpec(fid, fam.alphabet, list(fam.relations))
+    return catalog.family(fid, errata)
 
 
 def _cmd_verify(args) -> int:
@@ -168,14 +174,14 @@ def _cmd_verify(args) -> int:
         return 0
     if args.all:
         checks = list(verify.CHECK_IDS)
-    elif args.check:
-        checks = [c.strip() for c in args.check.split(",") if c.strip()]
+    else:
+        checks = [c.strip() for c in (args.check or "").split(",") if c.strip()]
+        if not checks:
+            raise UsageError("choose --all or --check ids")
         unknown = [c for c in checks if c not in verify.CHECK_IDS]
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(unknown)}; "
                              f"known: {', '.join(verify.CHECK_IDS)}")
-    else:
-        raise UsageError("choose --all or --check ids")
     _check_prime(args.prime)
     ctx = verify.VerifyContext(
         errata=args.errata == "on",
@@ -305,7 +311,7 @@ def run(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (exprs.ExprError, scalars.ScalarError, ncalg.InconsistentPresentationError,
-            ncalg.DegreeBoundError, FileNotFoundError) as err:
+            ncalg.DegreeBoundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR

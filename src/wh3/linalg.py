@@ -1,5 +1,11 @@
 """One sparse Gaussian elimination, over Q(q, u, s) or over a prime field.
 
+Every sparse sum of terms over Q(q, u, s) in the package goes through
+`add_into(out, terms, coeff)`: the exact elimination below, the products,
+normal forms, derivations and algebra maps of `ncalg`, the braid products of
+`verify` and the generated families of `catalog`.  It adds coeff * terms
+into out and deletes what cancels, so no stored coefficient is ever zero.
+
 Vectors are dicts from columns to Scalar or integer coefficients.  Columns
 compare by their natural order (integers, or tuples of them) and the pivot
 of a row is its largest column; words of an algebra enter as the integers
@@ -23,10 +29,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
 from .scalars import Scalar, ScalarModularError
 
 __all__ = [
+    "add_into",
     "ScalarEchelon",
     "ModEchelon",
     "ModularPoint",
@@ -40,6 +48,26 @@ __all__ = [
 DEFAULT_PRIME = 2147483647  # largest signed-32-bit prime
 DEFAULT_SEED = 12345
 MODULAR_RETRIES = 8
+
+
+def add_into(out: dict, terms: Mapping, coeff=None) -> dict:
+    """Add coeff * terms into out, dropping entries that cancel; returns out.
+
+    Coefficients are Scalars and coeff None means 1.  terms is only read:
+    Element term dicts and cached normal forms are shared.
+    """
+    get, pop = out.get, out.pop
+    for key, c in terms.items():
+        if coeff is not None:
+            c = c * coeff
+        acc = get(key)
+        if acc is not None:
+            c = acc + c
+        if c.is_zero:
+            pop(key, None)
+        else:
+            out[key] = c
+    return out
 
 
 class ScalarEchelon:
@@ -73,13 +101,7 @@ class ScalarEchelon:
                 return vec
             factor = vec.pop(lead)
             if p is None:
-                for w, c in row.items():
-                    acc = vec.get(w)
-                    new = (acc - factor * c) if acc is not None else -(factor * c)
-                    if new.is_zero:
-                        vec.pop(w, None)
-                    else:
-                        vec[w] = new
+                add_into(vec, row, -factor)
             else:
                 for w, c in row.items():
                     new = (vec.get(w, 0) - factor * c) % p

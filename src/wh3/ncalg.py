@@ -31,6 +31,7 @@ from .linalg import (
     DEFAULT_SEED,
     ModEchelon,
     ScalarEchelon,
+    add_into,
     eval_vec_mod,
     with_modular_retries,
 )
@@ -244,15 +245,7 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            new = c if acc is None else acc + c
-            if new.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = new
-        return Element(self.alphabet, out)
+        return Element(self.alphabet, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -263,18 +256,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            out: dict[tuple[int, ...], Scalar] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    acc = out.get(w)
-                    new = c if acc is None else acc + c
-                    if new.is_zero:
-                        out.pop(w, None)
-                    else:
-                        out[w] = new
-            return Element(self.alphabet, out)
+            return Element(self.alphabet, _product(self.terms, other.terms))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -366,6 +348,14 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.format()!r})"
+
+
+def _product(left: Mapping, right: Mapping) -> dict:
+    """The terms of the product of two term dicts: words concatenate."""
+    out: dict = {}
+    for w1, c1 in left.items():
+        add_into(out, {w1 + w2: c2 for w2, c2 in right.items()}, c1)
+    return out
 
 
 def _format_coefficient(value: Scalar, has_word: bool) -> str:
@@ -464,10 +454,10 @@ class RuleSystem:
                     raise RewriteBudgetError(
                         f"rewrite budget exceeded at word {self.alphabet.format_word(current)}"
                     )
-            total = Element.zero(self.alphabet)
+            total: dict = {}
             for w, c in rhs.terms.items():
-                total = total + cache[prefix + w + suffix].scale(c)
-            cache[current] = total
+                add_into(total, cache[prefix + w + suffix].terms, c)
+            cache[current] = Element(self.alphabet, total)
             stack.pop()
         return cache[word]
 
@@ -476,9 +466,10 @@ class RuleSystem:
         """Normal form of an element; linear in the element by construction."""
         if strategy == "leftmost":
             counter = [0]
-            out = Element.zero(self.alphabet)
+            terms: dict = {}
             for w, c in e.terms.items():
-                out = out + self.normalize_word(w, counter).scale(c)
+                add_into(terms, self.normalize_word(w, counter).terms, c)
+            out = Element(self.alphabet, terms)
             return (out, counter[0]) if with_steps else out
         return self._normalize_strategy(e, strategy, rng, with_steps)
 
@@ -496,12 +487,7 @@ class RuleSystem:
                     if i + length <= len(word) and word[i : i + length] in self.rules:
                         positions.append((i, word[i : i + length]))
             if not positions:
-                acc = result.get(word)
-                new = coeff if acc is None else acc + coeff
-                if new.is_zero:
-                    result.pop(word, None)
-                else:
-                    result[word] = new
+                add_into(result, {word: coeff})
                 continue
             if strategy == "rightmost":
                 i, lhs = positions[-1]
@@ -671,10 +657,9 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None) -> Conflu
 
 def _apply_rule_at(system: RuleSystem, word, pos, lhs) -> Element:
     prefix, suffix = word[:pos], word[pos + len(lhs):]
-    out = Element.zero(system.alphabet)
-    for w, c in system.rules[lhs].terms.items():
-        out = out + Element.from_word(system.alphabet, prefix + w + suffix, c)
-    return out
+    # the rule's words are distinct, so their substitutions are too
+    return Element(system.alphabet,
+                   {prefix + w + suffix: c for w, c in system.rules[lhs].terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +680,7 @@ def derivation_apply(images: Mapping[str, Element], e: Element) -> Element:
         if rank is None:
             raise DerivationError(f"image given for unknown generator {name!r}")
         ranked[rank] = img
-    out = Element.zero(alphabet)
+    out: dict = {}
     for word, coeff in e.terms.items():
         parity = 0
         for i, g in enumerate(word):
@@ -705,13 +690,11 @@ def derivation_apply(images: Mapping[str, Element], e: Element) -> Element:
                     f"no derivation image assigned for generator "
                     f"{alphabet.generators[g].name!r}"
                 )
-            if not img.is_zero:
-                signed = -coeff if parity else coeff
-                piece = Element.from_word(alphabet, word[:i], signed)
-                piece = piece * img * Element.from_word(alphabet, word[i + 1 :])
-                out = out + piece
+            prefix, suffix = word[:i], word[i + 1:]
+            add_into(out, {prefix + w + suffix: c for w, c in img.terms.items()},
+                     -coeff if parity else coeff)
             parity ^= alphabet.parities[g]
-    return out
+    return Element(alphabet, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,15 +1055,9 @@ def algebra_map(e: Element, target: Alphabet, images: Mapping[str, object] = {})
             if isinstance(image, tuple):
                 piece = {w + image: c for w, c in piece.items()}
             else:
-                piece = (Element(target, piece) * image).terms
+                piece = _product(piece, image.terms)
         else:
-            for w, c in piece.items():
-                acc = out.get(w)
-                new = c if acc is None else acc + c
-                if new.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = new
+            add_into(out, piece)
     return Element(target, out)
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import catalog, exprs, ncalg
 from .catalog import CMatrix, PAIRS
-from .linalg import DEFAULT_PRIME, DEFAULT_SEED, ScalarEchelon, solve_linear
+from .linalg import DEFAULT_PRIME, DEFAULT_SEED, ScalarEchelon, add_into, solve_linear
 from .ncalg import Element, MembershipOracle, PresentationSpec
 from .reports import Report, timed_report
 from .scalars import Scalar
@@ -151,16 +151,7 @@ def _mul_27(A: dict, B: dict) -> dict:
     for r, row in A.items():
         acc: dict = {}
         for k, c in row.items():
-            brow = B.get(k)
-            if not brow:
-                continue
-            for col, v in brow.items():
-                cur = acc.get(col)
-                nv = c * v if cur is None else cur + c * v
-                if nv.is_zero:
-                    acc.pop(col, None)
-                else:
-                    acc[col] = nv
+            add_into(acc, B.get(k, {}), c)
         if acc:
             out[r] = acc
     return out
@@ -265,16 +256,7 @@ def _pair_vector(rel: Element, names: Sequence[str]) -> dict:
 def _row_action(vec: dict, M: CMatrix) -> dict:
     out: dict = {}
     for rp, c in vec.items():
-        for cp in PAIRS:
-            v = M.entry(rp, cp)
-            if v.is_zero:
-                continue
-            cur = out.get(cp)
-            nv = c * v if cur is None else cur + c * v
-            if nv.is_zero:
-                out.pop(cp, None)
-            else:
-                out[cp] = nv
+        add_into(out, M.row(rp), c)
     return out
 
 

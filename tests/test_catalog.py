@@ -44,14 +44,14 @@ def test_identity_matrix_helpers():
 
 def test_family_counts_and_first_rows():
     xx = catalog.family("xx")
-    assert len(xx) == 3
+    assert len(xx.relations) == 3
     assert xx.relations[0].format() == "x1*x2 - q*x2*x1 - s*x3*x3"
     xixi = catalog.family("xixi")
-    assert len(xixi) == 6
+    assert len(xixi.relations) == 6
     assert any(r.format() == "xi1*xi1" for r in xixi.relations)
     tt = catalog.family("tt")
-    assert len(tt) == 36  # one straightening row per misordered pair
-    assert len(catalog.family("tdinv")) == 9
+    assert len(tt.relations) == 36  # one straightening row per misordered pair
+    assert len(catalog.family("tdinv").relations) == 9
     with pytest.raises(KeyError):
         catalog.family("nonsense")
 

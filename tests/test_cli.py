@@ -83,6 +83,9 @@ def test_verify_unknown_check(capsys):
 def test_verify_requires_selection(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
+    code, out, err = run_cli(capsys, "verify", "--check", ",")
+    assert code == 2 and not out
+    assert err.strip() == "error: choose --all or --check ids"
 
 
 def test_verify_list(capsys):
@@ -245,6 +248,25 @@ def test_python_dash_m_entry_point():
     assert "[11 ; 11] = q/u^2" in proc.stdout
 
 
+class PathArg:
+    """A path argument under tmp_path: a file holding text, or for text None
+    tmp_path itself (a directory)."""
+
+    def __init__(self, text=None):
+        self.text = text
+
+    def path(self, tmp_path):
+        if self.text is None:
+            return str(tmp_path)
+        path = tmp_path / "algebra.json"
+        path.write_text(self.text)
+        return str(path)
+
+
+def normalize_file(text):
+    return ("normalize", "--algebra-file", PathArg(text), "--expr", "x")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--check", "ybe", "--set", "q=0"), "denominator to zero"),
     (("matrix", "--set", "u=0"), "denominator to zero"),
@@ -252,8 +274,16 @@ def test_python_dash_m_entry_point():
     (("verify", "--check", "determinant", "--prime", "1"), "--prime 1 is not a prime"),
     (("verify", "--check", "ybe", "--mutate", "omega:44,11=1"), "indices 1..3"),
     (("verify", "--check", "ybe", "--mutate", "omega:12,21=0"), "matrix is singular"),
+    (normalize_file("{not json"), "malformed algebra file"),
+    (normalize_file('{"name": "a"}'), "missing key 'generators'"),
+    (normalize_file("[1, 2]"), "malformed algebra file"),
+    (normalize_file('{"generators": [{"name": "x", "rank": 0, "weight": 0}], '
+                    '"relations": []}'), "generator weights must be positive"),
+    (normalize_file(None), "Is a directory"),
+    (("export", "--family", "xx", "--out", PathArg()), "Is a directory"),
 ])
-def test_malformed_input_exits_two_with_one_line(argv, message):
+def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path):
+    argv = [a.path(tmp_path) if isinstance(a, PathArg) else a for a in argv]
     proc = run_module(*argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,17 +1,57 @@
 """The one sparse elimination and what is built on it."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wh3 import catalog
 from wh3.catalog import CMatrix
 from wh3.exprs import parse_scalar
-from wh3.linalg import ModEchelon, ModularPoint, ScalarEchelon, eval_vec_mod, solve_linear
+from wh3.linalg import (ModEchelon, ModularPoint, ScalarEchelon, add_into, eval_vec_mod,
+                        solve_linear)
 from wh3.ncalg import Element, span_compare
 from wh3.scalars import Scalar
 
 
 def sc(text):
     return parse_scalar(text)
+
+
+# ---------------------------------------------------------------------------
+# add_into
+# ---------------------------------------------------------------------------
+
+# c * q^a * u^b / (s + shift): shift 1 gives the non-Laurent representation
+nonzero_scalars = st.builds(
+    lambda c, a, b, shift: Scalar.from_fraction(c) * Scalar.param("q") ** a
+    * Scalar.param("u") ** b / (Scalar.param("s") + shift),
+    st.integers(-3, 3).filter(bool), st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 1),
+)
+sparse_vectors = st.dictionaries(st.integers(0, 6), nonzero_scalars, max_size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(out=sparse_vectors, terms=sparse_vectors,
+       coeff=st.none() | st.just(Scalar.zero()) | nonzero_scalars,
+       cancel=st.sets(st.integers(0, 6)))
+def test_add_into_is_the_keywise_sum_without_zeros(out, terms, coeff, cancel):
+    factor = Scalar.one() if coeff is None else coeff
+    if not factor.is_zero:
+        # exact cancellations on the chosen keys: terms = -out / coeff
+        for key in cancel & out.keys():
+            terms[key] = -out[key] / factor
+    zero = Scalar.zero()
+    expected = {}
+    for key in out.keys() | terms.keys():
+        value = out.get(key, zero) + terms.get(key, zero) * factor
+        if not value.is_zero:
+            expected[key] = value
+    before, start = dict(terms), dict(out)
+    assert add_into(out, terms, coeff) is out
+    assert out == expected
+    assert not any(value.is_zero for value in out.values())
+    assert terms == before
+    if coeff is None:
+        assert add_into(start, terms, Scalar.one()) == expected
 
 
 # ---------------------------------------------------------------------------
