@@ -40,8 +40,6 @@ __all__ = [
     "rtt_generate",
     "quantum_determinant",
     "cofactor_matrix",
-    "t_matrix",
-    "t_inverse",
     "dinv_factor",
     "x_alphabet",
     "calculus_alphabet",
@@ -767,7 +765,7 @@ def rtt_generate(R: CMatrix) -> PresentationSpec:
 
 
 # ---------------------------------------------------------------------------
-# determinant, cofactors, inverse
+# determinant, cofactors, inverse-determinant factors
 # ---------------------------------------------------------------------------
 
 
@@ -783,24 +781,6 @@ def cofactor_matrix() -> tuple[tuple[Element, ...], ...]:
     alphabet = t_alphabet()
     return tuple(
         tuple(exprs.parse_element(text, alphabet) for text in row) for row in _COFACTOR_TABLE
-    )
-
-
-@lru_cache(maxsize=None)
-def t_matrix() -> tuple[tuple[Element, ...], ...]:
-    alphabet = t_alphabet()
-    return tuple(
-        tuple(Element.generator(alphabet, f"t{i}{j}") for j in (1, 2, 3)) for i in (1, 2, 3)
-    )
-
-
-@lru_cache(maxsize=None)
-def t_inverse() -> tuple[tuple[Element, ...], ...]:
-    """Inverse quantum matrix: cofactors times the adjoined inverse determinant."""
-    qg = qg_alphabet()
-    dinv = Element.generator(qg, "Dinv")
-    return tuple(
-        tuple(algebra_map(cof, qg) * dinv for cof in row) for row in cofactor_matrix()
     )
 
 

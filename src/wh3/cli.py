@@ -172,6 +172,8 @@ def _cmd_verify(args) -> int:
         for cid in verify.CHECK_IDS:
             print(cid)
         return 0
+    if args.all and args.check is not None:
+        raise UsageError("choose --all or --check ids, not both")
     if args.all:
         checks = list(verify.CHECK_IDS)
     else:
@@ -182,6 +184,9 @@ def _cmd_verify(args) -> int:
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(unknown)}; "
                              f"known: {', '.join(verify.CHECK_IDS)}")
+        repeated = next((c for i, c in enumerate(checks) if c in checks[:i]), None)
+        if repeated:
+            raise UsageError(f"check {repeated} given more than once in --check")
     _check_prime(args.prime)
     ctx = verify.VerifyContext(
         errata=args.errata == "on",
@@ -222,9 +227,8 @@ def _cmd_member(args) -> int:
     _check_prime(args.prime)
     pres = _load_algebra(args)
     element = exprs.parse_element(args.expr, pres.alphabet)
-    report = ncalg.ideal_membership(
-        element, pres, degree=args.degree, mode=args.mode,
-        prime=args.prime, seed=args.seed,
+    report = ncalg.algebra(pres).member(
+        element, degree=args.degree, mode=args.mode, prime=args.prime, seed=args.seed,
     )
     doc = {
         "member": report.member,

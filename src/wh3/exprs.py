@@ -20,6 +20,7 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "UnknownSymbolError",
+    "NAME_RE",
     "parse_scalar",
     "parse_element",
 ]
@@ -46,7 +47,9 @@ class UnknownSymbolError(ExprError):
         self.suggestion = suggestion[0] if suggestion else None
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
+# a parameter or generator name; algebra files may declare no other
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{NAME_RE.pattern})|(?P<op>[-+*/^()]))")
 
 
 @dataclass

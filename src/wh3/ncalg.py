@@ -35,7 +35,7 @@ from .linalg import (
     eval_vec_mod,
     with_modular_retries,
 )
-from .scalars import Scalar, format_scalar
+from .scalars import PARAMETERS, Scalar, format_scalar
 
 __all__ = [
     "Generator",
@@ -55,7 +55,6 @@ __all__ = [
     "MembershipOracle",
     "MembershipReport",
     "algebra",
-    "ideal_membership",
     "span_compare",
     "SpanComparison",
     "algebra_map",
@@ -958,13 +957,6 @@ def algebra(pres: PresentationSpec) -> MembershipOracle:
     return found
 
 
-def ideal_membership(e: Element, pres: PresentationSpec, degree: int | None = None,
-                     mode: str = "exact", prime: int = DEFAULT_PRIME,
-                     seed: int = DEFAULT_SEED) -> MembershipReport:
-    """One-shot ideal membership (see MembershipOracle)."""
-    return algebra(pres).member(e, degree, mode, prime, seed)
-
-
 # ---------------------------------------------------------------------------
 # span comparison
 # ---------------------------------------------------------------------------
@@ -1142,6 +1134,12 @@ def presentation_from_json(doc: Mapping) -> PresentationSpec:
     from . import exprs
 
     gens = sorted(doc["generators"], key=lambda g: g["rank"])
+    for g in gens:
+        name = g["name"]
+        if not isinstance(name, str) or not exprs.NAME_RE.fullmatch(name):
+            raise ValueError(f"generator name {name!r} is not a name of the expression grammar")
+        if name in PARAMETERS:
+            raise ValueError(f"generator name {name!r} is reserved for a parameter")
     order = doc.get("order")
     if order and list(order) != [g["name"] for g in gens]:
         raise ValueError("order list disagrees with generator ranks")

@@ -6,6 +6,9 @@ functions of an immutable context, so they can run in any order (or
 concurrently).  Each reads its inputs from `ctx.bound`, where the bindings
 are applied once, before the check starts; nothing derived from them is bound
 again, and a scalar error inside a check is an `undecided:` detail of it.
+The quantum-matrix identities (T.Cof = D.I, the antipode S(T).T = I, the
+coproduct Delta(T) = L.R and the coaction on x, xi and the derivatives) are
+products of 3x3 element matrices through one routine, `_matmul`.
 Membership is decided by the normal form under rules completed to the
 element's degree: a vanishing normal form, or a nonzero one under confluent or
 homogeneous rules, is an exact certificate, and anything else is reported
@@ -479,6 +482,22 @@ def check_rtt(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     return report
 
 
+def _matrix(alphabet, prefix: str) -> list[list[Element]]:
+    """The 3x3 matrix of the generators prefix{i}{j}."""
+    return [[Element.generator(alphabet, f"{prefix}{i}{j}") for j in "123"] for i in "123"]
+
+
+def _matmul(a, b) -> list[list[Element]]:
+    """The matrix with entries sum_k a_ik * b_kj, for rows of Elements over one alphabet.
+
+    A column vector is an n x 1 matrix.  Each product keeps its factor order:
+    the entries do not commute.
+    """
+    zero = Element.zero(a[0][0].alphabet)
+    return [[sum((a_ik * b_k[j] for a_ik, b_k in zip(row, b)), zero)
+             for j in range(len(b[0]))] for row in a]
+
+
 def _strip_dinv(nf: Element, t_alphabet) -> Element | None:
     """Rewrite Dinv * F as F over the t alphabet (None if not of that shape)."""
     dinv = nf.alphabet.rank_of("Dinv")
@@ -495,14 +514,11 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         rules = oracle.rules
         TA = inp.tt.alphabet
         D = inp.determinant
-        t = catalog.t_matrix()
+        T = _matrix(TA, "t")
+        right = _matmul(T, inp.cofactors)
         for i in range(3):
             for j in range(3):
-                total = Element.zero(TA)
-                for k in range(3):
-                    total = total + t[i][k] * inp.cofactors[k][j]
-                if i == j:
-                    total = total - D
+                total = right[i][j] - D if i == j else right[i][j]
                 rep = oracle.member(total, degree=3, mode="exact")
                 report.add(
                     f"right-inverse:({i + 1},{j + 1})", rep.member,
@@ -512,12 +528,10 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         # left product without the determinant-inverse weights: reported finding
         diag = []
         offdiag_zero = True
+        left = _matmul(inp.cofactors, T)
         for i in range(3):
             for j in range(3):
-                total = Element.zero(TA)
-                for k in range(3):
-                    total = total + inp.cofactors[i][k] * t[k][j]
-                nf = rules.normalize(total)
+                nf = rules.normalize(left[i][j])
                 if i == j:
                     diag.append(nf)
                 elif not nf.is_zero:
@@ -540,13 +554,11 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             return report
         QG = inp.qg.alphabet
         dinv = Element.generator(QG, "Dinv")
-        antipode = [[ncalg.algebra_map(c, QG) * dinv for c in row] for row in inp.cofactors]
+        S = [[ncalg.algebra_map(c, QG) * dinv for c in row] for row in inp.cofactors]
+        antipode = _matmul(S, _matrix(QG, "t"))
         for i in range(3):
             for j in range(3):
-                total = Element.zero(QG)
-                for k in range(3):
-                    total = total + antipode[i][k] * ncalg.algebra_map(t[k][j], QG)
-                nf = qg_rules.normalize(total)
+                nf = qg_rules.normalize(antipode[i][j])
                 stripped = _strip_dinv(nf, TA)
                 if stripped is None:
                     report.add(f"antipode:({i + 1},{j + 1})", False,
@@ -665,7 +677,7 @@ def _solve_transposed_inverse(pres: PresentationSpec, D: Element):
 
     W is the numerator of the inverse of the transposed quantum matrix (which
     differs from the transpose of the inverse in the noncommutative setting);
-    Dinv * W[l][j] transforms the derivatives.
+    Dinv * W transforms the derivatives.  Returns W as three rows of Elements.
     """
     A = pres.alphabet
     rules = ncalg.algebra(pres).rule_system()
@@ -679,7 +691,7 @@ def _solve_transposed_inverse(pres: PresentationSpec, D: Element):
                 nf_cache[(w, k, j)] = rules.normalize(
                     Element.from_word(A, w + (t_rank[(k, j)],))
                 )
-    result = {}
+    W = []
     for l in (1, 2, 3):
         eq: dict = {}
         rhs: dict = {}
@@ -697,30 +709,21 @@ def _solve_transposed_inverse(pres: PresentationSpec, D: Element):
         sol = solve_linear(rows)
         if sol is None:
             return None
-        for j in (1, 2, 3):
-            result[(l, j)] = Element(
-                A, {w: sol.get((j, w), Scalar.zero()) for w in normal2}
-            )
-    return result
+        W.append([Element(A, {w: sol.get((j, w), Scalar.zero()) for w in normal2})
+                  for j in (1, 2, 3)])
+    return W
 
 
 def _coaction_images(tensor_alphabet, W) -> dict[str, Element]:
-    images: dict[str, Element] = {}
+    """x -> T.x, xi -> T.xi and d -> (Dinv W).d over the tensor algebra."""
+    T = _matrix(tensor_alphabet, "t")
     dinv = Element.generator(tensor_alphabet, "Dinv")
-    for i in (1, 2, 3):
-        for base in ("x", "xi"):
-            total = Element.zero(tensor_alphabet)
-            for j in (1, 2, 3):
-                total = total + (
-                    Element.generator(tensor_alphabet, f"t{i}{j}")
-                    * Element.generator(tensor_alphabet, f"{base}{j}")
-                )
-            images[f"{base}{i}"] = total
-        total = Element.zero(tensor_alphabet)
-        for j in (1, 2, 3):
-            total = total + dinv * ncalg.algebra_map(W[(i, j)], tensor_alphabet) \
-                * Element.generator(tensor_alphabet, f"d{j}")
-        images[f"d{i}"] = total
+    dinv_W = [[dinv * ncalg.algebra_map(w, tensor_alphabet) for w in row] for row in W]
+    images: dict[str, Element] = {}
+    for base, M in (("x", T), ("xi", T), ("d", dinv_W)):
+        column = [[Element.generator(tensor_alphabet, f"{base}{j}")] for j in "123"]
+        for i, (image,) in enumerate(_matmul(M, column), 1):
+            images[f"{base}{i}"] = image
     return images
 
 
@@ -757,18 +760,11 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
                        counterexample="no degree-2 inverse of the transposed matrix")
             return report
         rules = ncalg.algebra(inp.tt).rule_system()
-        TA = catalog.t_alphabet()
         D = inp.determinant
-        cert_ok = True
-        for l in (1, 2, 3):
-            for k in (1, 2, 3):
-                total = Element.zero(TA)
-                for j in (1, 2, 3):
-                    total = total + W[(l, j)] * Element.generator(TA, f"t{k}{j}")
-                if k == l:
-                    total = total - D
-                if not rules.normalize(total).is_zero:
-                    cert_ok = False
+        T_transposed = list(zip(*_matrix(inp.tt.alphabet, "t")))
+        cert = _matmul(W, T_transposed)
+        cert_ok = all(rules.normalize(cert[l][k] - D if k == l else cert[l][k]).is_zero
+                      for l in range(3) for k in range(3))
         report.add(
             "transposed-inverse", cert_ok,
             note="solved exactly; certifies sum_j W_lj t^k_j = delta_lk D",
@@ -852,17 +848,9 @@ def _delta_target(tt: PresentationSpec) -> MembershipOracle:
 
 
 def _coproduct_images(target) -> dict[str, Element]:
-    """Delta(t^i_j) = sum_k l^i_k r^k_j over A (x) A."""
-    images = {}
-    for i in "123":
-        for j in "123":
-            total = Element.zero(target)
-            for k in "123":
-                total = total + (
-                    Element.generator(target, f"l{i}{k}") * Element.generator(target, f"r{k}{j}")
-                )
-            images[f"t{i}{j}"] = total
-    return images
+    """Delta(T) = L.R over A (x) A: Delta(t^i_j) = sum_k l^i_k r^k_j."""
+    delta = _matmul(_matrix(target, "l"), _matrix(target, "r"))
+    return {f"t{i}{j}": delta[i - 1][j - 1] for i in (1, 2, 3) for j in (1, 2, 3)}
 
 
 def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:

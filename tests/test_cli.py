@@ -86,6 +86,12 @@ def test_verify_requires_selection(capsys):
     code, out, err = run_cli(capsys, "verify", "--check", ",")
     assert code == 2 and not out
     assert err.strip() == "error: choose --all or --check ids"
+    code, out, err = run_cli(capsys, "verify", "--check", "ybe,ybe")
+    assert (code, out) == (2, "")
+    assert err == "error: check ybe given more than once in --check\n"
+    code, out, err = run_cli(capsys, "verify", "--all", "--check", "ybe")
+    assert (code, out) == (2, "")
+    assert err == "error: choose --all or --check ids, not both\n"
 
 
 def test_verify_list(capsys):
@@ -281,6 +287,12 @@ def normalize_file(text):
                     '"relations": []}'), "generator weights must be positive"),
     (normalize_file(None), "Is a directory"),
     (("export", "--family", "xx", "--out", PathArg()), "Is a directory"),
+    # the grammar would read q as the parameter, and cannot reference "x y"
+    (normalize_file('{"generators": [{"name": "q", "rank": 0}, {"name": "x", "rank": 1}], '
+                    '"relations": ["q*x - 2*x*q"]}'),
+     "algebra.json: generator name 'q' is reserved for a parameter"),
+    (normalize_file('{"generators": [{"name": "x y", "rank": 0}], "relations": []}'),
+     "algebra.json: generator name 'x y' is not a name"),
 ])
 def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path):
     argv = [a.path(tmp_path) if isinstance(a, PathArg) else a for a in argv]

@@ -1,15 +1,16 @@
-"""The default and errata-off reports stay byte-identical to the stored ones.
+"""Reports stay byte-identical to the stored ones.
 
-The files under tests/golden/ are the output of
-`python -m wh3 verify --all [--errata off] --format json --no-timings`.
-A change that legitimately alters a report regenerates them with that command
-and lists the changed text in CHANGES.md.
+Each file under tests/golden/ is the output of
+`python -m wh3 verify --all --format json --no-timings` with the options that
+name it.  A change that legitimately alters a report regenerates them with
+that command and lists the changed text in CHANGES.md.
 """
 
 from pathlib import Path
 
 import pytest
 
+from wh3 import cli
 from wh3.reports import reports_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,3 +24,15 @@ def test_reports_match_golden_files(request, fixture, name):
     reports = request.getfixturevalue(fixture).values()
     text = reports_to_json(reports, with_timings=False) + "\n"
     assert text == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("options, name, code", [
+    # a binding that mentions a parameter
+    (("--set", "q=2*q"), "verify-set-q-2q.json", 0),
+    # the coinciding-calculi point, with its "not applicable:" notes
+    (("--spec", "q=u^2"), "verify-spec-q-u2.json", 0),
+    (("--mutate", "omega:11,11=(q/u^2)+(2)"), "verify-mutate-omega.json", 1),
+])
+def test_verify_output_matches_golden_file(capsys, options, name, code):
+    assert cli.run(["verify", "--all", "--format", "json", "--no-timings", *options]) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
