@@ -146,18 +146,6 @@ class CMatrix:
     def substitute(self, bindings) -> "CMatrix":
         return CMatrix([[c.substitute(bindings) for c in row] for row in self.entries])
 
-    def sparsity_ok(self) -> bool:
-        """Entries vanish off the (i,j)/(j,i) pattern except the two (.,.)->(3,3) slots."""
-        for (i, j) in PAIRS:
-            for (l, m) in PAIRS:
-                if (l, m) in ((i, j), (j, i)):
-                    continue
-                if (l, m) == (3, 3) and (i, j) in ((1, 2), (2, 1)):
-                    continue
-                if not self.entry((i, j), (l, m)).is_zero:
-                    return False
-        return True
-
     def nonzero_cells(self):
         for row_pair in PAIRS:
             for col_pair, value in self.row(row_pair).items():

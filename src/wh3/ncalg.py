@@ -3,8 +3,11 @@
 Elements are finite scalar combinations of words over a ranked alphabet.
 Quadratic presentations are oriented into monic, strictly deg-lex-decreasing
 rewrite rules; normal forms, overlap (diamond) analysis with completion to a
-degree bound, graded derivations, ideal membership and span comparison are
-built on top.
+degree bound, graded derivations and ideal membership are built on top.
+Every test of linear span over Q(q, u, s) goes through one `Span` of a
+relation list: its rank, which relations depend on earlier ones, and the
+residual of an element, zero exactly when the element lies in the span
+(`span_compare` is two of them).
 
 Normalization is linear and subtracts explicit ideal elements, so NF(e) = 0
 certifies that e lies in the ideal.  For confluent rules Bergman's diamond
@@ -55,6 +58,7 @@ __all__ = [
     "MembershipOracle",
     "MembershipReport",
     "algebra",
+    "Span",
     "span_compare",
     "SpanComparison",
     "algebra_map",
@@ -183,9 +187,6 @@ class Alphabet:
     def rank_of(self, name: str):
         gen = self._by_name.get(name)
         return None if gen is None else gen.rank
-
-    def word_parity(self, word: tuple[int, ...]) -> int:
-        return sum(self.parities[g] for g in word) & 1
 
     def format_word(self, word: tuple[int, ...]) -> str:
         if not word:
@@ -962,6 +963,42 @@ def algebra(pres: PresentationSpec) -> MembershipOracle:
 # ---------------------------------------------------------------------------
 
 
+class Span:
+    """The exact span over Q(q, u, s) of a list of relations over one alphabet.
+
+    The relations enter one `ScalarEchelon` in list order, their words
+    encoded for max_len (default: the largest relation length), so every
+    element tested against the span must be that short.  `dependent` lists
+    the indices of the relations that are zero or already in the span of the
+    earlier ones.  Relations or tested elements over another alphabet raise
+    ValueError.
+    """
+
+    def __init__(self, relations: Sequence[Element], max_len: int | None = None):
+        self.alphabet = relations[0].alphabet if relations else None
+        for rel in relations:
+            self._check(rel)
+        self.max_len = max((r.degree() for r in relations), default=0) \
+            if max_len is None else max_len
+        self._echelon = ScalarEchelon()
+        self.dependent = [idx for idx, rel in enumerate(relations) if self._echelon.insert(
+            rel.alphabet.encode_terms(rel.terms, self.max_len)) is None]
+
+    def _check(self, e: Element):
+        if self.alphabet is not None and not self.alphabet.compatible_with(e.alphabet):
+            raise ValueError("span of relations over different alphabets")
+
+    @property
+    def rank(self) -> int:
+        return self._echelon.rank
+
+    def residual(self, e: Element) -> Element:
+        """The lead-chased remainder of e: zero iff e lies in the span."""
+        self._check(e)
+        vec = self._echelon.reduce(e.alphabet.encode_terms(e.terms, self.max_len))
+        return Element(e.alphabet, e.alphabet.decode_terms(vec, self.max_len))
+
+
 @dataclass
 class SpanComparison:
     verdict: str  # equal | A_subset_B | B_subset_A | incomparable
@@ -972,35 +1009,24 @@ class SpanComparison:
 
 def span_compare(a: Sequence[Element] | PresentationSpec,
                  b: Sequence[Element] | PresentationSpec) -> SpanComparison:
-    """Exact row-space comparison of two relation lists over a common alphabet."""
+    """Exact row-space comparison of two relation lists over a common alphabet.
+
+    The witness is the residual of the first relation of a outside the span
+    of b, else of the first relation of b outside the span of a.
+    """
     rel_a = a.nonzero_relations() if isinstance(a, PresentationSpec) else [r for r in a if not r.is_zero]
     rel_b = b.nonzero_relations() if isinstance(b, PresentationSpec) else [r for r in b if not r.is_zero]
-    alphabet = None
-    for rel in itertools.chain(rel_a, rel_b):
-        if alphabet is None:
-            alphabet = rel.alphabet
-        elif not alphabet.compatible_with(rel.alphabet):
-            raise ValueError("span comparison across different alphabets")
     max_len = max((r.degree() for r in itertools.chain(rel_a, rel_b)), default=0)
-    vec_a = [alphabet.encode_terms(r.terms, max_len) for r in rel_a]
-    vec_b = [alphabet.encode_terms(r.terms, max_len) for r in rel_b]
-    ech_a, ech_b = ScalarEchelon(), ScalarEchelon()
-    for vec in vec_a:
-        ech_a.insert(vec)
-    for vec in vec_b:
-        ech_b.insert(vec)
-    b_not_in_a = next((res for vec in vec_b if (res := ech_a.reduce(vec))), None)
-    a_not_in_b = next((res for vec in vec_a if (res := ech_b.reduce(vec))), None)
+    span_a, span_b = Span(rel_a, max_len), Span(rel_b, max_len)
+    b_not_in_a = next((res for r in rel_b if (res := span_a.residual(r))), None)
+    a_not_in_b = next((res for r in rel_a if (res := span_b.residual(r))), None)
     verdict = {
         (False, False): "equal",
         (False, True): "A_subset_B",
         (True, False): "B_subset_A",
         (True, True): "incomparable",
     }[(a_not_in_b is not None, b_not_in_a is not None)]
-    witness_vec = a_not_in_b or b_not_in_a
-    witness = None if not witness_vec else \
-        Element(alphabet, alphabet.decode_terms(witness_vec, max_len))
-    return SpanComparison(verdict, ech_a.rank, ech_b.rank, witness)
+    return SpanComparison(verdict, span_a.rank, span_b.rank, a_not_in_b or b_not_in_a)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,23 +1157,46 @@ def presentation_to_json(pres: PresentationSpec) -> dict:
 
 
 def presentation_from_json(doc: Mapping) -> PresentationSpec:
+    """The presentation of an algebra-definition document.
+
+    A missing key raises KeyError, and a document of the wrong shape raises
+    ValueError naming the key: "generators" must be a list of objects with
+    distinct names and distinct integer ranks, each "parity" "even" or "odd"
+    and each "weight" a positive integer, "relations" a list of strings and
+    "order", if given, the list of the names in rank order.
+    """
     from . import exprs
 
-    gens = sorted(doc["generators"], key=lambda g: g["rank"])
+    if not isinstance(doc, Mapping):
+        raise ValueError("the document must be a JSON object")
+    gens = doc["generators"]
+    if not isinstance(gens, list) or not all(isinstance(g, Mapping) for g in gens):
+        raise ValueError('"generators" must be a list of objects')
+    ranked = {}
     for g in gens:
-        name = g["name"]
+        name, rank = g["name"], g["rank"]
         if not isinstance(name, str) or not exprs.NAME_RE.fullmatch(name):
             raise ValueError(f"generator name {name!r} is not a name of the expression grammar")
         if name in PARAMETERS:
             raise ValueError(f"generator name {name!r} is reserved for a parameter")
+        if type(rank) is not int:
+            raise ValueError(f'generator {name!r}: "rank" must be an integer, not {rank!r}')
+        if rank in ranked:
+            raise ValueError(f'generators {ranked[rank][0]!r} and {name!r} share "rank" {rank}')
+        parity, weight = g.get("parity", "even"), g.get("weight", 1)
+        if parity not in ("even", "odd"):
+            raise ValueError(f'generator {name!r}: "parity" must be "even" or "odd", not {parity!r}')
+        if type(weight) is not int or weight < 1:
+            raise ValueError(f'generator weights must be positive integers: "weight" of {name!r} '
+                             f'is {weight!r}')
+        ranked[rank] = (name, 1 if parity == "odd" else 0, weight)
+    specs = [ranked[rank] for rank in sorted(ranked)]
     order = doc.get("order")
-    if order and list(order) != [g["name"] for g in gens]:
+    if order and order != [name for name, _, _ in specs]:
         raise ValueError("order list disagrees with generator ranks")
-    alphabet = Alphabet.build(
-        [
-            (g["name"], 1 if g.get("parity") == "odd" else 0, g.get("weight", 1))
-            for g in gens
-        ]
-    )
-    relations = [exprs.parse_element(text, alphabet) for text in doc["relations"]]
+    alphabet = Alphabet.build(specs)
+    texts = doc["relations"]
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError('"relations" must be a list of strings')
+    relations = [exprs.parse_element(text, alphabet) for text in texts]
     return PresentationSpec(doc.get("name", "algebra"), alphabet, relations)

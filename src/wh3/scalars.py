@@ -37,8 +37,6 @@ __all__ = [
     "ScalarModularError",
     "scalar",
     "scalar_parse",
-    "scalar_arith",
-    "scalar_substitute",
     "format_scalar",
 ]
 
@@ -220,13 +218,6 @@ class Scalar:
     def denom_terms(self) -> dict[tuple[int, int, int], Fraction]:
         """Denominator as a map exponent-triple -> rational coefficient."""
         return _poly_terms(_to_frac(self._rep).denom)
-
-    def as_fraction(self) -> Fraction:
-        """The value as a rational number, if it is parameter-free."""
-        rep = self._rep
-        if type(rep) is not dict or set(rep) - {_UNIT}:
-            raise ScalarError(f"{self} is not a constant")
-        return Fraction(rep.get(_UNIT, 0))
 
     def leading_sign(self) -> int:
         """Sign of the numerator's leading coefficient (0 for the zero scalar)."""
@@ -519,21 +510,3 @@ def scalar_parse(text: str) -> Scalar:
     from . import exprs  # late import: exprs builds on this module
 
     return exprs.parse_scalar(text)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field arithmetic dispatched by name: add, sub, mul or div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ScalarError(f"unknown operation {op!r}")
-
-
-def scalar_substitute(a: Scalar, bindings: Mapping[str, ScalarLike]) -> Scalar:
-    """Evaluation homomorphism on parameters; see Scalar.substitute."""
-    return a.substitute(bindings)

@@ -8,7 +8,8 @@ are applied once, before the check starts; nothing derived from them is bound
 again, and a scalar error inside a check is an `undecided:` detail of it.
 The quantum-matrix identities (T.Cof = D.I, the antipode S(T).T = I, the
 coproduct Delta(T) = L.R and the coaction on x, xi and the derivatives) are
-products of 3x3 element matrices through one routine, `_matmul`.
+products of 3x3 element matrices through one routine, `_matmul`, and every
+span identity (calculi, RTT, star stability) is a test against `ncalg.Span`.
 Membership is decided by the normal form under rules completed to the
 element's degree: a vanishing normal form, or a nonzero one under confluent or
 homogeneous rules, is an exact certificate, and anything else is reported
@@ -469,11 +470,7 @@ def check_rtt(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if cmp2.verdict == "equal" else str(cmp2.witness),
         )
         report.add("rank", cmp.rank_b == 36, note=f"transcribed span rank {cmp.rank_b}")
-        ech = ScalarEchelon()
-        dependent = []
-        for idx, rel in enumerate(fam):
-            if rel.is_zero or ech.insert(rel.alphabet.encode_terms(rel.terms, 2)) is None:
-                dependent.append(idx)
+        dependent = ncalg.Span(fam).dependent
         report.add(
             "independent-rows", not dependent,
             note="all 36 transcribed rows independent" if not dependent
@@ -912,17 +909,6 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _outside_span(relations: Sequence[Element], images: Sequence[Element]) -> list[int]:
-    """Indices of the images that leave the linear span of the relations."""
-    alphabet = relations[0].alphabet
-    max_len = max(e.degree() for e in (*relations, *images))
-    ech = ScalarEchelon()
-    for rel in relations:
-        ech.insert(alphabet.encode_terms(rel.terms, max_len))
-    return [idx for idx, image in enumerate(images)
-            if ech.reduce(alphabet.encode_terms(image.terms, max_len))]
-
-
 def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """The star antihomomorphism respects every relation family it touches."""
     inp = ctx.bound
@@ -934,10 +920,10 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         # variable relations: the span is star-stable; the central relation is
         # literally fixed, the two light-cone rows swap up to a unit
         xx = inp.families["xx"]
-        images = [catalog.star_apply(rel) for rel in xx]
-        outside = _outside_span(xx, images)
-        for idx, (rel, image) in enumerate(zip(xx, images), 1):
-            member = idx - 1 not in outside
+        xx_span = ncalg.Span(xx)
+        for idx, rel in enumerate(xx, 1):
+            image = catalog.star_apply(rel)
+            member = xx_span.residual(image).is_zero
             note = "star image is the relation itself" if image == rel else \
                 "star image stays in the relation span"
             report.add(
@@ -951,7 +937,8 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         )
         # quantum matrix relations
         tt = inp.tt.relations
-        bad = _outside_span(tt, [catalog.star_apply(rel) for rel in tt])
+        tt_span = ncalg.Span(tt)
+        bad = [idx for idx, rel in enumerate(tt) if tt_span.residual(catalog.star_apply(rel))]
         report.add(
             "quantum-matrix-relations", not bad,
             note="star image of every transcribed row stays in the span" if not bad
@@ -970,9 +957,9 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         )
         # inverse-determinant commutation rules
         tdinv = inp.families["tdinv"]
-        bad = _outside_span(
-            inp.qg.relations,
-            [catalog.star_apply(ncalg.algebra_map(rel, inp.qg.alphabet)) for rel in tdinv])
+        qg_span = ncalg.Span(inp.qg.relations)
+        bad = [idx for idx, rel in enumerate(tdinv)
+               if qg_span.residual(catalog.star_apply(ncalg.algebra_map(rel, inp.qg.alphabet)))]
         report.add(
             "inverse-determinant-relations", not bad,
             note="star images of the commutation rules are ideal members" if not bad

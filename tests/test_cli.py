@@ -293,6 +293,26 @@ def normalize_file(text):
      "algebra.json: generator name 'q' is reserved for a parameter"),
     (normalize_file('{"generators": [{"name": "x y", "rank": 0}], "relations": []}'),
      "algebra.json: generator name 'x y' is not a name"),
+    # document shapes: each names the key it rejects
+    (normalize_file('{"generators": [{"name": "x", "rank": 0}], "relations": "x*x"}'),
+     '"relations" must be a list of strings'),
+    (normalize_file('{"generators": [{"name": "x", "rank": 0}], "relations": [1]}'),
+     '"relations" must be a list of strings'),
+    (normalize_file('{"generators": {"x": 0}, "relations": []}'),
+     '"generators" must be a list of objects'),
+    (normalize_file('{"generators": [{"name": "x", "rank": 0}, {"name": "y", "rank": 0}], '
+                    '"relations": []}'),
+     """generators 'x' and 'y' share "rank" 0"""),
+    (normalize_file('{"generators": [{"name": "x", "rank": 0.5}], "relations": []}'),
+     """generator 'x': "rank" must be an integer, not 0.5"""),
+    (normalize_file('{"generators": [{"name": "x", "rank": 0, "parity": "weird"}], '
+                    '"relations": []}'),
+     """generator 'x': "parity" must be "even" or "odd", not 'weird'"""),
+    (normalize_file('{"generators": [{"name": "x", "rank": 0, "weight": 1.5}], '
+                    '"relations": []}'),
+     """generator weights must be positive integers: "weight" of 'x' is 1.5"""),
+    (normalize_file('{"generators": [{"name": "x", "rank": 0}], "order": "x", "relations": []}'),
+     "order list disagrees with generator ranks"),
 ])
 def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path):
     argv = [a.path(tmp_path) if isinstance(a, PathArg) else a for a in argv]

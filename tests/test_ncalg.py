@@ -14,6 +14,7 @@ from wh3.ncalg import (
     InconsistentPresentationError,
     MembershipOracle,
     PresentationSpec,
+    Span,
     algebra_map,
     algebra_tensor,
     derivation_apply,
@@ -224,7 +225,7 @@ def test_derivation_graded_leibniz_property(data):
     wb = tuple(data.draw(st.sampled_from(letters)) for _ in range(data.draw(st.integers(0, 3))))
     a = Element.from_word(A, wa)
     b = Element.from_word(A, wb)
-    sign = -1 if A.word_parity(wa) else 1
+    sign = -1 if sum(A.parities[g] for g in wa) % 2 else 1
     lhs = derivation_apply(images, a * b)
     rhs = derivation_apply(images, a) * b + (a * derivation_apply(images, b)).scale(sign)
     assert lhs == rhs
@@ -535,6 +536,35 @@ def test_span_compare_examples():
 def test_span_compare_rejects_mixed_alphabets():
     with pytest.raises(ValueError):
         span_compare(x_pres().relations, catalog.family("dd").relations)
+
+
+def test_span_flags_zero_and_repeated_relations():
+    xx = x_pres().relations
+    zero = Element.zero(xx[0].alphabet)
+    span = Span([xx[0], zero, xx[1], xx[0].scale(Scalar.param("u")), xx[2]])
+    assert span.dependent == [1, 3]
+    assert span.rank == 3
+    assert Span(xx).dependent == [] and Span([]).rank == 0
+
+
+def test_span_residual_vanishes_exactly_on_members():
+    xx = x_pres().relations
+    span = Span(xx[:2])
+    assert span.residual(xx[0] * Scalar.param("s") - xx[1]).is_zero
+    assert span.residual(Element.zero(xx[0].alphabet)).is_zero
+    for outside in (xx[2], xx[2] + xx[0], parse_x("x1*x1")):
+        assert not span.residual(outside).is_zero
+    # the first relation outside the other span gives the comparison's witness
+    assert span_compare(xx, xx[:2]).witness == span.residual(xx[2])
+    assert span_compare(xx[:2], xx).witness == span.residual(xx[2])
+
+
+def test_span_rejects_mixed_alphabets():
+    dd = catalog.family("dd").relations
+    with pytest.raises(ValueError):
+        Span([*x_pres().relations, *dd])
+    with pytest.raises(ValueError):
+        Span(x_pres().relations).residual(dd[0])
 
 
 def test_equal_spans_give_agreeing_membership_verdicts():

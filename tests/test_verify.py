@@ -1,8 +1,10 @@
 """The verification checks, their witnesses, and their negative controls."""
 
 import random
+from collections import OrderedDict
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from wh3 import catalog, ncalg, verify
@@ -86,6 +88,22 @@ def test_reports_depend_only_on_seed(default_reports):
     b = verify.run_check("determinant", ctx)
     a.millis = b.millis = 0
     assert reports_to_json([a]) == reports_to_json([b])
+
+
+@pytest.mark.parametrize("errata", [True, False], ids=["default", "errata-off"])
+def test_checks_do_not_depend_on_run_order(errata, default_reports, errata_off_reports,
+                                           monkeypatch):
+    # each check alone, on a fresh context and an empty algebra cache, and the
+    # registry run backwards report what the session's run_all reported
+    session = default_reports if errata else errata_off_reports
+    expected = {cid: session[cid].to_dict(with_timings=False) for cid in verify.CHECK_IDS}
+    for cid in verify.CHECK_IDS:
+        monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+        alone = verify.run_check(cid, VerifyContext(errata=errata))
+        assert alone.to_dict(with_timings=False) == expected[cid], cid
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+    backwards = verify.run_all(VerifyContext(errata=errata), verify.CHECK_IDS[::-1])
+    assert {r.check: r.to_dict(with_timings=False) for r in backwards} == expected
 
 
 def test_rtt_implies_coaction_ordering(default_reports):
