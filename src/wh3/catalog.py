@@ -34,7 +34,6 @@ __all__ = [
     "FAMILY_IDS",
     "ErrataEntry",
     "ERRATA",
-    "DERIVATIONS",
     "family",
     "generate_from_C",
     "rtt_generate",
@@ -535,17 +534,6 @@ ERRATA: tuple[ErrataEntry, ...] = (
             "determinant commutation oracle"
         ),
     ),
-)
-
-# Facts the oracles derive that the source tables do not print; recorded here
-# so reports can reference them stably.
-DERIVATIONS: tuple[str, ...] = (
-    "lambda factors: for each generator g, NF(g*D) = lambda_g * NF(D*g) under "
-    "the straightened quantum-matrix rules; the inverse-commutation table is "
-    "1/lambda_g on the swapped side (certified at degree 4).",
-    "specialized inverse rules: at q=u^2 with t31=t32=0 every straightening "
-    "rule led by t33 collapses to t33*g = nu_g*g*t33; the adjoined inverse w "
-    "of t33 then satisfies g*w = nu_g*w*g, and all t'_ij = t_ij*w commute.",
 )
 
 

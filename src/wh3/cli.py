@@ -105,7 +105,7 @@ def _parse_bindings(text: str | None) -> tuple:
             raise UsageError(f"bad binding {piece!r}; expected name=value")
         name, value = piece.split("=", 1)
         name = name.strip()
-        if name not in ("q", "u", "s"):
+        if name not in scalars.PARAMETERS:
             raise UsageError(f"unknown parameter {name!r} in --set/--spec")
         if name in out:
             raise UsageError(f"parameter {name} given more than once in --set/--spec")
@@ -140,9 +140,8 @@ def _check_prime(prime: int) -> None:
         raise UsageError(f"--prime {prime} is not a prime of at least 5")
 
 
-def _load_algebra(args) -> ncalg.PresentationSpec:
-    errata = getattr(args, "errata", "on") == "on"
-    path = getattr(args, "algebra_file", None)
+def _load_algebra(name: str | None, path: str | None, errata: bool) -> ncalg.PresentationSpec:
+    """The presentation in an algebra file, or the named algebra or family."""
     if path:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -152,7 +151,6 @@ def _load_algebra(args) -> ncalg.PresentationSpec:
         except (ValueError, TypeError) as err:
             # invalid JSON, text or generators, or a document of the wrong shape
             raise UsageError(f"malformed algebra file {path}: {err}")
-    name = args.algebra
     if not name:
         raise UsageError("choose --algebra NAME or --algebra-file PATH")
     if name in ALGEBRA_NAMES:
@@ -216,7 +214,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    pres = _load_algebra(args)
+    pres = _load_algebra(args.algebra, args.algebra_file, args.errata == "on")
     rules = ncalg.algebra(pres).rule_system()
     element = exprs.parse_element(args.expr, pres.alphabet)
     print(rules.normalize(element).format())
@@ -225,7 +223,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_member(args) -> int:
     _check_prime(args.prime)
-    pres = _load_algebra(args)
+    pres = _load_algebra(args.algebra, args.algebra_file, args.errata == "on")
     element = exprs.parse_element(args.expr, pres.alphabet)
     report = ncalg.algebra(pres).member(
         element, degree=args.degree, mode=args.mode, prime=args.prime, seed=args.seed,
@@ -281,10 +279,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from types import SimpleNamespace
-
-    pres = _load_algebra(SimpleNamespace(
-        algebra=args.family, algebra_file=None, errata=args.errata))
+    pres = _load_algebra(args.family, None, args.errata == "on")
     doc = json.dumps(ncalg.presentation_to_json(pres), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -1113,7 +1113,7 @@ def specialize(pres: PresentationSpec, bindings: Mapping[str, object],
     param_bindings: dict[str, object] = {}
     images: dict[str, object] = {}
     for key, value in bindings.items():
-        if key in ("q", "u", "s"):
+        if key in PARAMETERS:
             param_bindings[key] = value
         elif pres.alphabet.rank_of(key) is not None:
             if not (value == 0 or value == 1):

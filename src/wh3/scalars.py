@@ -35,8 +35,6 @@ __all__ = [
     "ScalarDivisionError",
     "ScalarSubstitutionError",
     "ScalarModularError",
-    "scalar",
-    "scalar_parse",
     "format_scalar",
 ]
 
@@ -494,19 +492,3 @@ def _format_frac(frac) -> str:
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"
 
-
-# ---------------------------------------------------------------------------
-# module-level operation surface
-# ---------------------------------------------------------------------------
-
-
-def scalar(value: ScalarLike) -> Scalar:
-    """Coerce an int or Fraction to a Scalar."""
-    return _coerce(value)
-
-
-def scalar_parse(text: str) -> Scalar:
-    """Parse a scalar expression (rationals, q, u, s, + - * / ^, parens)."""
-    from . import exprs  # late import: exprs builds on this module
-
-    return exprs.parse_scalar(text)

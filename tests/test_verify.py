@@ -75,6 +75,34 @@ def test_coaction_covers_required_families(default_reports):
     assert details["transposed-inverse"].ok
 
 
+def test_transposed_inverse_needs_no_linear_solve(monkeypatch):
+    # W is the star image of the cofactors; nothing solves for it
+    def refuse(rows):
+        raise AssertionError("solve_linear called")
+
+    monkeypatch.setattr(verify, "solve_linear", refuse)
+    ctx = VerifyContext()
+    report = verify.check_coaction(ctx)
+    assert report.passed, report.counterexample
+    assert detail_map(report)["transposed-inverse"].note.startswith(
+        "W is the star image of the cofactors")
+    assert all(entry for row in ctx.bound.W for entry in row)
+
+
+def test_wrong_transposed_inverse_stops_before_the_families(default_reports):
+    ctx = VerifyContext()
+    W = ctx.bound.W
+    W[0], W[1] = W[1], W[0]
+    report = verify.check_coaction(ctx)
+    detail = detail_map(report)["transposed-inverse"]
+    passing = detail_map(default_reports["coaction"])["transposed-inverse"]
+    assert not detail.ok and report.status == "fail"
+    assert detail.note != passing.note
+    assert report.counterexample.startswith("entry (1, 1): ")
+    assert len(report.counterexample) <= len("entry (1, 1): ") + 160
+    assert [d.id for d in report.details] == ["transposed-inverse"]
+
+
 def test_star_details(default_reports):
     details = detail_map(default_reports["star"])
     assert details["involutive-on-generators"].ok
@@ -118,11 +146,24 @@ def test_rtt_implies_coaction_ordering(default_reports):
 # ---------------------------------------------------------------------------
 
 
-def test_ybe_mutation_fails_with_cited_cell():
+def test_ybe_mutation_fails_with_cited_cell(default_reports):
+    passing = {d.id: d.note for d in default_reports["ybe"].details}
     ctx = VerifyContext(omega_mutations=(((1, 1), (1, 1), Scalar.one()),))
     report = verify.check_yang_baxter(ctx)
     assert report.status == "fail"
     assert report.counterexample and "cell" in report.counterexample
+    # each failing variant's note names its first differing cell; the mutation
+    # is the one pinned by tests/golden/verify-mutate-omega.json
+    value = parse_scalar("(q/u^2)+(2)")
+    report = verify.check_yang_baxter(
+        VerifyContext(omega_mutations=(((1, 1), (1, 1), value),)))
+    notes = {d.id: d.note for d in report.details if not d.ok}
+    assert notes == {
+        "braid-equation:omega": "27x27 products differ at cell (3, 1, 1)x(3, 1, 1)",
+        "braid-equation:omega-inv": "27x27 products differ at cell (1, 1, 3)x(1, 1, 3)",
+    }
+    assert all(note != passing[detail_id] for detail_id, note in notes.items())
+    assert report.counterexample.startswith("cell (3, 1, 1)x(3, 1, 1): ")
 
 
 def test_ybe_identity_braiding_passes():
