@@ -12,17 +12,20 @@ rational coefficients (an int when integral, else a Fraction), and adds,
 subtracts, multiplies, negates, divides by a single term and evaluates over
 GF(p) on that dict with Python integers alone.  Only a value whose reduced
 denominator has two or more terms (a pivot such as q - u^2) is kept as a
-reduced fraction in sympy's sparse polynomial field.  Operations involving
-such a value, division by a non-monomial, powers, substitution, and the
-numerator/denominator views used for printing go through sympy and demote
-the result back to the Laurent form whenever its denominator is one term.
-That invariant makes the stored form canonical: two equal scalars have
-identical stored forms.
+reduced fraction in sympy's sparse polynomial field.  Arithmetic with such a
+value, and division by a non-monomial, go through sympy and demote the result
+back to the Laurent form whenever its denominator is one term.  That
+invariant makes the stored form canonical: two equal scalars have identical
+stored forms.  Powers are products, and substitution, GF(p) evaluation,
+printing and the numerator/denominator views read the integral numerator and
+denominator term dicts of the reduced fraction (`_parts`), so none of them
+builds a sympy fraction of a Laurent value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 from sympy.polys.domains import QQ
@@ -90,6 +93,7 @@ class Scalar:
     stored representations coincide.  Build values through the constructors
     and arithmetic below, never from a raw representation.  Term dicts are
     shared between Scalars (``x * 1`` returns ``x``), so none is ever mutated.
+    Only arithmetic with a non-Laurent value or divisor touches sympy.
     """
 
     __slots__ = ("_rep",)
@@ -164,9 +168,18 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             raise TypeError("scalar exponents must be integers")
-        if exponent < 0 and self.is_zero:
-            raise ScalarDivisionError("zero scalar has no inverse")
-        return _from_frac(_to_frac(self._rep) ** exponent)
+        if exponent < 0:
+            if self.is_zero:
+                raise ScalarDivisionError("zero scalar has no inverse")
+            return self.inverse() ** -exponent
+        result, base = _ONE, self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def __neg__(self) -> "Scalar":
         rep = self._rep
@@ -209,23 +222,20 @@ class Scalar:
 
     # -- structure access --------------------------------------------------
 
-    def numer_terms(self) -> dict[tuple[int, int, int], Fraction]:
-        """Numerator as a map exponent-triple -> rational coefficient."""
-        return _poly_terms(_to_frac(self._rep).numer)
+    def numer_terms(self) -> dict[tuple[int, int, int], int]:
+        """Numerator as a map exponent-triple -> integer coefficient."""
+        return dict(_parts(self._rep)[0])
 
-    def denom_terms(self) -> dict[tuple[int, int, int], Fraction]:
-        """Denominator as a map exponent-triple -> rational coefficient."""
-        return _poly_terms(_to_frac(self._rep).denom)
+    def denom_terms(self) -> dict[tuple[int, int, int], int]:
+        """Denominator as a map exponent-triple -> integer coefficient."""
+        return dict(_parts(self._rep)[1])
 
     def leading_sign(self) -> int:
         """Sign of the numerator's leading coefficient (0 for the zero scalar)."""
-        if self.is_zero:
+        numer = _parts(self._rep)[0]
+        if not numer:
             return 0
-        rep = self._rep
-        # clearing a monomial denominator shifts every exponent alike, which
-        # keeps the lex-greatest term of the numerator
-        lead = rep[max(rep)] if type(rep) is dict else rep.numer.LC
-        return 1 if lead > 0 else -1
+        return 1 if numer[max(numer)] > 0 else -1
 
     # -- substitution and evaluation ---------------------------------------
 
@@ -237,51 +247,31 @@ class Scalar:
         for name in bindings:
             if name not in _PARAM_TERMS:
                 raise ScalarError(f"unknown parameter {name!r} in substitution")
-        values = {
-            name: _coerce(bindings[name]) if name in bindings else Scalar.param(name)
-            for name in PARAMETERS
-        }
-        frac = _to_frac(self._rep)
-        num = _eval_poly(frac.numer, values)
-        den = _eval_poly(frac.denom, values)
+        values = [_coerce(bindings[name]) if name in bindings else Scalar.param(name)
+                  for name in PARAMETERS]
+        numer, denom = _parts(self._rep)
+        den = _eval_terms(denom, values)
         if den.is_zero:
             raise ScalarSubstitutionError(
                 f"substitution sends denominator to zero in {self}",
-                offending_factor=_format_poly(frac.denom),
+                offending_factor=_format_poly(denom),
             )
-        return num / den
+        return _eval_terms(numer, values) / den
 
     def eval_mod(self, prime: int, point: tuple[int, int, int]) -> int:
         """Evaluate at (q, u, s) = point over GF(prime).
 
         Raises ScalarModularError if the denominator vanishes at the point.
         """
-        rep = self._rep
-        if type(rep) is not dict:
-            den = _eval_poly_mod(rep.denom, prime, point)
-            if den == 0:
-                raise ScalarModularError(f"denominator of {self} vanishes at {point} mod {prime}")
-            return _eval_poly_mod(rep.numer, prime, point) * pow(den, -1, prime) % prime
         vq, vu, vs = point
-        total = 0
-        try:
-            for (eq, eu, es), coeff in rep.items():
-                if type(coeff) is int:
-                    val = coeff
-                else:
-                    # raises ValueError when the coefficient's denominator is 0 mod prime
-                    val = coeff.numerator * pow(coeff.denominator, -1, prime)
-                # a negative exponent of a parameter that is 0 mod prime raises ValueError
-                if eq:
-                    val = val * pow(vq, eq, prime) % prime
-                if eu:
-                    val = val * pow(vu, eu, prime) % prime
-                if es:
-                    val = val * pow(vs, es, prime) % prime
-                total += val
-        except ValueError:
-            raise ScalarModularError(f"denominator of {self} vanishes at {point} mod {prime}") from None
-        return total % prime
+        num, den = (
+            sum(c * pow(vq, eq, prime) * pow(vu, eu, prime) * pow(vs, es, prime)
+                for (eq, eu, es), c in terms.items()) % prime
+            for terms in _parts(self._rep)
+        )
+        if den == 0:
+            raise ScalarModularError(f"denominator of {self} vanishes at {point} mod {prime}")
+        return num * pow(den, -1, prime) % prime
 
     # -- formatting --------------------------------------------------------
 
@@ -355,19 +345,36 @@ def _div(x: Scalar, y: Scalar) -> Scalar:
     return _from_frac(_to_frac(a) / _to_frac(b))
 
 
+def _parts(rep) -> tuple[dict, dict]:
+    """Numerator and denominator of a value as integer-coefficient term dicts.
+
+    They are the terms of sympy's reduced fraction of the value.  A Laurent
+    dict shifts each parameter's exponents up by their minimum when it is
+    negative and scales both sides by the lcm L of its coefficient
+    denominators, giving the denominator L times a monomial: that is how
+    sympy's cancel over QQ clears denominators, and a coefficient-1 monomial
+    shares no content with the numerator.  The numerator may be the stored
+    dict itself, so never mutate it.
+    """
+    if type(rep) is not dict:
+        return _poly_terms(rep.numer), _poly_terms(rep.denom)
+    if not rep:
+        return {}, _ONE_TERMS
+    s0, s1, s2 = (min(0, *column) for column in zip(*rep))
+    scale = lcm(*(c.denominator for c in rep.values()))
+    if scale == 1 and s0 == s1 == s2 == 0:
+        return rep, _ONE_TERMS
+    numer = {(eq - s0, eu - s1, es - s2): c.numerator * (scale // c.denominator)
+             for (eq, eu, es), c in rep.items()}
+    return numer, {(-s0, -s1, -s2): scale}
+
+
 def _to_frac(rep):
     """The sympy fraction of a representation."""
     if type(rep) is not dict:
         return rep
-    if not rep:
-        return _FIELD.zero
-    shift = [min(0, min(exps[i] for exps in rep)) for i in range(3)]
-    numer = _RING.from_dict({
-        (eq - shift[0], eu - shift[1], es - shift[2]): QQ(c.numerator, c.denominator)
-        for (eq, eu, es), c in rep.items()
-    })
-    denom = _RING.from_dict({(-shift[0], -shift[1], -shift[2]): QQ.one})
-    return _FIELD.new(numer, denom)
+    numer, denom = _parts(rep)
+    return _FIELD.raw_new(_RING.from_dict(numer), _RING.from_dict(denom))
 
 
 def _from_frac(frac) -> Scalar:
@@ -386,41 +393,17 @@ def _fraction(coeff) -> Fraction:
     return Fraction(int(QQ.numer(coeff)), int(QQ.denom(coeff)))
 
 
-def _poly_terms(poly) -> dict[tuple[int, int, int], Fraction]:
-    return {tuple(exps): _fraction(coeff) for exps, coeff in poly.terms()}
+def _poly_terms(poly) -> dict[tuple[int, int, int], int]:
+    # a reduced sympy fraction over QQ has integer coefficients
+    return {tuple(exps): _canon(_fraction(coeff)) for exps, coeff in poly.terms()}
 
 
-def _eval_poly(poly, values: Mapping[str, Scalar]) -> Scalar:
-    vq, vu, vs = values["q"], values["u"], values["s"]
+def _eval_terms(terms: dict, values) -> Scalar:
+    """The polynomial `terms` at (q, u, s) = values, by Scalar arithmetic."""
+    vq, vu, vs = values
     total = _ZERO
-    for (eq, eu, es), coeff in poly.terms():
-        term = Scalar.from_fraction(_fraction(coeff))
-        if eq:
-            term = term * vq**eq
-        if eu:
-            term = term * vu**eu
-        if es:
-            term = term * vs**es
-        total = total + term
-    return total
-
-
-def _eval_poly_mod(poly, prime: int, point: tuple[int, int, int]) -> int:
-    vq, vu, vs = point
-    total = 0
-    for (eq, eu, es), coeff in poly.terms():
-        num = int(QQ.numer(coeff)) % prime
-        den = int(QQ.denom(coeff)) % prime
-        if den == 0:
-            raise ScalarModularError("rational coefficient denominator divisible by prime")
-        val = num * pow(den, -1, prime)
-        if eq:
-            val = val * pow(vq, eq, prime) % prime
-        if eu:
-            val = val * pow(vu, eu, prime) % prime
-        if es:
-            val = val * pow(vs, es, prime) % prime
-        total = (total + val) % prime
+    for (eq, eu, es), coeff in terms.items():
+        total = total + coeff * vq**eq * vu**eu * vs**es
     return total
 
 
@@ -443,8 +426,7 @@ def _format_monomial(exps: tuple[int, int, int]) -> str:
     return "*".join(parts)
 
 
-def _format_poly(poly) -> str:
-    terms = _poly_terms(poly)
+def _format_poly(terms: dict) -> str:
     if not terms:
         return "0"
     pieces = []
@@ -466,10 +448,9 @@ def _format_poly(poly) -> str:
     return text
 
 
-def _poly_is_simple_denominator(poly) -> bool:
+def _poly_is_simple_denominator(terms: dict) -> bool:
     # Safe to print unparenthesized after "/": a single power of one parameter
     # with coefficient 1 ("q", "u^2", ...).
-    terms = _poly_terms(poly)
     if len(terms) != 1:
         return False
     (exps, coeff), = terms.items()
@@ -478,17 +459,17 @@ def _poly_is_simple_denominator(poly) -> bool:
 
 def format_scalar(value: Scalar) -> str:
     """Canonical textual form of a scalar; a fixed point of parse o format."""
-    return _format_frac(_to_frac(value._rep))
+    return _format_parts(*_parts(value._rep))
 
 
-def _format_frac(frac) -> str:
-    num_str = _format_poly(frac.numer)
-    if frac.denom == _FIELD.one.numer:
+def _format_parts(numer: dict, denom: dict) -> str:
+    num_str = _format_poly(numer)
+    if denom == _ONE_TERMS:
         return num_str
-    if len(frac.numer) > 1:
+    if len(numer) > 1:
         num_str = f"({num_str})"
-    den_str = _format_poly(frac.denom)
-    if not _poly_is_simple_denominator(frac.denom):
+    den_str = _format_poly(denom)
+    if not _poly_is_simple_denominator(denom):
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"
 

@@ -13,7 +13,9 @@ span identity (calculi, RTT, star stability) is a test against `ncalg.Span`.
 The numerators W of the inverse transposed quantum matrix, which transform the
 derivatives, are the star image of the transcribed cofactors (nothing solves
 for them); coaction certifies sum_j W_lj t^k_j = delta_lk D by normal forms
-before it tests any family.
+before it tests any family.  There, and in star's check that the determinant
+is star-fixed, a nonzero normal form refutes the identity only under
+confluent rules; otherwise the failing note starts `undecided:`.
 Membership is decided by the normal form under rules completed to the
 element's degree: a vanishing normal form, or a nonzero one under confluent or
 homogeneous rules, is an exact certificate, and anything else is reported
@@ -705,6 +707,19 @@ def _determinant_lift(nf: Element, tfree_alphabet, D_free: Element) -> Element:
     return out
 
 
+def _nonzero_normal_form_note(algebra: MembershipOracle, what: str, refutation: str) -> str:
+    """The note of an identity whose side `what` keeps a nonzero normal form.
+
+    Under confluent rules that normal form refutes the identity; otherwise
+    the rules only failed to certify it, and the note says so.
+    """
+    confluence = algebra.confluence
+    if confluence.confluent:
+        return refutation
+    return (f"undecided: {what} keeps a nonzero normal form under rules with "
+            f"{len(confluence.unresolved)} unresolved overlaps")
+
+
 COACTION_DEFAULT_FAMILIES = (
     "xx", "xixi", "dd", "xxi-omega", "dxi-omega", "xd-omega",
     "xxi-omega-inv", "dxi-omega-inv", "xd-omega-inv",
@@ -716,7 +731,8 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
     """Invariance of every calculus relation family under the quantum matrix."""
     inp = ctx.bound
     with timed_report("coaction") as report:
-        rules = ncalg.algebra(inp.tt).rule_system()
+        tt_algebra = ncalg.algebra(inp.tt)
+        rules = tt_algebra.rule_system()
         D = inp.determinant
         cert = _matmul(inp.W, list(zip(*_matrix(inp.tt.alphabet, "t"))))
         residuals = ((l, k, rules.normalize(cert[l][k] - D if k == l else cert[l][k]))
@@ -726,8 +742,10 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT,
             "transposed-inverse", failed is None,
             note="W is the star image of the cofactors; certifies "
                  "sum_j W_lj t^k_j = delta_lk D" if failed is None
-            else "sum_j W_lj t^k_j - delta_lk D does not reduce to zero for W the star "
-                 "image of the cofactors",
+            else _nonzero_normal_form_note(
+                tt_algebra, "sum_j W_lj t^k_j - delta_lk D",
+                "sum_j W_lj t^k_j - delta_lk D does not reduce to zero for W the star "
+                "image of the cofactors"),
             counterexample=None if failed is None else
             f"entry ({failed[0] + 1}, {failed[1] + 1}): {str(failed[2])[:160]}",
         )
@@ -907,13 +925,14 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if not bad else f"rows {bad} leave the span",
         )
         # the determinant is star-fixed modulo the ideal, so Dinv* = Dinv is sound
-        rules = ncalg.algebra(inp.tt).rule_system()
+        tt_algebra = ncalg.algebra(inp.tt)
         D = inp.determinant
-        dstar = rules.normalize(catalog.star_apply(D) - D)
+        dstar = tt_algebra.rule_system().normalize(catalog.star_apply(D) - D)
         report.add(
             "determinant-star-fixed", dstar.is_zero,
             note="star(D) - D reduces to zero at degree 3" if dstar.is_zero
-            else "star(D) - D does not reduce to zero at degree 3",
+            else _nonzero_normal_form_note(tt_algebra, "star(D) - D",
+                                           "star(D) - D does not reduce to zero at degree 3"),
             counterexample=None if dstar.is_zero else str(dstar)[:160],
         )
         # inverse-determinant commutation rules

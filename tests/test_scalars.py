@@ -1,6 +1,7 @@
 """Exact field arithmetic in Q(q, u, s)."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,9 @@ from sympy.polys.fields import field
 
 from wh3 import scalars
 from wh3.exprs import parse_scalar
-from wh3.scalars import Scalar, ScalarDivisionError, ScalarSubstitutionError
+from wh3.scalars import (
+    Scalar, ScalarDivisionError, ScalarModularError, ScalarSubstitutionError,
+)
 
 
 def test_parse_normalizes_difference_of_quotients():
@@ -178,6 +181,11 @@ def _terms(poly):
     return {tuple(exps): Fraction(int(QQ.numer(c)), int(QQ.denom(c))) for exps, c in poly.terms()}
 
 
+def _at(terms, point):
+    """A term dict evaluated at a rational point."""
+    return sum(c * prod(v**e for v, e in zip(point, exps)) for exps, c in terms.items())
+
+
 def _monomial(exps):
     value, ref = Scalar.one(), _REF_FIELD.one
     for param, gen, e in zip(_PARAMS, _REF_GENS, exps):
@@ -213,12 +221,58 @@ def test_arithmetic_matches_sympy_reference(a, b):
     results = [(x + y, rx + ry), (x - y, rx - ry), (y - x, ry - rx), (x * y, rx * ry), (-x, -rx)]
     if not y.is_zero:
         results.append((x / y, rx / ry))
+    for k in range(-2, 4):
+        if k < 0 and x.is_zero:
+            continue
+        # sympy's negative powers skip its sign normalization, and it has no 0**0
+        base, n = (rx, k) if k >= 0 else (_REF_FIELD.one / rx, -k)
+        results.append((x**k, base**n if n else _REF_FIELD.one))
     for got, ref in results:
-        assert got.format() == scalars._format_frac(ref)
+        assert got.format() == scalars._format_parts(*scalars._parts(ref))
         assert got.numer_terms() == _terms(ref.numer)
         assert got.denom_terms() == _terms(ref.denom)
         assert got.leading_sign() == (0 if not ref else 1 if ref.numer.LC > 0 else -1)
         assert _holds_no_sympy(got) == (len(ref.denom) == 1)
+    # substitution at a rational point raises exactly when the reference denominator vanishes
+    point = (Fraction(2), Fraction(1, 2), Fraction(-1))
+    den = _at(_terms(rx.denom), point)
+    try:
+        got = x.substitute(dict(zip("qus", point)))
+    except ScalarSubstitutionError:
+        got = None
+    assert got == (None if den == 0 else Scalar.from_fraction(_at(_terms(rx.numer), point) / den))
+
+
+def test_laurent_values_never_build_a_sympy_fraction(monkeypatch):
+    def refuse(rep):
+        raise AssertionError("a Laurent value was turned into a sympy fraction")
+
+    monkeypatch.setattr(scalars, "_to_frac", refuse)
+    q, u, s = _PARAMS
+    x = parse_scalar("(u^2-q)/q^2 + 3/4*s/u - 2/5")
+    assert x**3 == x * x * x and x**1 is x and x**0 == Scalar.one()
+    assert (2 * q / (3 * u))**-3 == Fraction(27, 8) * u**3 / q**3
+    assert q**-100000 * q**100000 == Scalar.one()
+    # substitution: a rational point, a partial binding and a vanishing denominator
+    vq, vu = Fraction(3, 2), Fraction(5, 7)
+    expected = (vu**2 - vq) / vq**2 + Fraction(3, 4) * 2 / vu - Fraction(2, 5)
+    assert x.substitute({"q": vq, "u": vu, "s": 2}) == Scalar.from_fraction(expected)
+    assert x.substitute({"s": 0}) == parse_scalar("(u^2-q)/q^2 - 2/5")
+    with pytest.raises(ScalarSubstitutionError) as err:
+        x.substitute({"u": 0})
+    assert err.value.offending_factor == "20*q^2*u"
+    # printing and the numerator/denominator views of the reduced fraction
+    assert x.format() == "(-8*q^2*u + 15*q^2*s - 20*q*u + 20*u^3)/(20*q^2*u)"
+    assert x.numer_terms() == {(2, 1, 0): -8, (2, 0, 1): 15, (1, 1, 0): -20, (0, 3, 0): 20}
+    assert x.denom_terms() == {(2, 1, 0): 20}
+    assert (x.leading_sign(), (-x).leading_sign(), Scalar.zero().leading_sign()) == (-1, 1, 0)
+    # GF(p): the value, a coefficient denominator divisible by p and a vanishing parameter
+    p = 2147483647
+    expected = (25 - 3) / Fraction(9) + Fraction(3, 4) * 7 / 5 - Fraction(2, 5)
+    assert x.eval_mod(p, (3, 5, 7)) == expected.numerator * pow(expected.denominator, -1, p) % p
+    for prime, point in ((5, (2, 3, 4)), (101, (0, 3, 4))):
+        with pytest.raises(ScalarModularError):
+            x.eval_mod(prime, point)
 
 
 def test_demotion_to_laurent_form():

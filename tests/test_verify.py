@@ -497,6 +497,21 @@ def test_errata_off_failing_set_is_stable(errata_off_reports):
         assert not errata_off_reports[check].passed
 
 
+def test_errata_off_normal_form_certificates_are_undecided(errata_off_reports):
+    # the uncorrected tt rules are not confluent, so a nonzero normal form
+    # refutes nothing; member() would certify both entries after completion
+    confluence = ncalg.algebra(VerifyContext(errata=False).bound.tt).confluence
+    assert not confluence.confluent and len(confluence.unresolved) == 22
+    coaction = detail_map(errata_off_reports["coaction"])["transposed-inverse"]
+    star = detail_map(errata_off_reports["star"])["determinant-star-fixed"]
+    assert not coaction.ok and not star.ok
+    assert coaction.note == ("undecided: sum_j W_lj t^k_j - delta_lk D keeps a nonzero "
+                             "normal form under rules with 22 unresolved overlaps")
+    assert star.note == ("undecided: star(D) - D keeps a nonzero normal form under rules "
+                         "with 22 unresolved overlaps")
+    assert errata_off_reports["coaction"].counterexample.startswith("entry (1, 1): ")
+
+
 def test_errata_off_star_cites_flawed_rows(errata_off_reports):
     report = errata_off_reports["star"]
     assert "[9, 25, 27, 33]" in (report.counterexample or "")
