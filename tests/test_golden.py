@@ -31,9 +31,9 @@ def test_reports_match_golden_files(request, fixture, name):
     (("--set", "q=2*q"), "verify-set-q-2q.json", 0),
     # the coinciding-calculi point, with its "not applicable:" notes
     (("--spec", "q=u^2"), "verify-spec-q-u2.json", 0),
+    (("--mutate", "omega:11,11=(q/u^2)+(2)"), "verify-mutate-omega.json", 1),
     # a rational point: every coefficient prints as a substituted rational
     (("--set", "q=3/2,u=5/7,s=2"), "verify-set-rational.json", 0),
-    (("--mutate", "omega:11,11=(q/u^2)+(2)"), "verify-mutate-omega.json", 1),
 ])
 def test_verify_output_matches_golden_file(capsys, options, name, code):
     assert cli.run(["verify", "--all", "--format", "json", "--no-timings", *options]) == code
