@@ -361,9 +361,10 @@ def _parts(rep) -> tuple[dict, dict]:
     if not rep:
         return {}, _ONE_TERMS
     s0, s1, s2 = (min(0, *column) for column in zip(*rep))
-    scale = lcm(*(c.denominator for c in rep.values()))
-    if scale == 1 and s0 == s1 == s2 == 0:
+    # sums and products leave integral Fractions such as Fraction(1, 1) in place
+    if s0 == s1 == s2 == 0 and all(type(c) is int for c in rep.values()):
         return rep, _ONE_TERMS
+    scale = lcm(*(c.denominator for c in rep.values()))
     numer = {(eq - s0, eu - s1, es - s2): c.numerator * (scale // c.denominator)
              for (eq, eu, es), c in rep.items()}
     return numer, {(-s0, -s1, -s2): scale}

@@ -10,6 +10,7 @@ from sympy.polys.fields import field
 
 from wh3 import scalars
 from wh3.exprs import parse_scalar
+from wh3.linalg import ModEchelon
 from wh3.scalars import (
     Scalar, ScalarDivisionError, ScalarModularError, ScalarSubstitutionError,
 )
@@ -273,6 +274,19 @@ def test_laurent_values_never_build_a_sympy_fraction(monkeypatch):
     for prime, point in ((5, (2, 3, 4)), (101, (0, 3, 4))):
         with pytest.raises(ScalarModularError):
             x.eval_mod(prime, point)
+
+
+def test_integral_fraction_coefficients_read_as_ints():
+    # sums and products leave integral Fractions such as Fraction(1, 1) in a term dict
+    q, u, s = _PARAMS
+    one = Scalar.from_fraction(Fraction(1, 2)) * 2
+    bound = (q * u * s).substitute({"q": 2, "u": Fraction(1, 2)})
+    for value in (one, bound, bound / q, bound + q):
+        assert type(value.eval_mod(101, (2, 3, 4))) is int, value
+        for terms in (value.numer_terms(), value.denom_terms()):
+            assert all(type(c) is int for c in terms.values()), value
+    assert one.eval_mod(101, (2, 3, 4)) == 1 and bound.eval_mod(101, (2, 3, 4)) == 4
+    assert ModEchelon(101).insert({(1,): one.eval_mod(101, (2, 3, 4))}) == (1,)
 
 
 def test_demotion_to_laurent_form():

@@ -412,6 +412,13 @@ def test_hopf_holds_under_bindings():
         assert report.passed, (bindings, report.counterexample)
 
 
+def test_determinant_holds_at_a_rational_point_with_integral_products():
+    # q*u = 1/4 and u*s = 1: products of the bound values store Fraction(1, 1)
+    halves = (("q", parse_scalar("1/2")), ("u", parse_scalar("1/2")), ("s", parse_scalar("2")))
+    report = verify.check_determinant(VerifyContext(bindings=halves))
+    assert report.passed, report.counterexample
+
+
 def test_specializations_compose_with_bindings():
     numeric = (("q", parse_scalar("3/2")), ("u", parse_scalar("5/7")), ("s", parse_scalar("2")))
     report = verify.check_specializations(VerifyContext(bindings=numeric))
