@@ -59,7 +59,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
-PAIR_INDEX = {p: i for i, p in enumerate(PAIRS)}
 
 
 class SingularMatrixError(ScalarError):
@@ -67,63 +66,66 @@ class SingularMatrixError(ScalarError):
 
 
 class CMatrix:
-    """A 9x9 matrix over Q(q, u, s) indexed by ordered pairs of {1, 2, 3}.
+    """A sparse square matrix over Q(q, u, s), indexed by tuples.
 
-    Row (k, l) against column (m, n) is read off the braiding convention
-    x^k xi^l = C^{kl}_{mn} xi^m x^n, which fixes all transposition ambiguity.
+    `rows` maps every row index to {column index: nonzero Scalar}; a row
+    with no entries is kept, so the row indices are the matrix's indices.
+    The braiding is indexed by ordered pairs of {1, 2, 3}: row (k, l)
+    against column (m, n) is read off the braiding convention
+    x^k xi^l = C^{kl}_{mn} xi^m x^n, which fixes all transposition
+    ambiguity.  The legs of the braid equation are indexed by triples.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("rows",)
 
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        if len(self.entries) != 9 or any(len(r) != 9 for r in self.entries):
-            raise ValueError("CMatrix must be 9x9")
+    def __init__(self, rows: dict):
+        self.rows = rows
 
     @staticmethod
     def from_table(table: dict) -> "CMatrix":
-        zero = Scalar.zero()
-        rows = [[zero] * 9 for _ in range(9)]
-        for (row_pair, col_pair), text in table.items():
-            rows[PAIR_INDEX[row_pair]][PAIR_INDEX[col_pair]] = exprs.parse_scalar(text)
+        rows: dict = {pair: {} for pair in PAIRS}
+        for (row, col), text in table.items():
+            add_into(rows[row], {col: exprs.parse_scalar(text)})
         return CMatrix(rows)
 
     @staticmethod
     def identity() -> "CMatrix":
-        zero, one = Scalar.zero(), Scalar.one()
-        return CMatrix([[one if i == j else zero for j in range(9)] for i in range(9)])
+        one = Scalar.one()
+        return CMatrix({pair: {pair: one} for pair in PAIRS})
 
-    def entry(self, row_pair, col_pair) -> Scalar:
-        return self.entries[PAIR_INDEX[tuple(row_pair)]][PAIR_INDEX[tuple(col_pair)]]
+    def entry(self, row, col) -> Scalar:
+        return self.rows.get(row, {}).get(col, Scalar.zero())
 
-    def row(self, row_pair) -> dict:
-        """The nonzero entries of one row, keyed by column pair."""
-        return {p: c for p, c in zip(PAIRS, self.entries[PAIR_INDEX[tuple(row_pair)]])
-                if not c.is_zero}
+    def row(self, row) -> dict:
+        """The nonzero entries of one row, keyed by column; shared, so only read it."""
+        return self.rows.get(row, {})
 
-    def with_entry(self, row_pair, col_pair, value: Scalar) -> "CMatrix":
-        rows = [list(r) for r in self.entries]
-        rows[PAIR_INDEX[tuple(row_pair)]][PAIR_INDEX[tuple(col_pair)]] = value
-        return CMatrix(rows)
+    def with_entry(self, row, col, value: Scalar) -> "CMatrix":
+        entries = {c: v for c, v in self.rows.get(row, {}).items() if c != col}
+        return CMatrix({**self.rows, row: add_into(entries, {col: value})})
+
+    def map_entries(self, fn) -> "CMatrix":
+        """fn applied to every nonzero entry; entries it sends to zero are dropped."""
+        return CMatrix({r: add_into({}, {c: fn(v) for c, v in row.items()})
+                        for r, row in self.rows.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.rows == other.rows
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
-        zero = Scalar.zero()
-        out = [[zero] * 9 for _ in range(9)]
-        for i in range(9):
-            row = self.entries[i]
-            for k in range(9):
-                c = row[k]
-                if c.is_zero:
-                    continue
-                other_row = other.entries[k]
-                for j in range(9):
-                    if not other_row[j].is_zero:
-                        out[i][j] = out[i][j] + c * other_row[j]
+        out: dict = {}
+        for r, row in self.rows.items():
+            acc = out[r] = {}
+            for k, c in row.items():
+                add_into(acc, other.row(k), c)
+        return CMatrix(out)
+
+    def transpose(self) -> "CMatrix":
+        out: dict = {r: {} for r in self.rows}
+        for r, col, value in self.nonzero_cells():
+            out.setdefault(col, {})[r] = value
         return CMatrix(out)
 
     def inverse(self) -> "CMatrix":
@@ -131,24 +133,23 @@ class CMatrix:
         # column (1, j) is column j of M, (0, k) column k of I, ranked below M
         ech = ScalarEchelon()
         one = Scalar.one()
-        for i, row in enumerate(self.entries):
-            vec = {(1, j): c for j, c in enumerate(row)}
+        for i, row in sorted(self.rows.items()):
+            vec = {(1, j): c for j, c in row.items()}
             vec[(0, i)] = one
             ech.insert(vec)
         if any(lead[0] == 0 for lead in ech.rows):
             raise SingularMatrixError("matrix is singular over Q(q, u, s)")
         ech.interreduce()
-        zero = Scalar.zero()
-        return CMatrix([[ech.rows[(1, j)].get((0, k), zero) for k in range(9)]
-                        for j in range(9)])
+        return CMatrix({j: {k: c for (_, k), c in row.items()}
+                        for (_, j), row in sorted(ech.rows.items())})
 
     def substitute(self, bindings) -> "CMatrix":
-        return CMatrix([[c.substitute(bindings) for c in row] for row in self.entries])
+        return self.map_entries(lambda c: c.substitute(bindings))
 
     def nonzero_cells(self):
-        for row_pair in PAIRS:
-            for col_pair, value in self.row(row_pair).items():
-                yield row_pair, col_pair, value
+        for r, row in sorted(self.rows.items()):
+            for col, value in sorted(row.items()):
+                yield r, col, value
 
 
 _OMEGA_TABLE = {
@@ -727,15 +728,13 @@ def rtt_generate(R: CMatrix) -> PresentationSpec:
     """The 81 formal exchange relations R^{ji}_{kl} t^k_m t^l_n = t^j_l t^i_k R^{lk}_{mn}."""
     alphabet = t_alphabet()
     t = {(i, j): alphabet.rank_of(f"t{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
-    columns: dict = {pair: {} for pair in PAIRS}
-    for row, col, c in R.nonzero_cells():
-        columns[col][row] = c
+    columns = R.transpose()
     relations = []
     for (j, i) in PAIRS:
         for (m, n) in PAIRS:
             # the words of each side are distinct; the two sides can cancel
             terms = {(t[(k, m)], t[(l, n)]): c for (k, l), c in R.row((j, i)).items()}
-            add_into(terms, {(t[(j, l)], t[(i, k)]): -c for (l, k), c in columns[(m, n)].items()})
+            add_into(terms, {(t[(j, l)], t[(i, k)]): -c for (l, k), c in columns.row((m, n)).items()})
             relations.append(Element(alphabet, terms))
     return PresentationSpec("generated-tt", alphabet, relations)
 

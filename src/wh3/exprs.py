@@ -14,6 +14,7 @@ import difflib
 import re
 from dataclasses import dataclass
 
+from .ncalg import EMPTY_ALPHABET, Element
 from .scalars import PARAMETERS, Scalar, ScalarDivisionError
 
 __all__ = [
@@ -85,9 +86,6 @@ class _Parser:
     """Recursive-descent parser producing an Element over a fixed alphabet."""
 
     def __init__(self, text: str, alphabet):
-        from . import ncalg  # late import to avoid a cycle
-
-        self.ncalg = ncalg
         self.alphabet = alphabet
         self.tokens = _tokenize(text)
         self.index = 0
@@ -186,7 +184,7 @@ class _Parser:
     # -- semantics ----------------------------------------------------------
 
     def _scalar_element(self, value: Scalar):
-        return self.ncalg.Element.from_scalar(self.alphabet, value)
+        return Element.from_scalar(self.alphabet, value)
 
     def _name(self, tok: _Token):
         if tok.text in PARAMETERS:
@@ -195,7 +193,7 @@ class _Parser:
         if rank is None:
             candidates = list(PARAMETERS) + list(self.alphabet.names())
             raise UnknownSymbolError(tok.text, tok.pos, candidates)
-        return self.ncalg.Element.from_word(self.alphabet, (rank,))
+        return Element.from_word(self.alphabet, (rank,))
 
     def _invert(self, value, pos: int):
         coeff = value.scalar_value()
@@ -227,9 +225,7 @@ def parse_element(text: str, alphabet):
 
 def parse_scalar(text: str) -> Scalar:
     """Parse a parameter-only expression into a Scalar."""
-    from . import ncalg
-
-    element = _Parser(text, ncalg.EMPTY_ALPHABET).parse()
+    element = _Parser(text, EMPTY_ALPHABET).parse()
     value = element.scalar_value()
     assert value is not None  # empty alphabet admits only scalar values
     return value

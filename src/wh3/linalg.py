@@ -2,8 +2,8 @@
 
 Every sparse sum of terms over Q(q, u, s) in the package goes through
 `add_into(out, terms, coeff)`: the exact elimination below, the products,
-normal forms, derivations and algebra maps of `ncalg`, the braid products of
-`verify` and the generated families of `catalog`.  It adds coeff * terms
+normal forms, derivations and algebra maps of `ncalg`, and the matrix
+products and generated families of `catalog`.  It adds coeff * terms
 into out and deletes what cancels, so no stored coefficient is ever zero.
 
 Vectors are dicts from columns to Scalar or integer coefficients.  Columns
@@ -16,9 +16,10 @@ exactly by lead-chasing reduction.  The field is a fact of the class:
 `ScalarEchelon` is exact over Q(q, u, s), `ModEchelon(prime)` works over
 GF(p); both run the same `reduce`, `insert` and `interreduce`.
 
-`solve_linear` and the exact 9x9 inverse (`catalog.CMatrix.inverse`) are
-built on that echelon: augmented columns ranked below the unknowns are
-reduced along with them, and the answer is read off the reduced rows.
+`solve_linear` and the exact inverse of a sparse matrix
+(`catalog.CMatrix.inverse`) are built on that echelon: augmented columns
+ranked below the unknowns are reduced along with them, and the answer is
+read off the reduced rows.
 
 The modular route evaluates exact coefficients at a random point of
 GF(p)^3 (with q, u, s nonzero so the invertible parameters stay invertible).

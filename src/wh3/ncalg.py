@@ -799,14 +799,15 @@ class MembershipOracle:
     # -- row generation ------------------------------------------------------
 
     def _row_vectors(self, degree: int, point=None):
-        """Yield the distinct raw spanning rows w1*r*w2 on encoded words.
+        """Yield the raw spanning rows w1*r*w2 on encoded words.
 
         w1*r*w2 is r with w1 and w2 concatenated to each of its words, so a
         row is r's own coefficients, exact or evaluated once per relation at
         the modular point, on the sums of the codes of the three pieces
-        (`Alphabet.encode` with at).  Rows are distinct as exact vectors.
-        Only their echelons are cached: an object shared for the whole run
-        would otherwise keep every degree-4 row alive.
+        (`Alphabet.encode` with at).  A row can repeat another (the padded
+        monomial relation xi1^2 gives xi1^3 twice); the echelon reduces the
+        repeat to zero.  Only their echelons are cached: an object shared for
+        the whole run would otherwise keep every degree-4 row alive.
         """
         alphabet = self.pres.alphabet
         encode = alphabet.encode
@@ -827,13 +828,10 @@ class MembershipOracle:
                 f"membership row cap exceeded at degree {degree}: "
                 f"{count} products > {MEMBERSHIP_ROW_CAP}"
             )
-        seen: set[frozenset] = set()
-        coeff_ids: dict[Scalar, int] = {}  # exact coefficients, for the dedup key
         for rel in relations:
             if not pads(rel):
                 continue
             words = list(rel.terms)
-            cids = [coeff_ids.setdefault(rel.terms[w], len(coeff_ids)) for w in words]
             # raises ScalarModularError at a point where a denominator vanishes
             values = rel.terms if point is None else eval_vec_mod(rel.terms, point)
             row_values = [values.get(w) for w in words]  # None where zero mod p
@@ -847,10 +845,6 @@ class MembershipOracle:
                         left = encode(w1, degree)
                         for right in rights:
                             codes = [left + mid + r for mid, r in zip(mids, right)]
-                            key = frozenset(zip(codes, cids))
-                            if key in seen:
-                                continue
-                            seen.add(key)
                             yield {k: v for k, v in zip(codes, row_values) if v}
 
     def _echelon(self, degree: int, point=None) -> ScalarEchelon:

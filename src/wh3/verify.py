@@ -10,6 +10,9 @@ The quantum-matrix identities (T.Cof = D.I, the antipode S(T).T = I, the
 coproduct Delta(T) = L.R and the coaction on x, xi and the derivatives) are
 products of 3x3 element matrices through one routine, `_matmul`, and every
 span identity (calculi, RTT, star stability) is a test against `ncalg.Span`.
+Every product, transpose and inverse of scalar matrices (the braiding, its
+inverse, the braid equation's legs C(x)1 and 1(x)C) is a `catalog.CMatrix`
+operation.
 The numerators W of the inverse transposed quantum matrix, which transform the
 derivatives, are the star image of the transcribed cofactors (nothing solves
 for them); coaction certifies sum_j W_lj t^k_j = delta_lk D by normal forms
@@ -102,7 +105,7 @@ class BoundInputs:
             if isinstance(value, Element):
                 return value.map_coefficients(bind)
             if isinstance(value, CMatrix):
-                return CMatrix([[bind(c) for c in row] for row in value.entries])
+                return value.map_entries(bind)
             if value not in memo:
                 memo[value] = value.substitute(values)
             return memo[value]
@@ -114,8 +117,7 @@ class BoundInputs:
         self.omega = bind(catalog.omega())
         for row_pair, col_pair, value in ctx.omega_mutations:
             self.omega = self.omega.with_entry(row_pair, col_pair, value)
-        self.omega_inv = (self.omega.inverse() if ctx.bindings or ctx.omega_mutations
-                          else catalog.omega_inverse())
+        self.omega_inv = self.omega.inverse()
         # calculus variant -> (its braiding, the inverse)
         self.braidings = {"omega": (self.omega, self.omega_inv),
                           "omega-inv": (self.omega_inv, self.omega)}
@@ -147,26 +149,15 @@ DEFAULT_CONTEXT = VerifyContext()
 # ---------------------------------------------------------------------------
 
 
-def _matrix_27(C: CMatrix, left: bool):
-    """C (x) 1 or 1 (x) C as a dict-of-dicts over triple indices."""
-    out: dict = {}
-    for (i, j), (l, m), value in C.nonzero_cells():
+def _braid_legs(C: CMatrix) -> tuple[CMatrix, CMatrix]:
+    """C (x) 1 and 1 (x) C, over triple indices."""
+    left: dict = {}
+    right: dict = {}
+    for (i, j), (l, m), c in C.nonzero_cells():
         for k in (1, 2, 3):
-            row = (i, j, k) if left else (k, i, j)
-            col = (l, m, k) if left else (k, l, m)
-            out.setdefault(row, {})[col] = value
-    return out
-
-
-def _mul_27(A: dict, B: dict) -> dict:
-    out: dict = {}
-    for r, row in A.items():
-        acc: dict = {}
-        for k, c in row.items():
-            add_into(acc, B.get(k, {}), c)
-        if acc:
-            out[r] = acc
-    return out
+            left.setdefault((i, j, k), {})[(l, m, k)] = c
+            right.setdefault((k, i, j), {})[(k, l, m)] = c
+    return CMatrix(left), CMatrix(right)
 
 
 def check_yang_baxter(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
@@ -174,10 +165,8 @@ def check_yang_baxter(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     inp = ctx.bound
     with timed_report("ybe") as report:
         for variant, (C, _) in inp.braidings.items():
-            C1 = _matrix_27(C, True)
-            C2 = _matrix_27(C, False)
-            lhs = _mul_27(_mul_27(C1, C2), C1)
-            rhs = _mul_27(_mul_27(C2, C1), C2)
+            C1, C2 = _braid_legs(C)
+            lhs, rhs = (C1 @ C2 @ C1).rows, (C2 @ C1 @ C2).rows
             cell = None
             for r in set(lhs) | set(rhs):
                 lrow = lhs.get(r, {})
@@ -273,18 +262,6 @@ def _row_action(vec: dict, M: CMatrix) -> dict:
     return out
 
 
-def _contragradient_action(vec: dict, M: CMatrix) -> dict:
-    """M acting by columns on the index-swapped vector, swapped back."""
-    out: dict = {}
-    for rp in PAIRS:
-        total = Scalar.zero()
-        for (i, j), c in vec.items():
-            total = total + M.entry(rp, (j, i)) * c
-        if not total.is_zero:
-            out[(rp[1], rp[0])] = total
-    return out
-
-
 def _eigen_ratio(vec: dict, image: dict):
     """image = ratio * vec, or None if not proportional."""
     if set(image) != set(vec):
@@ -302,23 +279,26 @@ def check_eigenstructure(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     inp = ctx.bound
     with timed_report("eigenstructure") as report:
         omega, omega_inv = inp.omega, inp.omega_inv
-        # (detail id, family, letter, action on its pair vectors, note suffix)
+        # per calculus variant, the transpose of its braiding's inverse
+        transposed = {"omega": omega_inv.transpose(), "omega-inv": omega.transpose()}
+        # (detail id, family, letter, matrix acting on its pair vectors, note suffix)
         cases = []
         for label, M in (("omega", omega), ("omega-inv", omega_inv)):
-            action = partial(_row_action, M=M)
-            cases.append((f"xx-row-eigenvectors:{label}", "xx", "x", action, ""))
-            cases.append((f"one-form-row-eigenvectors:{label}", "xixi", "xi", action, ""))
-        # derivative relation vectors, contragradient index order, under the
-        # transposed inverse actions
-        for label, M in (("omega", omega_inv), ("omega-inv", omega)):
-            cases.append((f"derivative-eigenvectors:{label}", "dd", "d",
-                          partial(_contragradient_action, M=M), " under the transposed inverse"))
-        for detail_id, fid, letter, action, suffix in cases:
+            cases.append((f"xx-row-eigenvectors:{label}", "xx", "x", M, ""))
+            cases.append((f"one-form-row-eigenvectors:{label}", "xixi", "xi", M, ""))
+        # derivative relation vectors act contragradiently: their indices are
+        # read swapped, under the transposed inverse
+        for label, Mt in transposed.items():
+            cases.append((f"derivative-eigenvectors:{label}", "dd", "d", Mt,
+                          " under the transposed inverse"))
+        for detail_id, fid, letter, M, suffix in cases:
             values = set()
             ok = True
             for rel in inp.families[fid]:
                 vec = _pair_vector(rel, (f"{letter}1", f"{letter}2", f"{letter}3"))
-                ratio = _eigen_ratio(vec, action(vec))
+                if fid == "dd":
+                    vec = {(j, i): c for (i, j), c in vec.items()}
+                ratio = _eigen_ratio(vec, _row_action(vec, M))
                 if ratio is None:
                     ok = False
                 else:
@@ -326,18 +306,11 @@ def check_eigenstructure(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             report.add(detail_id, ok and len(values) == 1,
                        note=f"eigenvalue {sorted(values)}{suffix}")
         # dimension of that eigenspace: 9 - rank(M^t + I) for the -1 value
-        minus_one = Scalar.from_fraction(-1)
-        for label, M in (("omega", omega_inv), ("omega-inv", omega)):
+        one = Scalar.one()
+        for label, Mt in transposed.items():
             ech = ScalarEchelon()
-            for cp in PAIRS:
-                row = {}
-                for rp in PAIRS:
-                    v = M.entry(rp, cp)  # transpose row = column of M
-                    if rp == cp:
-                        v = v - minus_one
-                    if not v.is_zero:
-                        row[rp] = v
-                ech.insert(row)
+            for cp, row in Mt.rows.items():
+                ech.insert(add_into(dict(row), {cp: one}))
             dim = 9 - ech.rank
             report.add(
                 f"derivative-eigenspace-dim:{label}", dim == 3,
@@ -602,6 +575,7 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         TA = inp.tt.alphabet
         D = inp.determinant
         lam: dict[str, Scalar] = {}
+        certified = {}  # name -> (g*D - lambda*D*g, its exact membership report)
         for name in TA.names():
             g = Element.generator(TA, name)
             left = rules.normalize(g * D)
@@ -619,7 +593,9 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 )
                 continue
             lam[name] = ratio
-            rep = oracle.member(g * D - D.scale(ratio) * g, degree=4, mode="exact")
+            probe = g * D - D.scale(ratio) * g
+            rep = oracle.member(probe, degree=4, mode="exact")
+            certified[name] = (probe, rep)
             table = inp.dinv[name]
             matches = (not table.is_zero) and table == ratio.inverse()
             report.add(
@@ -634,11 +610,9 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         # degree-4 elimination over GF(p), an independent route.  Forcing
         # exact mode skips the modular half.
         for name in ("t11", "t21"):
-            if name not in lam:
+            if name not in certified:
                 continue
-            g = Element.generator(TA, name)
-            probe = g * D - D.scale(lam[name]) * g
-            exact = oracle.member(probe, degree=4, mode="exact")
+            probe, exact = certified[name]
             if ctx.mode == "exact":
                 report.add(
                     f"exact-modular-agreement:{name}", exact.member,

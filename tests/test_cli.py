@@ -129,6 +129,28 @@ def test_verify_json_byte_stable(capsys):
         assert report["millis"] == 0
 
 
+def test_verify_exact_mode_skips_the_modular_half(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--check", "determinant", "--mode", "exact",
+                           "--format", "json", "--no-timings")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert (report["status"], report["mode"]) == ("pass", "exact")
+    assert report["prime"] is None and report["seed"] is None
+    notes = {d["id"]: d["note"] for d in report["details"]
+             if d["id"].startswith("exact-modular-agreement:")}
+    assert set(notes) == {"exact-modular-agreement:t11", "exact-modular-agreement:t21"}
+    assert all(note.endswith("modular half skipped (--mode exact)") for note in notes.values())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--check", "determinant"), 1),  # pass-modular counts as a failure
+    (("--check", "determinant", "--mode", "exact"), 0),
+    (("--check", "ybe"), 0),
+])
+def test_verify_strict_exact_fails_only_modular_passes(capsys, argv, code):
+    assert run_cli(capsys, "verify", "--strict-exact", *argv)[0] == code
+
+
 def test_verify_errata_off_documented_failures(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "rtt", "--errata", "off")
     assert code == 1

@@ -1,9 +1,10 @@
-"""Reports stay byte-identical to the stored ones.
+"""Reports and printed matrices stay byte-identical to the stored ones.
 
-Each file under tests/golden/ is the output of
+Each verify-*.json file under tests/golden/ is the output of
 `python -m wh3 verify --all --format json --no-timings` with the options that
-name it.  A change that legitimately alters a report regenerates them with
-that command and lists the changed text in CHANGES.md.
+name it; each matrix-* file is the output of `python -m wh3 matrix` with the
+options that name it.  A change that legitimately alters one regenerates it
+with that command and lists the changed text in CHANGES.md.
 """
 
 from pathlib import Path
@@ -38,3 +39,16 @@ def test_reports_match_golden_files(request, fixture, name):
 def test_verify_output_matches_golden_file(capsys, options, name, code):
     assert cli.run(["verify", "--all", "--format", "json", "--no-timings", *options]) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("options, name", [
+    # parsed by the benchmark's mutation-controls workload
+    (("--name", "omega", "--format", "json"), "matrix-omega.json"),
+    # three of the fourteen entries vanish at q = u^2 and are not printed
+    (("--name", "omega-inv", "--set", "q=u^2"), "matrix-omega-inv-q-u2.txt"),
+])
+def test_matrix_output_matches_golden_file(capsys, options, name):
+    assert cli.run(["matrix", *options]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / name).read_text()
