@@ -35,6 +35,8 @@ def test_reports_match_golden_files(request, fixture, name):
     (("--mutate", "omega:11,11=(q/u^2)+(2)"), "verify-mutate-omega.json", 1),
     # a rational point: every coefficient prints as a substituted rational
     (("--set", "q=3/2,u=5/7,s=2"), "verify-set-rational.json", 0),
+    # coaction families decided by membership and stopped by a completion collapse
+    (("--spec", "q=u^2", "--errata", "off"), "verify-spec-q-u2-errata-off.json", 1),
 ])
 def test_verify_output_matches_golden_file(capsys, options, name, code):
     assert cli.run(["verify", "--all", "--format", "json", "--no-timings", *options]) == code

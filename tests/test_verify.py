@@ -546,8 +546,9 @@ def test_central_determinant_fails_with_its_own_note():
 
 def test_failing_coaction_family_says_what_failed(monkeypatch):
     # lift every image to the determinant, which is not in the ideal
-    monkeypatch.setattr(verify, "_determinant_lift", lambda nf, alphabet, D_free: D_free)
-    report = verify.check_coaction(VerifyContext(), families=("xx",))
+    monkeypatch.setattr(verify, "_determinant_lift", lambda nf, target, D: D)
+    monkeypatch.setattr(verify, "COACTION_DEFAULT_FAMILIES", ("xx",))
+    report = verify.check_coaction(VerifyContext())
     detail = detail_map(report)["family:xx"]
     assert not detail.ok
     assert detail.note == ("3 of 3 relation images do not reduce to zero after "
