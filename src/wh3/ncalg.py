@@ -583,7 +583,12 @@ class ConfluenceReport:
 
 
 def _ambiguities(rules: Mapping[tuple[int, ...], Element]):
-    """All overlap and inclusion ambiguities between rule left sides."""
+    """All overlap and inclusion ambiguities between rule left sides.
+
+    Each is yielded once, as (word, (pos_a, lhs_a), (pos_b, lhs_b)) with two
+    distinct rule occurrences: an overlap is one per (a, b, k) and puts b at
+    len(a) - k > 0, and an inclusion needs b shorter than a.
+    """
     items = list(rules)
     for a in items:
         for b in items:
@@ -595,7 +600,7 @@ def _ambiguities(rules: Mapping[tuple[int, ...], Element]):
             # inclusion: b occurs strictly inside a
             if len(b) < len(a):
                 for i in range(len(a) - len(b) + 1):
-                    if a[i : i + len(b)] == b and (i > 0 or len(b) < len(a)):
+                    if a[i : i + len(b)] == b:
                         yield a, (0, a), (i, b)
 
 
@@ -615,14 +620,9 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None) -> Conflu
     overlaps_checked = 0
     while True:
         unresolved: list[OverlapDefect] = []
-        seen = set()
         for word, (pos_a, lhs_a), (pos_b, lhs_b) in _ambiguities(system.rules):
-            key = (word, pos_a, lhs_a, pos_b, lhs_b)
-            if key in seen or (pos_a, lhs_a) == (pos_b, lhs_b):
-                continue
             if complete_up_to is not None and len(word) > complete_up_to:
                 continue
-            seen.add(key)
             overlaps_checked += 1
             path_a = _apply_rule_at(system, word, pos_a, lhs_a)
             path_b = _apply_rule_at(system, word, pos_b, lhs_b)

@@ -183,6 +183,27 @@ def test_bounded_completion_adds_rules():
     assert report.rules_added  # the cube defect is oriented into a new rule
 
 
+def _inclusion_rules():
+    # the left side x2*x1 lies inside the left side x3*x2*x1, the one ambiguity
+    A = catalog.x_alphabet()
+    return {(1, 0): parse_element("x1*x2", A), (2, 1, 0): parse_element("x1*x2*x3", A)}
+
+
+@pytest.mark.parametrize("rules, count", [
+    (lambda: orient(catalog.tt_presentation()).rules, 84),
+    # 105 rules with left sides of length 2 to 4
+    (lambda: ncalg.algebra(catalog.tt_presentation(errata=False)).completion(4).rules, 1174),
+    (_inclusion_rules, 1),
+], ids=["tt", "errata-off-tt-completed-to-4", "inclusion"])
+def test_ambiguities_are_distinct_pairs_of_distinct_occurrences(rules, count):
+    seen = set()
+    for word, first, second in ncalg._ambiguities(rules()):
+        assert first != second, word
+        assert (word, first, second) not in seen, word
+        seen.add((word, first, second))
+    assert len(seen) == count
+
+
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------

@@ -516,6 +516,19 @@ def test_errata_off_normal_form_certificates_are_undecided(errata_off_reports):
     assert errata_off_reports["coaction"].counterexample.startswith("entry (1, 1): ")
 
 
+def test_errata_off_determinant_names_the_tdinv_errata(errata_off_reports):
+    # lambda is read from normal forms under the rules completed to degree 4,
+    # so the inverse table differs exactly on the rows the errata correct
+    corrected = {entry.corrected.split("*")[0] for entry in catalog.ERRATA
+                 if entry.family == "tdinv"}
+    assert corrected == {"t12", "t21", "t23", "t32"}
+    details = detail_map(errata_off_reports["determinant"])
+    differs = {name.split(":")[1] for name, d in details.items()
+               if name.startswith("lambda:") and "DIFFERS" in (d.note or "")}
+    assert differs == corrected
+    assert details["lambda:t11"].ok
+
+
 def test_errata_off_star_cites_flawed_rows(errata_off_reports):
     report = errata_off_reports["star"]
     assert "[9, 25, 27, 33]" in (report.counterexample or "")
