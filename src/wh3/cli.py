@@ -6,8 +6,6 @@ import argparse
 import json
 import sys
 
-from sympy import isprime
-
 from . import catalog, exprs, ncalg, scalars, verify
 from .linalg import DEFAULT_PRIME, DEFAULT_SEED
 from .reports import reports_to_json
@@ -135,8 +133,42 @@ def _parse_mutation(text: str | None) -> tuple:
     return ((row_pair, col_pair, exprs.parse_scalar(value)),)
 
 
+# Miller-Rabin with the first thirteen prime bases decides primality exactly
+# below the smallest strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017); the first twelve, up to 37, are exact only below
+# 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of 0 <= n < _PRIME_BOUND by Miller-Rabin with `_PRIME_BASES`."""
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_prime(prime: int) -> None:
-    if prime < 5 or not isprime(prime):
+    if prime >= _PRIME_BOUND:
+        raise UsageError(f"--prime {prime} is too large: primality is decided "
+                         f"exactly only below {_PRIME_BOUND}")
+    if prime < 5 or not _is_prime(prime):
         raise UsageError(f"--prime {prime} is not a prime of at least 5")
 
 

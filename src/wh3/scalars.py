@@ -12,24 +12,31 @@ rational coefficients (an int when integral, else a Fraction), and adds,
 subtracts, multiplies, negates, divides by a single term and evaluates over
 GF(p) on that dict with Python integers alone.  Only a value whose reduced
 denominator has two or more terms (a pivot such as q - u^2) is kept as a
-reduced fraction in sympy's sparse polynomial field.  Arithmetic with such a
-value, and division by a non-monomial, go through sympy and demote the result
-back to the Laurent form whenever its denominator is one term.  That
-invariant makes the stored form canonical: two equal scalars have identical
-stored forms.  Powers are products, and substitution, GF(p) evaluation,
-printing and the numerator/denominator views read the integral numerator and
-denominator term dicts of the reduced fraction (`_parts`), so none of them
-builds a sympy fraction of a Laurent value.
+reduced fraction: a pair of integer term dicts over nonnegative exponents
+that share no factor, content included, with a positive lex-leading
+denominator coefficient.  Arithmetic with such a value, and division by a
+non-monomial, multiply and add the numerator/denominator parts of both sides,
+cancel their greatest common divisor and demote the result back to the
+Laurent form whenever its denominator is one term.  That invariant makes the
+stored form canonical: two equal scalars have identical stored forms.
+Powers are products, and substitution, GF(p) evaluation, printing and the
+numerator/denominator views read the same parts (`_parts`).
+
+The GCD of two polynomials in Z[q, u, s] is the heuristic GCD of Char, Geddes
+and Gonnet (J. Symb. Comp. 7, 1989), as sympy's sparse polynomials compute
+it: evaluate one variable at a large integer, recurse down to an integer GCD,
+interpolate and check by exact division.  When its attempts run out, the
+modular GCD of Brown (J. ACM 18, 1971) always succeeds; the recursive
+primitive PRS of the same paper swells to resultant-sized coefficients on
+products of a few trivariate factors.  Both give the unique reduced fraction,
+so the printed form is the one sympy's `cancel` gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Mapping, Union
-
-from sympy.polys.domains import QQ
-from sympy.polys.fields import field as _sympy_field
 
 __all__ = [
     "PARAMETERS",
@@ -43,8 +50,6 @@ __all__ = [
 
 PARAMETERS = ("q", "u", "s")
 
-_FIELD = _sympy_field(",".join(PARAMETERS), QQ)[0]
-_RING = _FIELD.ring
 _UNIT = (0, 0, 0)
 _ONE_TERMS = {_UNIT: 1}
 _PARAM_TERMS = {"q": {(1, 0, 0): 1}, "u": {(0, 1, 0): 1}, "s": {(0, 0, 1): 1}}
@@ -87,13 +92,14 @@ class Scalar:
     """An element of Q(q, u, s) in canonical form.
 
     `_rep` is a Laurent term dict when the reduced denominator is a monomial
-    (the empty dict is zero), and otherwise a sympy fraction whose
-    denominator has two or more terms; sympy keeps that fraction reduced with
-    a normalized denominator.  Immutable and hashable, and ``a == b`` iff the
-    stored representations coincide.  Build values through the constructors
-    and arithmetic below, never from a raw representation.  Term dicts are
-    shared between Scalars (``x * 1`` returns ``x``), so none is ever mutated.
-    Only arithmetic with a non-Laurent value or divisor touches sympy.
+    (the empty dict is zero), and otherwise the tuple (numerator,
+    denominator) of integer term dicts of the reduced fraction, whose
+    denominator has two or more terms and a positive lex-leading coefficient.
+    Immutable and hashable, and ``a == b`` iff the stored representations
+    coincide.  Build values through the constructors and arithmetic below,
+    never from a raw representation.  Term dicts are shared between Scalars
+    (``x * 1`` returns ``x``), so none is ever mutated.  Only arithmetic with a
+    non-Laurent value or divisor computes a polynomial GCD.
     """
 
     __slots__ = ("_rep",)
@@ -136,7 +142,7 @@ class Scalar:
             if not a:
                 return other
             return Scalar(_add_terms(a, b, False))
-        return _from_frac(_to_frac(a) + _to_frac(b))
+        return _combine(a, b, "+")
 
     __radd__ = __add__
 
@@ -155,7 +161,7 @@ class Scalar:
             if a == _ONE_TERMS:
                 return other
             return Scalar(_mul_terms(a, b))
-        return _from_frac(_to_frac(a) * _to_frac(b))
+        return _combine(a, b, "*")
 
     __rmul__ = __mul__
 
@@ -184,8 +190,9 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         rep = self._rep
         if type(rep) is dict:
-            return Scalar({k: -c for k, c in rep.items()})
-        return Scalar(-rep)
+            return Scalar(_negate(rep))
+        numer, denom = rep
+        return Scalar((_negate(numer), denom))
 
     def inverse(self) -> "Scalar":
         return _ONE / self
@@ -206,7 +213,7 @@ class Scalar:
         rep = self._rep
         if type(rep) is dict:
             return hash(frozenset(rep.items()))
-        return hash(rep)
+        return hash(tuple(frozenset(part.items()) for part in rep))
 
     def __bool__(self) -> bool:
         return bool(self._rep)
@@ -287,12 +294,16 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Laurent term dicts and the sympy fallback
+# Laurent term dicts and reduced fractions
 # ---------------------------------------------------------------------------
 
 
 def _canon(coeff: Fraction) -> Union[int, Fraction]:
     return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def _negate(terms: dict) -> dict:
+    return {key: -c for key, c in terms.items()}
 
 
 def _add_terms(a: dict, b: dict, negate: bool) -> dict:
@@ -332,7 +343,7 @@ def _sub(x: Scalar, y: Scalar) -> Scalar:
         if not b:
             return x
         return Scalar(_add_terms(a, b, True))
-    return _from_frac(_to_frac(a) - _to_frac(b))
+    return _combine(a, b, "-")
 
 
 def _div(x: Scalar, y: Scalar) -> Scalar:
@@ -342,22 +353,46 @@ def _div(x: Scalar, y: Scalar) -> Scalar:
     if type(a) is dict and type(b) is dict and len(b) == 1:
         ((f0, f1, f2), d), = b.items()
         return Scalar(_mul_terms(a, {(-f0, -f1, -f2): _canon(1 / Fraction(d))}))
-    return _from_frac(_to_frac(a) / _to_frac(b))
+    return _combine(a, b, "/")
+
+
+def _combine(a, b, op: str) -> Scalar:
+    """The Scalar `a op b` (op one of + - * /) from the reduced fractions of both sides."""
+    (n1, d1), (n2, d2) = _parts(a), _parts(b)
+    if op == "*":
+        numer, denom = _mul_terms(n1, n2), _mul_terms(d1, d2)
+    elif op == "/":
+        numer, denom = _mul_terms(n1, d2), _mul_terms(d1, n2)
+    elif d1 == d2:
+        numer, denom = _add_terms(n1, n2, op == "-"), d1
+    else:
+        numer = _add_terms(_mul_terms(n1, d2), _mul_terms(n2, d1), op == "-")
+        denom = _mul_terms(d1, d2)
+    if not numer:
+        return _ZERO
+    _, numer, denom = _cofactors(numer, denom)
+    if denom[max(denom)] < 0:
+        numer, denom = _negate(numer), _negate(denom)
+    if len(denom) == 1:
+        ((d0, d1, d2), dc), = denom.items()
+        return Scalar({(e0 - d0, e1 - d1, e2 - d2): _canon(Fraction(c, dc))
+                       for (e0, e1, e2), c in numer.items()})
+    return Scalar((numer, denom))
 
 
 def _parts(rep) -> tuple[dict, dict]:
     """Numerator and denominator of a value as integer-coefficient term dicts.
 
-    They are the terms of sympy's reduced fraction of the value.  A Laurent
-    dict shifts each parameter's exponents up by their minimum when it is
-    negative and scales both sides by the lcm L of its coefficient
-    denominators, giving the denominator L times a monomial: that is how
-    sympy's cancel over QQ clears denominators, and a coefficient-1 monomial
-    shares no content with the numerator.  The numerator may be the stored
-    dict itself, so never mutate it.
+    They are the parts of the reduced fraction of the value, over nonnegative
+    exponents: a non-Laurent value stores them.  A Laurent dict shifts each
+    parameter's exponents up by their minimum when it is negative and scales
+    both sides by the lcm L of its coefficient denominators, giving the
+    denominator L times a monomial, which shares no factor with the
+    numerator.  The numerator may be the stored dict itself, so never mutate
+    it.
     """
     if type(rep) is not dict:
-        return _poly_terms(rep.numer), _poly_terms(rep.denom)
+        return rep
     if not rep:
         return {}, _ONE_TERMS
     s0, s1, s2 = (min(0, *column) for column in zip(*rep))
@@ -370,35 +405,6 @@ def _parts(rep) -> tuple[dict, dict]:
     return numer, {(-s0, -s1, -s2): scale}
 
 
-def _to_frac(rep):
-    """The sympy fraction of a representation."""
-    if type(rep) is not dict:
-        return rep
-    numer, denom = _parts(rep)
-    return _FIELD.raw_new(_RING.from_dict(numer), _RING.from_dict(denom))
-
-
-def _from_frac(frac) -> Scalar:
-    """Wrap a sympy result, demoting it to a term dict if its denominator is one term."""
-    if len(frac.denom) != 1:
-        return Scalar(frac)
-    ((d0, d1, d2), dc), = frac.denom.items()
-    scale = _fraction(dc)
-    return Scalar({
-        (eq - d0, eu - d1, es - d2): _canon(_fraction(c) / scale)
-        for (eq, eu, es), c in frac.numer.items()
-    })
-
-
-def _fraction(coeff) -> Fraction:
-    return Fraction(int(QQ.numer(coeff)), int(QQ.denom(coeff)))
-
-
-def _poly_terms(poly) -> dict[tuple[int, int, int], int]:
-    # a reduced sympy fraction over QQ has integer coefficients
-    return {tuple(exps): _canon(_fraction(coeff)) for exps, coeff in poly.terms()}
-
-
 def _eval_terms(terms: dict, values) -> Scalar:
     """The polynomial `terms` at (q, u, s) = values, by Scalar arithmetic."""
     vq, vu, vs = values
@@ -406,6 +412,358 @@ def _eval_terms(terms: dict, values) -> Scalar:
     for (eq, eu, es), coeff in terms.items():
         total = total + coeff * vq**eq * vu**eu * vs**es
     return total
+
+
+# ---------------------------------------------------------------------------
+# GCDs in Z[q, u, s]
+#
+# Polynomials are nonzero integer term dicts over exponent triples.  The
+# heuristic GCD evaluates q, then u, then s: its argument k is the first
+# variable still present, the earlier exponents being zero throughout, and
+# k == 3 leaves integers, stored as {(0, 0, 0): c}.  The modular GCD
+# evaluates s, then u, and ends in q: its argument n counts the leading
+# variables still present.
+# ---------------------------------------------------------------------------
+
+# evaluation points the heuristic GCD tries before the modular GCD takes over
+_HEU_GCD_ATTEMPTS = 6
+
+
+def _cofactors(f: dict, g: dict) -> tuple[dict, dict, dict]:
+    """(h, f/h, g/h) with h = gcd(f, g), for nonzero f and g."""
+    if len(f) == 1 or len(g) == 1:
+        return _gcd_monomial(f, g)
+    found = _heugcd(f, g, 0)
+    if found is not None:
+        return found
+    h = _modular_gcd(f, g)
+    return h, _exact_div(f, h), _exact_div(g, h)
+
+
+def _gcd_monomial(f: dict, g: dict) -> tuple[dict, dict, dict]:
+    """`_cofactors` when f or g is a single term: the gcd is content times a monomial."""
+    m0, m1, m2 = (min(column) for column in zip(*f, *g))
+    c = gcd(_content(f), _content(g))
+    h = {(m0, m1, m2): c}
+    return h, _exact_div(f, h), _exact_div(g, h)
+
+
+def _content(f: dict) -> int:
+    return gcd(*f.values())
+
+
+def _lead(f: dict) -> int:
+    return f[max(f)]
+
+
+def _exact_div(f: dict, g: dict, p: int | None = None) -> dict | None:
+    """f / g when g divides f in Z[q, u, s], or in GF(p)[q, u, s] for a prime p, else None.
+
+    Lex-leading terms divide, and each step removes the remainder's leading
+    term, so the loop stops in the well-ordered lex order.
+    """
+    lm = max(g)
+    (g0, g1, g2), lc = lm, g[lm]
+    rest = [(key, c) for key, c in g.items() if key != lm]
+    if p is None:
+        remainder = dict(f)
+    else:
+        inverse = pow(lc, -1, p)
+        remainder = {key: c % p for key, c in f.items() if c % p}
+    quotient = {}
+    while remainder:
+        (r0, r1, r2) = top = max(remainder)
+        e0, e1, e2 = r0 - g0, r1 - g1, r2 - g2
+        if p is None:
+            coeff, left = divmod(remainder.pop(top), lc)
+        else:
+            coeff, left = remainder.pop(top) * inverse % p, 0
+        if e0 < 0 or e1 < 0 or e2 < 0 or left:
+            return None
+        quotient[(e0, e1, e2)] = coeff
+        for (a0, a1, a2), c in rest:
+            key = (a0 + e0, a1 + e1, a2 + e2)
+            value = remainder.get(key, 0) - coeff * c
+            if p is not None:
+                value %= p
+            if value:
+                remainder[key] = value
+            else:
+                remainder.pop(key, None)
+    return quotient
+
+
+def _heugcd(f: dict, g: dict, k: int) -> tuple[dict, dict, dict] | None:
+    """`_cofactors` in the variables k.. by the heuristic GCD, or None when it gives up."""
+    if k == 3:
+        a, b = f[_UNIT], g[_UNIT]
+        h = gcd(a, b)
+        return {_UNIT: h}, {_UNIT: a // h}, {_UNIT: b // h}
+    common = gcd(_content(f), _content(g))
+    f = {key: c // common for key, c in f.items()}
+    g = {key: c // common for key, c in g.items()}
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(f_norm // abs(_lead(f)), g_norm // abs(_lead(g))) + 4)
+    for _ in range(_HEU_GCD_ATTEMPTS):
+        ff, gg = _evaluate(f, k, x), _evaluate(g, k, x)
+        if ff and gg:
+            found = _heugcd(ff, gg, k + 1)
+            if found is None:
+                return None
+            h, cff, cfg = found
+            # the gcd, then either cofactor, interpolated from the image at x
+            h = _interpolate(h, k, x)
+            content = _content(h)
+            h = {key: c // content for key, c in h.items()}
+            cff_ = _exact_div(f, h)
+            if cff_ is not None and (cfg_ := _exact_div(g, h)) is not None:
+                return _scale(h, common), cff_, cfg_
+            cff = _interpolate(cff, k, x)
+            h = _exact_div(f, cff)
+            if h is not None and (cfg_ := _exact_div(g, h)) is not None:
+                return _scale(h, common), cff, cfg_
+            cfg = _interpolate(cfg, k, x)
+            h = _exact_div(g, cfg)
+            if h is not None and (cff_ := _exact_div(f, h)) is not None:
+                return _scale(h, common), cff_, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _scale(f: dict, c: int) -> dict:
+    return {key: c * v for key, v in f.items()}
+
+
+def _with(key: tuple, k: int, e: int) -> tuple:
+    """`key` with the exponent of variable k set to e."""
+    return key[:k] + (e,) + key[k + 1:]
+
+
+def _evaluate(f: dict, k: int, x: int) -> dict:
+    """f with variable k set to the integer x."""
+    out: dict = {}
+    for key, c in f.items():
+        rest = _with(key, k, 0)
+        out[rest] = out.get(rest, 0) + c * x ** key[k]
+    return {key: c for key, c in out.items() if c}
+
+
+def _interpolate(h: dict, k: int, x: int) -> dict:
+    """The polynomial whose variable-k coefficients are the symmetric base-x digits of h's.
+
+    It takes the value h at variable k = x, and its sign makes the
+    lex-leading coefficient positive.
+    """
+    out, half = {}, x // 2
+    for key, c in h.items():
+        e = 0
+        while c:
+            digit = c % x
+            if digit > half:
+                digit -= x
+            if digit:
+                out[_with(key, k, e)] = digit
+            c = (c - digit) // x
+            e += 1
+    return out if _lead(out) > 0 else _negate(out)
+
+
+def _modular_gcd(f: dict, g: dict) -> dict:
+    """gcd(f, g) in Z[q, u, s] with a positive lex-leading coefficient.
+
+    Brown's modular algorithm: images over GF(p) for a run of primes,
+    scaled to the gcd gamma of the inputs' leading coefficients and joined by
+    Chinese remaindering until two moduli give the same symmetric image,
+    whose primitive part is then checked by exact division.  An image whose
+    leading monomial is larger than another prime's comes from an unlucky
+    prime and is dropped.  Only finitely many primes are unlucky, so this
+    always succeeds.
+    """
+    cf, cg = _content(f), _content(g)
+    f = {key: c // cf for key, c in f.items()}
+    g = {key: c // cg for key, c in g.items()}
+    lead_f, lead_g = _lead(f), _lead(g)
+    gamma = gcd(lead_f, lead_g)
+    lm, image, modulus = None, {}, 1
+    for p in _primes_below(1 << 20):
+        if lead_f % p == 0 or lead_g % p == 0:
+            continue
+        h = _gcd_mod(f, g, p, 3)
+        m = max(h)
+        if lm is not None and m > lm:
+            continue
+        if lm is None or m < lm:
+            lm, image, modulus = m, {}, 1
+        before = _symmetric(image, modulus)
+        image = {key: _crt(image.get(key, 0), modulus, gamma * h.get(key, 0), p)
+                 for key in image.keys() | h.keys()}
+        modulus *= p
+        candidate = _symmetric(image, modulus)
+        if candidate == before:
+            content = _content(candidate) * (1 if _lead(candidate) > 0 else -1)
+            candidate = {key: c // content for key, c in candidate.items()}
+            if _exact_div(f, candidate) is not None and _exact_div(g, candidate) is not None:
+                return _scale(candidate, gcd(cf, cg))
+    raise ArithmeticError("ran out of 20-bit primes")  # pragma: no cover
+
+
+def _primes_below(n: int):
+    """The primes below n, descending, by trial division."""
+    for m in range(n - 1, 1, -1):
+        if all(m % d for d in range(2, isqrt(m) + 1)):
+            yield m
+
+
+def _crt(a: int, m: int, b: int, p: int) -> int:
+    """The x in [0, m*p) with x = a mod m and x = b mod p."""
+    return a + m * ((b - a) * pow(m, -1, p) % p)
+
+
+def _symmetric(image: dict, modulus: int) -> dict:
+    """The residues in (-modulus/2, modulus/2], without zeros."""
+    half = modulus // 2
+    out = {key: c - modulus if c > half else c for key, c in image.items()}
+    return {key: c for key, c in out.items() if c}
+
+
+def _gcd_mod(f: dict, g: dict, p: int, n: int) -> dict:
+    """The monic gcd over GF(p) of f and g, nonzero mod p, in the first n variables.
+
+    With v the last of them, the gcd of f's and g's contents in GF(p)[x_v]
+    times the gcd of their primitive parts, which is interpolated in x_v
+    from gcds at points where neither leading coefficient vanishes, each
+    scaled to gamma, the gcd of those leading coefficients.  Points whose
+    gcd has a larger leading monomial are unlucky and dropped, and
+    deg(gamma) + min(deg_v f, deg_v g) + 1 points fix the interpolant.
+    """
+    v = n - 1
+    fc, gc = _columns(f, v, p), _columns(g, v, p)
+    if n == 1:
+        return {(e, 0, 0): c for e, c in enumerate(_ugcd(fc[_UNIT], gc[_UNIT], p)) if c}
+    cont_f, cont_g = _ucontent(fc.values(), p), _ucontent(gc.values(), p)
+    fc = {key: _uquo(col, cont_f, p) for key, col in fc.items()}
+    gc = {key: _uquo(col, cont_g, p) for key, col in gc.items()}
+    lead_f, lead_g = fc[max(fc)], gc[max(gc)]
+    gamma = _ugcd(lead_f, lead_g, p)
+    needed = len(gamma) + min(max(map(len, fc.values())), max(map(len, gc.values()))) - 1
+    lm = ceiling = None
+    points, images = [], []
+    a = 0
+    while True:
+        a += 1
+        if not _ueval(lead_f, a, p) or not _ueval(lead_g, a, p):
+            continue
+        h = _gcd_mod(_at(fc, a, p), _at(gc, a, p), p, v)
+        m = max(h)
+        if ceiling is not None and m >= ceiling or lm is not None and m > lm:
+            continue
+        if lm is None or m < lm:
+            lm, points, images = m, [], []
+        scale = _ueval(gamma, a, p)
+        points.append(a)
+        images.append({key: c * scale % p for key, c in h.items()})
+        if len(points) < needed:
+            continue
+        columns = {key: _uinterpolate(points, [image.get(key, 0) for image in images], p)
+                   for key in set().union(*images)}
+        content = _ucontent(columns.values(), p)
+        candidate = {_with(key, v, e): c for key, col in columns.items()
+                     for e, c in enumerate(_uquo(col, content, p)) if c}
+        if _exact_div(f, candidate, p) is not None and _exact_div(g, candidate, p) is not None:
+            result = _mul_terms(candidate, {_with(_UNIT, v, e): c
+                                            for e, c in enumerate(_ugcd(cont_f, cont_g, p)) if c})
+            inverse = pow(_lead(result), -1, p)
+            result = {key: c * inverse % p for key, c in result.items()}
+            return {key: c for key, c in result.items() if c}
+        # every image so far was unlucky: wait for a smaller leading monomial
+        ceiling, lm = lm, None
+
+
+def _columns(f: dict, v: int, p: int) -> dict:
+    """f over GF(p) as a map from monomials without x_v to dense coefficient lists in x_v."""
+    out: dict = {}
+    for key, c in f.items():
+        col = out.setdefault(_with(key, v, 0), [])
+        e = key[v]
+        col.extend([0] * (e + 1 - len(col)))
+        col[e] = c % p
+    return {key: _utrim(col) for key, col in out.items() if any(col)}
+
+
+def _at(columns: dict, a: int, p: int) -> dict:
+    """The polynomial with these x_v columns at x_v = a, over GF(p)."""
+    out = {key: _ueval(col, a, p) for key, col in columns.items()}
+    return {key: c for key, c in out.items() if c}
+
+
+# dense polynomials in one variable over GF(p): coefficient lists, lowest
+# degree first, with a nonzero last entry; [] is zero
+
+
+def _utrim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _ueval(a: list, x: int, p: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = (value * x + c) % p
+    return value
+
+
+def _udivmod(a: list, b: list, p: int) -> tuple[list, list]:
+    a, inverse = list(a), pow(b[-1], -1, p)
+    quotient = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift, c = len(a) - len(b), a[-1] * inverse % p
+        quotient[shift] = c
+        for i, bc in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * bc) % p
+        _utrim(a)
+    return quotient, a
+
+
+def _uquo(a: list, b: list, p: int) -> list:
+    return _udivmod(a, b, p)[0]
+
+
+def _ugcd(a: list, b: list, p: int) -> list:
+    """The monic gcd."""
+    while b:
+        a, b = b, _udivmod(a, b, p)[1]
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
+
+
+def _ucontent(columns, p: int) -> list:
+    """The monic gcd of nonzero coefficient lists."""
+    content: list = []
+    for col in columns:
+        content = _ugcd(content, col, p)
+        if len(content) == 1:
+            break
+    return content
+
+
+def _uinterpolate(xs: list, ys: list, p: int) -> list:
+    """The polynomial of degree below len(xs) through the points (xs, ys), by Newton's divided differences."""
+    n = len(xs)
+    coef = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
+    poly = [coef[-1]]
+    for i in range(n - 2, -1, -1):
+        shifted = [0] + poly
+        for d, c in enumerate(poly):
+            shifted[d] -= c * xs[i]
+        shifted[0] += coef[i]
+        poly = [c % p for c in shifted]
+    return _utrim(poly)
 
 
 _ZERO = Scalar({})

@@ -343,3 +343,47 @@ def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_runtime_never_imports_sympy():
+    """Q(q, u, s) and the --prime test are native: `python -m wh3` loads no sympy module."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    script = (
+        "import runpy, sys\n"
+        "for argv in (['verify', '--all', '--errata', 'off'], ['matrix', '--name', 'omega']):\n"
+        "    sys.argv = ['wh3', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('wh3', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as done:\n"
+        "        loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "        print(argv[0], done.code, loaded, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["verify 1 []", "matrix 0 []"]
+
+
+def test_miller_rabin_matches_sympy():
+    from sympy import isprime, nextprime
+
+    limit = 10**5
+    assert [n for n in range(limit + 1) if cli._is_prime(n)] == \
+        [n for n in range(limit + 1) if isprime(n)]
+    # strong pseudoprimes to the bases 2; 2..7; 2..23; and 2..37, which 41 rejects
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not isprime(n) and not cli._is_prime(n), n
+    for p in (2**31 - 1, 2**61 - 1, nextprime(3 * 10**24)):
+        assert p < cli._PRIME_BOUND and cli._is_prime(p), p
+
+
+def test_prime_at_or_above_the_miller_rabin_bound_exits_two(capsys):
+    # the bound is itself a strong pseudoprime to every base used
+    for prime in (cli._PRIME_BOUND, 2**89 - 1):
+        code, out, err = run_cli(capsys, "verify", "--check", "ybe", "--prime", str(prime))
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: --prime ") and "too large" in lines[0]

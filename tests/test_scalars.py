@@ -229,7 +229,7 @@ def test_arithmetic_matches_sympy_reference(a, b):
         base, n = (rx, k) if k >= 0 else (_REF_FIELD.one / rx, -k)
         results.append((x**k, base**n if n else _REF_FIELD.one))
     for got, ref in results:
-        assert got.format() == scalars._format_parts(*scalars._parts(ref))
+        assert got.format() == scalars._format_parts(_terms(ref.numer), _terms(ref.denom))
         assert got.numer_terms() == _terms(ref.numer)
         assert got.denom_terms() == _terms(ref.denom)
         assert got.leading_sign() == (0 if not ref else 1 if ref.numer.LC > 0 else -1)
@@ -244,11 +244,11 @@ def test_arithmetic_matches_sympy_reference(a, b):
     assert got == (None if den == 0 else Scalar.from_fraction(_at(_terms(rx.numer), point) / den))
 
 
-def test_laurent_values_never_build_a_sympy_fraction(monkeypatch):
-    def refuse(rep):
-        raise AssertionError("a Laurent value was turned into a sympy fraction")
+def test_laurent_values_never_build_a_fraction(monkeypatch):
+    def refuse(a, b, op):
+        raise AssertionError("Laurent values were combined as reduced fractions")
 
-    monkeypatch.setattr(scalars, "_to_frac", refuse)
+    monkeypatch.setattr(scalars, "_combine", refuse)
     q, u, s = _PARAMS
     x = parse_scalar("(u^2-q)/q^2 + 3/4*s/u - 2/5")
     assert x**3 == x * x * x and x**1 is x and x**0 == Scalar.one()
@@ -327,3 +327,59 @@ def test_eval_mod_coefficient_denominator_divisible_by_prime():
         value.eval_mod(7, (2, 3, 4))
     with pytest.raises(ScalarModularError):
         parse_scalar("1/q").eval_mod(5, (5, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# reduced fractions whose parts share non-monomial multivariate factors
+# ---------------------------------------------------------------------------
+
+small_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                              st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+# two or more terms in two or more of q, u, s
+shared_factors = small_polys.filter(
+    lambda terms: len(terms) >= 2 and sum(any(column) for column in zip(*terms)) >= 2)
+
+
+def _poly(terms):
+    """A polynomial with integer coefficients as a Scalar and as a sympy reference."""
+    value, ref = Scalar.zero(), _REF_FIELD.zero
+    for exps, c in terms.items():
+        mono, mono_ref = _monomial(exps)
+        value, ref = value + c * mono, ref + c * mono_ref
+    return value, ref
+
+
+def _shared_factor_values(f, g, a, b, c, d, s1, s2):
+    """x = s1*f*a/(g*b) and y = s2*g*c/(f*d), whose arithmetic cancels f and g."""
+    x, y = s1 * f * a / (g * b), s2 * g * c / (f * d)
+    return [x, y, x + y, x - y, x * y, x / y, x * g / f, y * d + x * b, (x + f) * (y - g)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(polys=st.tuples(shared_factors, shared_factors, *[small_polys] * 4),
+       scales=st.tuples(*[st.sampled_from([1, 2, 3, 6, -4])] * 2))
+def test_shared_multivariate_factors_cancel_as_sympy_does(polys, scales):
+    pairs = [_poly(terms) for terms in polys]
+    refs = _shared_factor_values(*(ref for _, ref in pairs), *scales)
+    got = _shared_factor_values(*(value for value, _ in pairs), *scales)
+    with pytest.MonkeyPatch.context() as patch:
+        # no heuristic attempt: every GCD comes from the modular algorithm
+        patch.setattr(scalars, "_HEU_GCD_ATTEMPTS", 0)
+        fallback = _shared_factor_values(*(value for value, _ in pairs), *scales)
+    for value, again, ref in zip(got, fallback, refs):
+        assert value == again and hash(value) == hash(again)
+        assert value.format() == scalars._format_parts(_terms(ref.numer), _terms(ref.denom))
+        assert value.numer_terms() == _terms(ref.numer)
+        assert value.denom_terms() == _terms(ref.denom)
+        assert value.leading_sign() == (0 if not ref else 1 if ref.numer.LC > 0 else -1)
+    # the heuristic and the modular GCD agree, and find the shared f*g
+    (f, _), (g, _), (a, _), (b, _) = pairs[:4]
+    left, right = (f * g * a).numer_terms(), (scales[0] * f * g * b).numer_terms()
+    found = scalars._heugcd(left, right, 0)
+    assert found is not None
+    h, cofactor_left, cofactor_right = found
+    modular = scalars._modular_gcd(left, right)
+    assert h in (modular, scalars._negate(modular))
+    assert scalars._mul_terms(h, cofactor_left) == left
+    assert scalars._mul_terms(h, cofactor_right) == right
+    assert scalars._exact_div(h, (f * g).numer_terms()) is not None
