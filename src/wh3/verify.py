@@ -382,12 +382,17 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
             report.add("orientation", False, counterexample=str(err))
             return report
         xx = [ncalg.algebra_map(r, target) for r in inp.families["xx"]]
+        confluence = calculus.confluence
+        refuted = "nonzero normal form" + (
+            "" if confluence.confluent
+            else f" under rules with {len(confluence.unresolved)} unresolved overlaps")
         # (b) derivatives annihilate the variable relations
         for ridx, rel in enumerate(xx, 1):
             for i in (1, 2, 3):
                 nf = rules.normalize(Element.generator(target, f"d{i}") * rel)
                 report.add(
                     f"derivative-annihilates:d{i}*xx{ridx}", nf.is_zero,
+                    note="" if nf.is_zero else refuted,
                     counterexample=None if nf.is_zero else str(nf),
                 )
         # (c) the exterior derivative annihilates them too
@@ -396,6 +401,7 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
             nf = rules.normalize(ncalg.derivation_apply(images, rel))
             report.add(
                 f"exterior-derivative:xx{ridx}", nf.is_zero,
+                note="" if nf.is_zero else refuted,
                 counterexample=None if nf.is_zero else str(nf),
             )
         # (d) d agrees with xi^i d_i on probe monomials
@@ -412,10 +418,10 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
             diff = rules.normalize(lhs - rhs)
             report.add(
                 f"derivative-decomposition:{probe_text}", diff.is_zero,
+                note="" if diff.is_zero else refuted,
                 counterexample=None if diff.is_zero else str(diff),
             )
         # (e) overlap analysis of the combined rule system
-        confluence = calculus.confluence
         report.add(
             "overlap-analysis", True,
             note=(
@@ -580,7 +586,7 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             ratio = left.coefficient(lead) / right.coefficient(lead)
             excess = left - right.scale(ratio)
             if excess:
-                report.add(f"lambda:{name}", False,
+                report.add(f"lambda:{name}", False, note="g*D is not proportional to D*g",
                            counterexample=f"g*D not proportional to D*g: {excess}")
                 continue
             lam[name] = ratio
@@ -953,7 +959,8 @@ def check_specializations(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 report.add(detail_id, True, note=off_u2)
         else:
             self_inverse = inp.omega.substitute(u2) == inp.omega_inv.substitute(u2)
-            report.add("q=u^2-self-inverse-braiding", self_inverse)
+            report.add("q=u^2-self-inverse-braiding", self_inverse,
+                       note="" if self_inverse else "omega and omega-inv differ at q = u^2")
             for kind in kinds:
                 a = [r.substitute_params(u2) for r in inp.families[f"{kind}-omega"]]
                 b = [r.substitute_params(u2) for r in inp.families[f"{kind}-omega-inv"]]

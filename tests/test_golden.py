@@ -7,6 +7,7 @@ options that name it.  A change that legitimately alters one regenerates it
 with that command and lists the changed text in CHANGES.md.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,15 @@ def test_matrix_output_matches_golden_file(capsys, options, name):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / name).read_text()
+
+
+def test_every_failing_golden_detail_has_a_note():
+    # a failing detail's note says what failed
+    unnoted = [
+        (path.name, report["check"], detail["id"])
+        for path in sorted(GOLDEN.glob("verify-*.json"))
+        for report in json.loads(path.read_text())["reports"]
+        for detail in report["details"]
+        if not detail["ok"] and not detail.get("note")
+    ]
+    assert unnoted == []
