@@ -374,8 +374,8 @@ def _combine(a, b, op: str) -> Scalar:
     if denom[max(denom)] < 0:
         numer, denom = _negate(numer), _negate(denom)
     if len(denom) == 1:
-        ((d0, d1, d2), dc), = denom.items()
-        return Scalar({(e0 - d0, e1 - d1, e2 - d2): _canon(Fraction(c, dc))
+        ((m0, m1, m2), dc), = denom.items()
+        return Scalar({(e0 - m0, e1 - m1, e2 - m2): _canon(Fraction(c, dc))
                        for (e0, e1, e2), c in numer.items()})
     return Scalar((numer, denom))
 
