@@ -88,18 +88,30 @@ class ScalarEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        """Lead-chase vec against the basis; the residual is empty iff vec is in the span."""
+    def reduce(self, vec: dict, full: bool = False) -> dict:
+        """Lead-chase vec against the basis; the residual is empty iff vec is in the span.
+
+        The chase stops at the first column without a pivot, so the residual
+        depends on the stored rows.  With full, it clears every pivot column
+        instead: the residual is then the one vector congruent to vec modulo
+        the span whose columns are all non-pivot columns, whatever order the
+        rows were inserted in.
+        """
         p, rows = self.prime, self.rows
         if p is None:
             vec = {w: c for w, c in vec.items() if not c.is_zero}
         else:
             vec = {w: c % p for w, c in vec.items() if c % p}
+        # a row holds only columns below its pivot, so a kept column is final
+        kept: dict = {}
         while vec:
             lead = max(vec)
             row = rows.get(lead)
             if row is None:
-                return vec
+                if not full:
+                    return vec
+                kept[lead] = vec.pop(lead)
+                continue
             factor = vec.pop(lead)
             if p is None:
                 add_into(vec, row, -factor)
@@ -110,7 +122,7 @@ class ScalarEchelon:
                         vec[w] = new
                     else:
                         vec.pop(w, None)
-        return vec
+        return kept
 
     def insert(self, vec: dict):
         """Reduce and, if independent, store monic; returns the new pivot or None."""

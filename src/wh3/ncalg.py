@@ -848,12 +848,20 @@ class MembershipOracle:
                             yield {k: v for k, v in zip(codes, row_values) if v}
 
     def _echelon(self, degree: int, point=None) -> ScalarEchelon:
-        """The cached echelon of the rows: exact, or over GF(p) at a modular point."""
+        """The cached echelon of the rows: exact, or over GF(p) at a modular point.
+
+        The rows enter in ascending order of their lead column, as in F4 and
+        structured sparse elimination, not in generation order.  A row whose
+        lead has no pivot yet is then stored as generated, two or three
+        entries long, so later rows chase through short rows instead of
+        filled-in ones.  The pivot set and rank do not depend on the order.
+        A row that vanished mod p sorts first and is still inserted.
+        """
         key = (degree, point)
         ech = self._echelons.get(key)
         if ech is None:
             ech = ScalarEchelon() if point is None else ModEchelon(point.prime)
-            for row in self._row_vectors(degree, point):
+            for row in sorted(self._row_vectors(degree, point), key=lambda r: max(r, default=-1)):
                 ech.insert(row)
             self._echelons[key] = ech
         return ech
@@ -886,7 +894,7 @@ class MembershipOracle:
         vec = alphabet.encode_terms(e.terms, degree)
         if mode == "rows":
             ech = self._echelon(degree)
-            residual = Element(alphabet, alphabet.decode_terms(ech.reduce(vec), degree))
+            residual = Element(alphabet, alphabet.decode_terms(ech.reduce(vec, full=True), degree))
             return MembershipReport(
                 member=residual.is_zero,
                 certain=True,
@@ -899,7 +907,7 @@ class MembershipOracle:
 
         def attempt(point):
             ech = self._echelon(degree, point)
-            return ech, ech.reduce(eval_vec_mod(vec, point))
+            return ech, ech.reduce(eval_vec_mod(vec, point), full=True)
 
         point, (ech, residual_vec) = with_modular_retries(attempt, prime, seed)
         report = MembershipReport(
