@@ -12,7 +12,12 @@ of a row is its largest column; words of an algebra enter as the integers
 that `ncalg.Alphabet.encode` numbers in the algebra's word order, so no key
 function runs inside the elimination.  An echelon accumulates rows
 incrementally, and membership of a vector in the accumulated span is decided
-exactly by lead-chasing reduction.  The field is a fact of the class:
+exactly by lead-chasing reduction; `reduce(vec, full=True)` goes on past
+the first column without a pivot and returns the unique representative of
+vec on non-pivot columns, which does not depend on the insertion order.
+Rows inserted in ascending order of their lead column are stored nearly as
+given, since a new lead has no pivot to chase yet; that order keeps a large
+sparse elimination free of fill-in.  The field is a fact of the class:
 `ScalarEchelon` is exact over Q(q, u, s), `ModEchelon(prime)` works over
 GF(p); both run the same `reduce`, `insert` and `interreduce`.
 

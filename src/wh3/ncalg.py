@@ -740,7 +740,13 @@ class MembershipOracle:
       modular non-member is checked again at the next point of the seed,
       the note names both points and starts "undecided:" if they disagree,
       and `support` holds the residual's words at the first point (its
-      GF(p) values are not coefficients over Q(q, u, s)).
+      GF(p) values are not coefficients over Q(q, u, s)).  Both residuals
+      are reduced at every pivot column, so they lie on the non-pivot words
+      and do not depend on the order of the rows.  For homogeneous
+      relations, such as tt's, the non-pivot words are the normal words of
+      `completion(degree)`: the exact residual is the normal form there,
+      and the support is its set of words (at a point that drops neither
+      the rank nor a coefficient).
 
     Completions start from the largest cached completion below their
     degree.  A completion that puts a constant or a generator into the

@@ -64,7 +64,7 @@ class Report:
     def passed(self) -> bool:
         return self.status in ("pass", "pass-modular")
 
-    def to_dict(self, with_timings: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "check": self.check,
             "status": self.status,
@@ -73,7 +73,7 @@ class Report:
             "seed": self.seed,
             "details": [d.to_dict() for d in self.details],
             "counterexample": self.counterexample,
-            "millis": self.millis if with_timings else 0,
+            "millis": self.millis,
         }
 
 
@@ -95,6 +95,6 @@ def timed_report(check: str):
         report.finalize()
 
 
-def reports_to_json(reports, with_timings: bool = True) -> str:
-    docs = [r.to_dict(with_timings) for r in sorted(reports, key=lambda r: r.check)]
+def reports_to_json(reports) -> str:
+    docs = [r.to_dict() for r in sorted(reports, key=lambda r: r.check)]
     return json.dumps({"reports": docs}, indent=2, sort_keys=False)

@@ -129,6 +129,16 @@ def test_verify_json_byte_stable(capsys):
         assert report["millis"] == 0
 
 
+def test_verify_text_without_timings_is_byte_stable(capsys):
+    args = ("verify", "--check", "ybe,rtt", "--no-timings")
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert out1.splitlines() == ["[        pass] ybe (exact, 0 ms, 2 assertions)",
+                                 "[        pass] rtt (exact, 0 ms, 4 assertions)"]
+
+
 def test_verify_exact_mode_skips_the_modular_half(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "determinant", "--mode", "exact",
                            "--format", "json", "--no-timings")

@@ -2,12 +2,14 @@
 
 Each verify-*.json file under tests/golden/ is the output of
 `python -m wh3 verify --all --format json --no-timings` with the options that
-name it; each matrix-* file is the output of `python -m wh3 matrix` with the
-options that name it.  A change that legitimately alters one regenerates it
+name it, and verify-default.txt that of `python -m wh3 verify --all
+--no-timings`; each matrix-* file is the output of `python -m wh3 matrix`
+with the options that name it.  A change that legitimately alters one regenerates it
 with that command and lists the changed text in CHANGES.md.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ GOLDEN = Path(__file__).parent / "golden"
 ])
 def test_reports_match_golden_files(request, fixture, name):
     reports = request.getfixturevalue(fixture).values()
-    text = reports_to_json(reports, with_timings=False) + "\n"
+    text = reports_to_json([replace(r, millis=0) for r in reports]) + "\n"
     assert text == (GOLDEN / name).read_text()
 
 
@@ -42,6 +44,11 @@ def test_reports_match_golden_files(request, fixture, name):
 def test_verify_output_matches_golden_file(capsys, options, name, code):
     assert cli.run(["verify", "--all", "--format", "json", "--no-timings", *options]) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_text_report_matches_golden_file(capsys):
+    assert cli.run(["verify", "--all", "--no-timings"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-default.txt").read_text()
 
 
 @pytest.mark.parametrize("options, name", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wh3 import catalog, ncalg
 from wh3.exprs import UnknownSymbolError, parse_element, parse_scalar
-from wh3.linalg import ModularPoint
+from wh3.linalg import ModEchelon, ModularPoint
 from wh3.ncalg import (
     Alphabet,
     Element,
@@ -460,6 +460,32 @@ def test_raw_degree_four_modular_rank_of_tt(errata, rank):
     g = Element.generator(oracle.pres.alphabet, "t21")
     report = oracle.member(g * oracle.pres.relations[0] * g, degree=4, mode="modular")
     assert (report.member, report.span_rank, report.note) == (True, rank, "")
+    # rows enter in lead-column order; the pivots are those of generation order
+    point = ModularPoint.generate()
+    in_generation_order = ModEchelon(point.prime)
+    for row in oracle._row_vectors(4, point):
+        in_generation_order.insert(row)
+    assert set(oracle._echelon(4, point).rows) == set(in_generation_order.rows)
+
+
+@pytest.mark.parametrize("errata", [True, False], ids=["errata", "errata-off"])
+def test_member_residual_is_the_completed_normal_form(errata):
+    # every pivot column is cleared, so the residual does not depend on the
+    # order the rows entered: its words are those of the normal form
+    oracle = MembershipOracle(catalog.tt_presentation(errata=errata))
+    A = oracle.pres.alphabet
+    for quartic, cubic in [
+        ("t13*t31*t22*t11 - t11*t22*t31*t13", "t13*t31*t22 - t22*t31*t13"),
+        ("t33*t22*t11*t12 - t12*t11*t22*t33", "t21*t12*t33 - t33*t12*t21"),
+        ("t32*t23*t11*t22 - t22*t11*t23*t32", "t32*t23*t11 - t11*t23*t32"),
+    ]:
+        e = parse_element(quartic, A)
+        report = oracle.member(e, degree=4, mode="modular")
+        assert not report.member
+        assert set(report.support) == set(oracle.completion(4).normalize(e).terms), quartic
+        e = parse_element(cubic, A)
+        assert oracle.member(e, degree=3, mode="rows").residual == \
+            oracle.completion(3).normalize(e), cubic
 
 
 def test_modular_non_member_is_rechecked_at_a_second_point():
