@@ -16,8 +16,8 @@ exactly by lead-chasing reduction; `reduce(vec, full=True)` goes on past
 the first column without a pivot and returns the unique representative of
 vec on non-pivot columns, which does not depend on the insertion order.
 Rows inserted in ascending order of their lead column are stored nearly as
-given, since a new lead has no pivot to chase yet; that order keeps a large
-sparse elimination free of fill-in.  The field is a fact of the class:
+given, since a new lead has no pivot to chase yet; that order keeps the
+fill-in of a large sparse elimination low.  The field is a fact of the class:
 `ScalarEchelon` is exact over Q(q, u, s), `ModEchelon(prime)` works over
 GF(p); both run the same `reduce`, `insert` and `interreduce`.
 

@@ -4,8 +4,8 @@ Each verify-*.json file under tests/golden/ is the output of
 `python -m wh3 verify --all --format json --no-timings` with the options that
 name it, and verify-default.txt that of `python -m wh3 verify --all
 --no-timings`; each matrix-* file is the output of `python -m wh3 matrix`
-with the options that name it.  A change that legitimately alters one regenerates it
-with that command and lists the changed text in CHANGES.md.
+with the options that name it.  A change that legitimately alters one
+regenerates it with that command and lists the changed text in CHANGES.md.
 """
 
 import json
