@@ -18,6 +18,11 @@ length <= d resolved); for homogeneous relations the normal words of length
 decides membership exactly again.  `algebra(pres)` returns the one object
 per presentation content that holds the rules, the certificate, the
 completions and the caches.
+
+A tensor presentation A (x) B orients nothing of its own: its rules are
+A's, B's and b*a -> a*b, so its normal words are an A-normal word followed
+by a B-normal word, and `TensorAlgebra` computes normal forms, the
+certificate and the completions from the two legs' algebras.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ __all__ = [
     "derivation_apply",
     "MembershipOracle",
     "MembershipReport",
+    "TensorRules",
+    "TensorAlgebra",
     "algebra",
     "Span",
     "span_compare",
@@ -375,11 +382,16 @@ def _format_coefficient(value: Scalar, has_word: bool) -> str:
 
 @dataclass
 class PresentationSpec:
-    """An alphabet together with a list of relations (elements that vanish)."""
+    """An alphabet together with a list of relations (elements that vanish).
+
+    `legs` is (A, B) for the presentation of A (x) B that `algebra_tensor`
+    builds, else None.
+    """
 
     name: str
     alphabet: Alphabet
     relations: list[Element] = dc_field(default_factory=list)
+    legs: tuple[PresentationSpec, PresentationSpec] | None = None
 
     def nonzero_relations(self) -> list[Element]:
         return [r for r in self.relations if not r.is_zero]
@@ -509,6 +521,46 @@ class RuleSystem:
         merged = dict(self.rules)
         merged.update(extra_rules)
         return RuleSystem(self.alphabet, merged, self.budget)
+
+
+class TensorRules:
+    """The rules of a tensor A (x) B applied leg by leg: A's, B's and b*a -> a*b.
+
+    The alphabet is the one `algebra_tensor` builds: A's letters at their
+    own ranks, then B's shifted by len(A).  Every ambiguity between a
+    commutation and a leg rule resolves, so a word is congruent to its A
+    letters followed by its B letters, and A-normal times B-normal words
+    are irreducible; for confluent legs they are the normal words (Bergman's
+    diamond lemma).  `normalize` sorts the terms by the B normal words of
+    their B letters and normalizes the summed A part of each once.  It
+    caches nothing of its own: only the legs' normal-form caches fill.
+    """
+
+    def __init__(self, alphabet: Alphabet, left: RuleSystem, right: RuleSystem):
+        self.alphabet = alphabet
+        self.legs = (left, right)
+        self.offset = len(left.alphabet)
+
+    def normalize(self, e: Element) -> Element:
+        """Normal form of an element: each B normal word after its A normal form."""
+        left, right = self.legs
+        offset = self.offset
+        by_b: dict = {}  # B word -> the A words before it
+        for word, coeff in e.terms.items():
+            a_word = tuple(g for g in word if g < offset)
+            b_word = tuple(g - offset for g in word if g >= offset)
+            add_into(by_b.setdefault(b_word, {}), {a_word: coeff})
+        counter = [0]
+        parts: dict = {}  # B normal word -> the A words before it
+        for b_word, a_terms in by_b.items():
+            for v, c in right.normalize_word(b_word, counter).terms.items():
+                add_into(parts.setdefault(v, {}), a_terms, None if c.is_one else c)
+        out: dict = {}
+        for v, a_terms in parts.items():
+            tail = tuple(g + offset for g in v)
+            nf = left.normalize(Element(left.alphabet, a_terms))
+            out.update((u + tail, c) for u, c in nf.terms.items())
+        return Element(self.alphabet, out)
 
 
 # ---------------------------------------------------------------------------
@@ -756,15 +808,17 @@ class MembershipOracle:
 
     def __init__(self, pres: PresentationSpec):
         self.pres = pres
-        try:
-            self.rules = orient(pres)
-            self.orientation_error = None
-        except InconsistentPresentationError as err:
-            self.rules = None
-            self.orientation_error = err
+        self.rules, self.orientation_error = self._orient()
         self._confluence: ConfluenceReport | None = None
         self._completions: dict = {}
         self._echelons: dict = {}
+
+    def _orient(self):
+        """(rules, None), or (None, the orientation error)."""
+        try:
+            return orient(self.pres), None
+        except InconsistentPresentationError as err:
+            return None, err
 
     def rule_system(self) -> RuleSystem:
         """The oriented rules; raises the orientation error if there are none."""
@@ -941,26 +995,86 @@ class MembershipOracle:
         return report
 
 
+class TensorAlgebra(MembershipOracle):
+    """The algebra of a tensor presentation A (x) B, built from its legs' algebras.
+
+    It orients nothing of its own.  Its rules are the `TensorRules` of the
+    legs' rules, and `completion(degree)` those of the legs' completions:
+    no ambiguity of a commutation b*a -> a*b needs a new rule, so completing
+    the tensor adds exactly the legs' new rules.  Its confluence certificate
+    joins the legs' certificates, with their unresolved overlaps moved into
+    the tensor alphabet.  Membership by rows (modes "rows" and "modular")
+    still eliminates the tensor's own raw rows.
+    """
+
+    def __init__(self, pres: PresentationSpec):
+        self.legs = tuple(algebra(leg) for leg in pres.legs)
+        super().__init__(pres)
+
+    def _orient(self):
+        for leg in self.legs:
+            if leg.rules is None:
+                return None, leg.orientation_error
+        return TensorRules(self.pres.alphabet, *(leg.rules for leg in self.legs)), None
+
+    @property
+    def confluence(self) -> ConfluenceReport:
+        """The legs' overlap analyses joined (computed once); raises if unoriented."""
+        if self._confluence is None:
+            reports = [leg.confluence for leg in self.legs]
+            alphabet = self.pres.alphabet
+            unresolved = []
+            for report, shift in zip(reports, (0, self.rules.offset)):
+                for d in report.unresolved:
+                    lhs_a, lhs_b, word = (tuple(g + shift for g in w)
+                                          for w in (d.lhs_a, d.lhs_b, d.word))
+                    unresolved.append(OverlapDefect(lhs_a, lhs_b, word,
+                                                    algebra_map(d.difference, alphabet)))
+            self._confluence = ConfluenceReport(
+                confluent=not unresolved,
+                overlaps_checked=sum(r.overlaps_checked for r in reports),
+                unresolved=unresolved,
+                rules_added=[],
+                system=self.rules,
+            )
+        return self._confluence
+
+    def completion(self, degree: int) -> TensorRules:
+        """The TensorRules of the legs' completions to degree (cached in the legs).
+
+        Raises a leg's orientation error or rank collapse, the left leg's first.
+        """
+        return TensorRules(self.pres.alphabet, *(leg.completion(degree) for leg in self.legs))
+
+
 _ALGEBRAS: OrderedDict = OrderedDict()
+
+
+def _content_key(pres: PresentationSpec) -> tuple:
+    """Generator names, parities and weights, relation terms, and the legs' keys."""
+    return (
+        tuple((g.name, g.parity, g.weight) for g in pres.alphabet),
+        tuple(frozenset(r.terms.items()) for r in pres.relations),
+        None if pres.legs is None else tuple(_content_key(leg) for leg in pres.legs),
+    )
 
 
 def algebra(pres: PresentationSpec) -> MembershipOracle:
     """The shared MembershipOracle for a presentation's content.
 
-    Keyed on the generator names, parities and weights and on the relation
-    terms, so equal presentations built anywhere share one object, while a
-    binding or any changed coefficient gives another.  The least recently
-    used of more than ALGEBRA_CACHE_SIZE objects is dropped.
+    Keyed on the generator names, parities and weights, on the relation
+    terms and on the legs, so equal presentations built anywhere share one
+    object, while a binding, any changed coefficient or a missing pair of
+    legs gives another.  A presentation with legs gets a `TensorAlgebra`.
+    The least recently used of more than ALGEBRA_CACHE_SIZE objects is
+    dropped.
     """
-    key = (
-        tuple((g.name, g.parity, g.weight) for g in pres.alphabet),
-        tuple(frozenset(r.terms.items()) for r in pres.relations),
-    )
+    key = _content_key(pres)
     found = _ALGEBRAS.get(key)
     if found is not None:
         _ALGEBRAS.move_to_end(key)
         return found
-    found = _ALGEBRAS[key] = MembershipOracle(pres)
+    found = _ALGEBRAS[key] = (MembershipOracle if pres.legs is None else TensorAlgebra)(pres)
     if len(_ALGEBRAS) > ALGEBRA_CACHE_SIZE:
         _ALGEBRAS.popitem(last=False)
     return found
@@ -1092,7 +1206,8 @@ def algebra_tensor(a: PresentationSpec, b: PresentationSpec,
     """Two-sided tensor: union alphabet, union relations, commuting cross pairs.
 
     All A-generators are ranked below all B-generators; every cross pair
-    commutes (even-even and even-odd alike).
+    commutes (even-even and even-odd alike).  The result records (a, b) as
+    its legs, so `algebra` of it normalizes leg by leg.
     """
     overlap = set(a.alphabet.names()) & set(b.alphabet.names())
     if overlap:
@@ -1107,7 +1222,7 @@ def algebra_tensor(a: PresentationSpec, b: PresentationSpec,
     for ga in range(len(a.alphabet)):
         for gb in range(offset, len(alphabet)):
             relations.append(Element(alphabet, {(ga, gb): one, (gb, ga): -one}))
-    return PresentationSpec(name or f"{a.name}(x){b.name}", alphabet, relations)
+    return PresentationSpec(name or f"{a.name}(x){b.name}", alphabet, relations, (a, b))
 
 
 def specialize(pres: PresentationSpec, bindings: Mapping[str, object],

@@ -721,13 +721,13 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             variant = "omega-inv" if fid.endswith("omega-inv") else "omega"
             if variant not in per_variant:
                 # qg (x) calculus also normalizes and decides the lifted images,
-                # which have no Dinv: no relation mixes words with Dinv and words
-                # without it (every word of the tdinv rows and of the Dinv cross
-                # commutations has one, no word of any other relation does), so
-                # orientation reduces the two kinds of rows apart, and Dinv's rank
-                # 0 shifts every other rank by one and keeps their order.  Its
-                # rules for Dinv-free words are tt (x) calculus's, and no Dinv
-                # rule applies to a Dinv-free word.
+                # which have no Dinv: no relation of qg mixes words with Dinv and
+                # words without it (every word of the tdinv rows has one, no word
+                # of a tt row does), so orienting qg reduces the two kinds of rows
+                # apart, and Dinv's rank 0 shifts every other rank by one and
+                # keeps their order.  Its rules for Dinv-free words are tt's, and
+                # no Dinv rule applies to a Dinv-free word.  The tensor normalizes
+                # leg by leg, under the rules of qg and of the calculus.
                 tensor = ncalg.algebra(ncalg.algebra_tensor(inp.qg, inp.calculus[variant]))
                 alphabet = tensor.pres.alphabet
                 per_variant[variant] = (tensor, tensor.rule_system(), alphabet,

@@ -1,6 +1,8 @@
 """Noncommutative rewriting, membership and span machinery."""
 
+import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from wh3.ncalg import (
     specialize,
 )
 from wh3.scalars import Scalar
+from wh3.verify import VerifyContext
 
 
 def x_pres():
@@ -649,6 +652,80 @@ def test_algebra_tensor_counts_and_cross_rules():
 def test_algebra_tensor_name_collision():
     with pytest.raises(ValueError):
         algebra_tensor(x_pres(), x_pres())
+
+
+TENSOR_LEGS = {
+    "qg(x)calculus-omega": lambda errata: (catalog.qg_presentation(errata),
+                                           catalog.calculus_presentation("omega", errata)),
+    "qg(x)calculus-omega-inv": lambda errata: (catalog.qg_presentation(errata),
+                                               catalog.calculus_presentation("omega-inv", errata)),
+    "tt(x)x": lambda errata: (catalog.tt_presentation(errata), x_pres()),
+}
+
+
+@functools.cache
+def oriented_tensor(case, errata):
+    """A tensor presentation and the rules of orienting it whole."""
+    tensor = algebra_tensor(*TENSOR_LEGS[case](errata))
+    return tensor, orient(tensor)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_leg_wise_normal_forms_are_the_tensor_normal_forms(data):
+    case = data.draw(st.sampled_from(sorted(TENSOR_LEGS)))
+    errata = data.draw(st.booleans())
+    tensor, rules = oriented_tensor(case, errata)
+    A = tensor.alphabet
+    words = st.lists(st.integers(0, len(A) - 1), max_size=4).map(tuple)
+    coefficients = st.sampled_from(["1", "-1", "q", "u/q", "s"])
+    e = Element.zero(A)
+    for word, coeff in data.draw(st.lists(st.tuples(words, coefficients), min_size=1, max_size=3)):
+        e = e + Element.from_word(A, word, parse_scalar(coeff))
+    nf = ncalg.algebra(tensor).rule_system().normalize(e)
+    if errata:
+        # confluent legs: the one normal form
+        assert nf == rules.normalize(e)
+    else:
+        # legs with unresolved overlaps: a normal form, not the leftmost one
+        assert all(rules.find_redex(w) is None for w in nf.terms)
+
+
+def bound_tensor(variant="omega", **context):
+    inp = VerifyContext(**context).bound
+    return algebra_tensor(inp.qg, inp.calculus[variant])
+
+
+def test_tensor_algebra_is_built_from_its_legs():
+    tensor = ncalg.algebra(bound_tensor())
+    assert isinstance(tensor, ncalg.TensorAlgebra)
+    assert [leg.pres.name for leg in tensor.legs] == ["qg", "calculus-omega"]
+    assert tensor.confluence.confluent
+    assert tensor.confluence.overlaps_checked == sum(
+        leg.confluence.overlaps_checked for leg in tensor.legs)
+    assert [rules.rules for rules in tensor.completion(4).legs] == \
+        [leg.rules.rules for leg in tensor.legs]
+
+
+def test_tensor_completion_meets_the_calculus_rank_collapse():
+    tensor = ncalg.algebra(bound_tensor(errata=False, bindings=(("q", parse_scalar("u^2")),)))
+    with pytest.raises(InconsistentPresentationError, match=re.escape(
+            "rank collapse: the ambiguity d2*d1*x1 puts (u^4 - 1)*d2 into the ideal")):
+        tensor.completion(3)
+    assert not tensor.confluence.confluent
+    # the unresolved overlaps are the legs', over the tensor alphabet
+    assert all(d.difference.alphabet is tensor.pres.alphabet
+               for d in tensor.confluence.unresolved)
+
+
+def test_tensor_without_legs_is_another_algebra():
+    tensor = algebra_tensor(catalog.tt_presentation(), x_pres())
+    flat = PresentationSpec(tensor.name, tensor.alphabet, list(tensor.relations))
+    with_legs, without = ncalg.algebra(tensor), ncalg.algebra(flat)
+    assert with_legs is not without
+    assert isinstance(with_legs, ncalg.TensorAlgebra)
+    assert not isinstance(without, ncalg.TensorAlgebra)
+    assert ncalg.algebra(algebra_tensor(catalog.tt_presentation(), x_pres())) is with_legs
 
 
 def test_specialize_to_quantum_plane():

@@ -93,6 +93,41 @@ def test_transposed_inverse_needs_no_linear_solve(monkeypatch):
     assert all(entry for row in ctx.bound.W for entry in row)
 
 
+def test_tensor_checks_rewrite_no_mixed_word(monkeypatch):
+    # coaction's qg (x) calculus and hopf's l (x) r normalize leg by leg:
+    # nothing orients a tensor presentation or rewrites a word of two legs
+    inp = VerifyContext().bound
+    legs = [set(inp.qg.alphabet.names()), set(inp.calculus["omega"].alphabet.names()),
+            {f"l{i}{j}" for i in "123" for j in "123"},
+            {f"r{i}{j}" for i in "123" for j in "123"}]
+
+    def mixed(alphabet):
+        names = set(alphabet.names())
+        return sum(bool(names & leg) for leg in legs) > 1
+
+    orient = ncalg.orient
+
+    def refuse_tensors(pres, *args):
+        if mixed(pres.alphabet):
+            raise AssertionError(f"orient called on the tensor {pres.name}")
+        return orient(pres, *args)
+
+    normalized = set()
+    normalize_word = ncalg.RuleSystem.normalize_word
+
+    def spy(self, word, counter=None):
+        normalized.add(self.alphabet)
+        return normalize_word(self, word, counter)
+
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())  # build every algebra afresh
+    monkeypatch.setattr(ncalg, "orient", refuse_tensors)
+    monkeypatch.setattr(ncalg.RuleSystem, "normalize_word", spy)
+    for check in (verify.check_coaction, verify.check_hopf):
+        report = check(VerifyContext())
+        assert report.passed, report.counterexample
+    assert normalized and not any(mixed(alphabet) for alphabet in normalized)
+
+
 def test_wrong_transposed_inverse_stops_before_the_families(default_reports):
     ctx = VerifyContext()
     W = ctx.bound.W
