@@ -716,6 +716,9 @@ def test_tensor_completion_meets_the_calculus_rank_collapse():
     # the unresolved overlaps are the legs', over the tensor alphabet
     assert all(d.difference.alphabet is tensor.pres.alphabet
                for d in tensor.confluence.unresolved)
+    assert [tensor.pres.alphabet.format_word(d.word) for d in tensor.confluence.unresolved] == \
+        [leg.pres.alphabet.format_word(d.word) for leg in tensor.legs
+         for d in leg.confluence.unresolved]
 
 
 def test_tensor_without_legs_is_another_algebra():
