@@ -11,13 +11,14 @@ compare by their natural order (integers, or tuples of them) and the pivot
 of a row is its largest column; words of an algebra enter as the integers
 that `ncalg.Alphabet.encode` numbers in the algebra's word order, so no key
 function runs inside the elimination.  An echelon accumulates rows
-incrementally, and membership of a vector in the accumulated span is decided
-exactly by lead-chasing reduction; `reduce(vec, full=True)` goes on past
-the first column without a pivot and returns the unique representative of
-vec on non-pivot columns, which does not depend on the insertion order.
-Rows inserted in ascending order of their lead column are stored nearly as
-given, since a new lead has no pivot to chase yet; that order keeps the
-fill-in of a large sparse elimination low.  The field is a fact of the class:
+incrementally, and it has one reduction: `reduce(vec)` clears every pivot
+column and keeps the rest, so it returns the unique vector congruent to vec
+modulo the span that lies on non-pivot columns.  That canonical remainder
+is empty iff vec is in the span and does not depend on the order the rows
+were inserted in.  `insert` stores the remainder, so every stored row is
+free of the pivots before it, and `interreduce` clears the later ones too.
+Rows inserted in ascending order of their lead column keep the fill-in of
+a large sparse elimination low.  The field is a fact of the class:
 `ScalarEchelon` is exact over Q(q, u, s), `ModEchelon(prime)` works over
 GF(p); both run the same `reduce`, `insert` and `interreduce`.
 
@@ -93,14 +94,12 @@ class ScalarEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict, full: bool = False) -> dict:
-        """Lead-chase vec against the basis; the residual is empty iff vec is in the span.
+    def reduce(self, vec: dict) -> dict:
+        """The canonical remainder of vec: empty iff vec is in the span.
 
-        The chase stops at the first column without a pivot, so the residual
-        depends on the stored rows.  With full, it clears every pivot column
-        instead: the residual is then the one vector congruent to vec modulo
-        the span whose columns are all non-pivot columns, whatever order the
-        rows were inserted in.
+        Every pivot column is cleared, so the remainder is the one vector
+        congruent to vec modulo the span whose columns are all non-pivot
+        columns, whatever order the rows were inserted in.
         """
         p, rows = self.prime, self.rows
         if p is None:
@@ -111,14 +110,11 @@ class ScalarEchelon:
         kept: dict = {}
         while vec:
             lead = max(vec)
+            factor = vec.pop(lead)
             row = rows.get(lead)
             if row is None:
-                if not full:
-                    return vec
-                kept[lead] = vec.pop(lead)
-                continue
-            factor = vec.pop(lead)
-            if p is None:
+                kept[lead] = factor
+            elif p is None:
                 add_into(vec, row, -factor)
             else:
                 for w, c in row.items():
@@ -130,7 +126,7 @@ class ScalarEchelon:
         return kept
 
     def insert(self, vec: dict):
-        """Reduce and, if independent, store monic; returns the new pivot or None."""
+        """Store the remainder of vec monic if it is nonzero; returns its pivot or None."""
         residual = self.reduce(vec)
         if not residual:
             return None
@@ -146,7 +142,7 @@ class ScalarEchelon:
         return lead
 
     def interreduce(self):
-        """Reduce every stored row against the other rows (reduced echelon)."""
+        """Clear the later pivots from every stored row: the reduced echelon, order-free."""
         for lead in sorted(self.rows):
             self.rows[lead] = self.reduce(self.rows[lead])
 

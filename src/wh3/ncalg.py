@@ -572,11 +572,11 @@ def orient(pres: PresentationSpec, budget: int = DEFAULT_REWRITE_BUDGET) -> Rule
     """Gaussian-reduce the relation span and read off monic decreasing rules.
 
     The relation vectors are brought to reduced row-echelon form with the
-    deg-lex-maximal word of each row as pivot, so orientability does not
-    depend on how the relations were written down.  Degenerate outcomes
-    (a forced constant, a degree-1 pivot, or a monomial forced to vanish that
-    was not presented as a monomial relation) are reported as errors rather
-    than silently accepted.
+    deg-lex-maximal word of each row as pivot, so no rule's tail holds a
+    left side and the rules do not depend on how the relations were written
+    down.  Degenerate outcomes (a forced constant, a degree-1 pivot, or a
+    monomial forced to vanish that was not presented as a monomial
+    relation) are reported as errors rather than silently accepted.
     """
     alphabet = pres.alphabet
     original_monomials = set()
@@ -793,8 +793,8 @@ class MembershipOracle:
       the note names both points and starts "undecided:" if they disagree,
       and `support` holds the residual's words at the first point (its
       GF(p) values are not coefficients over Q(q, u, s)).  Both residuals
-      are reduced at every pivot column, so they lie on the non-pivot words
-      and do not depend on the order of the rows.  For homogeneous
+      are the echelon's canonical remainders: they lie on the non-pivot
+      words and do not depend on the order of the rows.  For homogeneous
       relations, such as tt's, the non-pivot words are the normal words of
       `completion(degree)`: the exact residual is the normal form there,
       and the support is its set of words (at a point that drops neither
@@ -911,11 +911,10 @@ class MembershipOracle:
         """The cached echelon of the rows: exact, or over GF(p) at a modular point.
 
         The rows enter in ascending order of their lead column, as in F4 and
-        structured sparse elimination, not in generation order.  A row whose
-        lead has no pivot yet is then stored as generated, two or three
-        entries long, so later rows chase through short rows instead of
-        filled-in ones.  The pivot set and rank do not depend on the order.
-        A row that vanished mod p sorts first and is still inserted.
+        structured sparse elimination, not in generation order: a row is then
+        reduced against short rows with low leads instead of filled-in ones.
+        The pivot set and rank do not depend on the order.  A row that
+        vanished mod p sorts first and is still inserted.
         """
         key = (degree, point)
         ech = self._echelons.get(key)
@@ -954,7 +953,7 @@ class MembershipOracle:
         vec = alphabet.encode_terms(e.terms, degree)
         if mode == "rows":
             ech = self._echelon(degree)
-            residual = Element(alphabet, alphabet.decode_terms(ech.reduce(vec, full=True), degree))
+            residual = Element(alphabet, alphabet.decode_terms(ech.reduce(vec), degree))
             return MembershipReport(
                 member=residual.is_zero,
                 certain=True,
@@ -967,7 +966,7 @@ class MembershipOracle:
 
         def attempt(point):
             ech = self._echelon(degree, point)
-            return ech, ech.reduce(eval_vec_mod(vec, point), full=True)
+            return ech, ech.reduce(eval_vec_mod(vec, point))
 
         point, (ech, residual_vec) = with_modular_retries(attempt, prime, seed)
         report = MembershipReport(
@@ -1092,8 +1091,8 @@ class Span:
     encoded for max_len (default: the largest relation length), so every
     element tested against the span must be that short.  `dependent` lists
     the indices of the relations that are zero or already in the span of the
-    earlier ones.  Relations or tested elements over another alphabet raise
-    ValueError.
+    earlier ones; a residual does not depend on the list order.  Relations
+    or tested elements over another alphabet raise ValueError.
     """
 
     def __init__(self, relations: Sequence[Element], max_len: int | None = None):
@@ -1115,7 +1114,7 @@ class Span:
         return self._echelon.rank
 
     def residual(self, e: Element) -> Element:
-        """The lead-chased remainder of e: zero iff e lies in the span."""
+        """The canonical remainder of e: zero iff e lies in the span, order-free."""
         self._check(e)
         vec = self._echelon.reduce(e.alphabet.encode_terms(e.terms, self.max_len))
         return Element(e.alphabet, e.alphabet.decode_terms(vec, self.max_len))

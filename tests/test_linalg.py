@@ -75,6 +75,20 @@ def test_solve_linear_sets_free_unknowns_to_zero():
     assert solve_linear(rows) == {("y",): sc("s/u")}
 
 
+def test_solve_linear_answer_satisfies_every_row():
+    # c + b + a = 1 and a = 2: the row led by c must be cleared of a as well
+    rows = [({("c",): sc("1"), ("b",): sc("1"), ("a",): sc("1")}, sc("1")),
+            ({("a",): sc("1")}, sc("2"))]
+    answer = solve_linear(rows)
+    assert answer == {("c",): sc("-1"), ("a",): sc("2")}
+    zero = Scalar.zero()
+    for cols, rhs in rows:
+        total = zero
+        for key, coeff in cols.items():
+            total = total + coeff * answer.get(key, zero)
+        assert total == rhs
+
+
 def test_solve_linear_inconsistent_system_is_none():
     row = {("x",): sc("1"), ("y",): sc("q")}
     assert solve_linear([(row, sc("1")), (row, sc("2"))]) is None

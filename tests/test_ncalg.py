@@ -1,11 +1,12 @@
 """Noncommutative rewriting, membership and span machinery."""
 
 import functools
+import itertools
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wh3 import catalog, ncalg
 from wh3.exprs import UnknownSymbolError, parse_element, parse_scalar
@@ -71,6 +72,15 @@ def test_orient_inconsistent_presentation():
     ])
     with pytest.raises(InconsistentPresentationError):
         orient(pres)
+
+
+def test_oriented_rule_tails_hold_no_left_side():
+    A = Alphabet.build([(name, 0) for name in "abc"])
+    rules = orient(PresentationSpec("abc", A, [parse_element("c*c - c*b - b*a", A),
+                                               parse_element("b*a - a*a", A)]))
+    got = {A.format_word(lhs): rhs.format() for lhs, rhs in rules.rules.items()}
+    assert got == {"c*c": "a*a + c*b", "b*a": "a*a"}
+    assert not any(w in rules.rules for rhs in rules.rules.values() for w in rhs.terms)
 
 
 def test_orient_accepts_declared_monomial_relations():
@@ -607,6 +617,31 @@ def test_span_residual_vanishes_exactly_on_members():
     # the first relation outside the other span gives the comparison's witness
     assert span_compare(xx, xx[:2]).witness == span.residual(xx[2])
     assert span_compare(xx[:2], xx).witness == span.residual(xx[2])
+
+
+ABC = Alphabet.build([(name, 0) for name in "abc"])
+abc_quadratics = st.lists(
+    st.tuples(st.sampled_from(["1", "-1", "2", "q", "u"]),
+              st.sampled_from([f"{x}*{y}" for x in "abc" for y in "abc"])),
+    min_size=1, max_size=4,
+).map(lambda terms: " + ".join(f"({c})*{w}" for c, w in terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rels=st.lists(abc_quadratics, min_size=1, max_size=3), e=abc_quadratics)
+@example(rels=["u*a*c - b*a + c*a", "b*a + 2*c*a + c*b", "u*a*a + q*a*c + 2*c*a"],
+         e="b*a + b*c + c*a")
+def test_span_residual_does_not_depend_on_relation_order(rels, e):
+    rels = [parse_element(r, ABC) for r in rels]
+    e = parse_element(e, ABC)
+    residuals = set()
+    for order in itertools.permutations(rels):
+        span = Span(list(order))
+        residual = span.residual(e)
+        pivots = {ABC.decode(code, 2) for code in span._echelon.rows}
+        assert not pivots & residual.terms.keys()
+        residuals.add(residual)
+    assert len(residuals) == 1
 
 
 def test_span_rejects_mixed_alphabets():
