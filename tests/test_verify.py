@@ -417,6 +417,20 @@ def test_specialization_details(default_reports):
     assert "nu" in details["t-prime-commutativity"].note
 
 
+@pytest.mark.parametrize("bindings", [(), (("u", "s+1"),)], ids=["free", "u=s+1"])
+def test_t3_row_residue_must_be_a_multiple_of_the_factor(bindings):
+    # t31 = t32 = 0 leaves (u^2 - q^2)/(u*q) * t12*t33: nonzero, but u^2 - q
+    # does not divide it; a bound u may stay in the denominator
+    values = {name: parse_scalar(value) for name, value in bindings}
+    ctx = VerifyContext(bindings=tuple(values.items()))
+    tt = ctx.bound.tt
+    tt.relations[17] = parse_element("t32*t13 - t13*t32 + ((u^2 - q^2)/(u*q))*t12*t33",
+                                     tt.alphabet).substitute_params(values)
+    details = detail_map(verify.check_specializations(ctx))
+    assert not details["t3-row-residue:t12*t33"].ok
+    assert details["t3-row-residue:t21*t33"].ok
+
+
 def test_membership_certifies_corrected_inverse_factor():
     """Degree-4 membership certifies the corrected commutation factor for t21
     and rejects the uncorrected printed one."""
