@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Diff the ten files of tests/golden against the installed `wh3` console
+# Diff the twelve files of tests/golden against the installed `wh3` console
 # script: bash .github/golden.sh OUTDIR, from the repository root.
 # bash -e stops at a nonzero exit, so each exit code is caught and tested;
 # each command's stderr must be empty, and diff -u shows the lines of a
@@ -28,3 +28,7 @@ report verify-mutate-omega 1 --mutate 'omega:11,11=(q/u^2)+(2)'
 golden verify-default.txt 0 verify --all --no-timings
 golden matrix-omega.json 0 matrix --name omega --format json
 golden matrix-omega-inv-q-u2.txt 0 matrix --name omega-inv --set 'q=u^2'
+golden member-t-degree-four-modular.txt 1 member --algebra t --mode modular \
+  --expr 't13*t31*t22*t11 - t11*t22*t31*t13'
+golden member-t-relation-modular.txt 0 member --algebra t --mode modular \
+  --expr 't21*t11 - (1/q)*t11*t21 + (s/q)*t31^2'

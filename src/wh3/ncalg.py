@@ -786,13 +786,16 @@ class MembershipOracle:
       "undecided:".  No rows are built.
     - modes "rows" and "modular": elimination on the raw rows w1 * r * w2,
       exactly or over GF(p), independent of the rules.  Their columns are
-      the words' `Alphabet.encode` integers for length degree; residuals
-      are decoded back to words.  A modular verdict is never certain: an
-      unlucky point can drop the rank of the rows or of the residual.  So a
-      modular non-member is checked again at the next point of the seed,
-      the note names both points and starts "undecided:" if they disagree,
-      and `support` holds the residual's words at the first point (its
-      GF(p) values are not coefficients over Q(q, u, s)).  Both residuals
+      the words' `Alphabet.encode` integers for length degree; when every
+      relation is homogeneous the ideal is graded, and each homogeneous
+      component of e meets the rows of its own length instead (`span_rank`
+      adds up their ranks).  Residuals are decoded back to words.  A
+      modular verdict is never certain: an unlucky point can drop the rank
+      of the rows or of the residual.  So a modular non-member is checked
+      again at the next point of the seed, the note names both points and
+      starts "undecided:" if they disagree, and `support` holds the
+      residual's words at the first point (its GF(p) values are not
+      coefficients over Q(q, u, s)).  Both residuals
       are the echelon's canonical remainders: they lie on the non-pivot
       words and do not depend on the order of the rows.  For homogeneous
       relations, such as tt's, the non-pivot words are the normal words of
@@ -950,46 +953,59 @@ class MembershipOracle:
                                     note="undecided: nonzero normal form under rules completed "
                                          f"to degree {degree}, neither confluent nor homogeneous")
         alphabet = self.pres.alphabet
-        vec = alphabet.encode_terms(e.terms, degree)
+        if self.pres.all_homogeneous():
+            parts: dict = {}  # length -> the component of e
+            for w, c in e.terms.items():
+                parts.setdefault(len(w), {})[w] = c
+        else:
+            parts = {degree: e.terms}
+
+        def remainder(point=None):
+            """The echelons' total rank and e's remainder on words, exact or at point."""
+            rank, out = 0, {}
+            for length, terms in parts.items():
+                ech = self._echelon(length, point)
+                vec = alphabet.encode_terms(terms, length)
+                rank += ech.rank
+                out.update(alphabet.decode_terms(
+                    ech.reduce(vec if point is None else eval_vec_mod(vec, point)), length))
+            return rank, out
+
         if mode == "rows":
-            ech = self._echelon(degree)
-            residual = Element(alphabet, alphabet.decode_terms(ech.reduce(vec), degree))
+            rank, residual = remainder()
             return MembershipReport(
-                member=residual.is_zero,
+                member=not residual,
                 certain=True,
                 route="linear-algebra",
                 mode="exact",
                 degree=degree,
-                span_rank=ech.rank,
-                residual=None if residual.is_zero else residual,
+                span_rank=rank,
+                residual=Element(alphabet, residual) if residual else None,
             )
 
-        def attempt(point):
-            ech = self._echelon(degree, point)
-            return ech, ech.reduce(eval_vec_mod(vec, point))
-
-        point, (ech, residual_vec) = with_modular_retries(attempt, prime, seed)
+        point, (rank, residual) = with_modular_retries(remainder, prime, seed)
         report = MembershipReport(
-            member=not residual_vec,
+            member=not residual,
             # a point can drop the rank of the rows (a false non-member) or of
             # the residual (a false member): neither verdict is certain
             certain=False,
             route="linear-algebra",
             mode="modular",
             degree=degree,
-            span_rank=ech.rank,
+            span_rank=rank,
             prime=point.prime,
             seed=point.seed,
             point=point.values,
         )
-        if residual_vec:
+        if residual:
             # a non-member is rechecked at the next independent point
-            report.support = tuple(alphabet.decode(k, degree) for k in sorted(residual_vec))
-            second, (_, second_vec) = with_modular_retries(attempt, prime, seed, point.attempt + 1)
+            report.support = tuple(sorted(residual, key=alphabet.word_key))
+            second, (_, second_residual) = with_modular_retries(
+                remainder, prime, seed, point.attempt + 1)
             first_at = f"(q, u, s) = {point.values} (attempt {point.attempt})"
             second_at = f"{second.values} (attempt {second.attempt})"
             report.note = (f"not a member at two GF({point.prime}) points: {first_at} and {second_at}"
-                           if second_vec else
+                           if second_residual else
                            f"undecided: not a member at {first_at} but a member at {second_at}")
         return report
 

@@ -212,13 +212,15 @@ def test_member_modular_residual_is_its_support_at_the_point(capsys):
     assert lines[0] == "not a member (probabilistic; linear-algebra, modular, degree 4)"
     # GF(p) values are no coefficients over Q(q, u, s): only the words are printed
     assert lines[1].startswith("residual over GF(2147483647) at (q, u, s) = (")
-    assert lines[1].endswith("), support: t11*t22, t22*t11")
+    # the degree-2 element meets the degree-2 rows: its support is that of the
+    # normal form -((q - u^2)/q^2)*t12*t21 + (q*s/u^2)*t31*t32
+    assert lines[1].endswith("), support: t31*t32, t12*t21")
     assert lines[2].startswith("not a member at two GF(2147483647) points: ")
     assert "2147483646" not in out
     code, out, _ = run_cli(capsys, "member", "--algebra", "t", "--mode", "modular",
                            "--expr", "t11*t22-t22*t11", "--format", "json")
     doc = json.loads(out)
-    assert (doc["residual"], doc["residual_support"]) == (None, ["t11*t22", "t22*t11"])
+    assert (doc["residual"], doc["residual_support"]) == (None, ["t31*t32", "t12*t21"])
     assert len(doc["point"]) == 3 and doc["note"] == lines[2]
 
 

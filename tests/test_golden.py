@@ -4,8 +4,10 @@ Each verify-*.json file under tests/golden/ is the output of
 `python -m wh3 verify --all --format json --no-timings` with the options that
 name it, and verify-default.txt that of `python -m wh3 verify --all
 --no-timings`; each matrix-* file is the output of `python -m wh3 matrix`
-with the options that name it.  A change that legitimately alters one
-regenerates it with that command and lists the changed text in CHANGES.md.
+with the options that name it; each member-* file is the output of
+`python -m wh3 member --algebra t --mode modular` on the expression of its
+test.  A change that legitimately alters one regenerates it with that
+command and lists the changed text in CHANGES.md.
 """
 
 import json
@@ -59,6 +61,19 @@ def test_text_report_matches_golden_file(capsys):
 ])
 def test_matrix_output_matches_golden_file(capsys, options, name):
     assert cli.run(["matrix", *options]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("expr, name, code", [
+    # a degree-4 non-member: six support words, rechecked at a second point
+    ("t13*t31*t22*t11 - t11*t22*t31*t13", "member-t-degree-four-modular.txt", 1),
+    # a tt relation, below the default degree 4, meets the degree-2 rows
+    ("t21*t11 - (1/q)*t11*t21 + (s/q)*t31^2", "member-t-relation-modular.txt", 0),
+])
+def test_member_output_matches_golden_file(capsys, expr, name, code):
+    assert cli.run(["member", "--algebra", "t", "--expr", expr, "--mode", "modular"]) == code
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / name).read_text()

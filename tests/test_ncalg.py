@@ -333,6 +333,17 @@ def test_membership_on_homogeneous_rules_without_confluence_is_certified():
     assert report.span_rank == 0 and report.prime is None
 
 
+@pytest.mark.parametrize("errata", [True, False], ids=["errata", "errata-off"])
+def test_every_tt_relation_is_a_row_member_below_the_degree(errata):
+    # the ideal is graded: a degree-2 relation meets the degree-2 rows
+    oracle = ncalg.algebra(catalog.tt_presentation(errata=errata))
+    for rel in oracle.pres.nonzero_relations():
+        rows = oracle.member(rel, degree=3, mode="rows")
+        assert (rows.member, rows.certain) == (True, True)
+        modular = oracle.member(rel, mode="modular")
+        assert (modular.member, modular.degree) == (True, 4)
+
+
 def test_completion_resolves_every_short_ambiguity():
     oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
     completed = oracle.completion(3)
