@@ -60,9 +60,12 @@ MODULAR_RETRIES = 8
 def add_into(out: dict, terms: Mapping, coeff=None) -> dict:
     """Add coeff * terms into out, dropping entries that cancel; returns out.
 
-    Coefficients are Scalars and coeff None means 1.  terms is only read:
-    Element term dicts and cached normal forms are shared.
+    Coefficients are Scalars and coeff None means 1; a coeff that is one
+    multiplies nothing either.  terms is only read: Element term dicts and
+    cached normal forms are shared.
     """
+    if coeff is not None and coeff.is_one:
+        coeff = None
     get, pop = out.get, out.pop
     for key, c in terms.items():
         if coeff is not None:

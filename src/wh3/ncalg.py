@@ -554,7 +554,7 @@ class TensorRules:
         parts: dict = {}  # B normal word -> the A words before it
         for b_word, a_terms in by_b.items():
             for v, c in right.normalize_word(b_word, counter).terms.items():
-                add_into(parts.setdefault(v, {}), a_terms, None if c.is_one else c)
+                add_into(parts.setdefault(v, {}), a_terms, c)
         out: dict = {}
         for v, a_terms in parts.items():
             tail = tuple(g + offset for g in v)
