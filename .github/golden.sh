@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Diff the twelve files of tests/golden against the installed `wh3` console
+# Diff the thirteen files of tests/golden against the installed `wh3` console
 # script: bash .github/golden.sh OUTDIR, from the repository root.
 # bash -e stops at a nonzero exit, so each exit code is caught and tested;
 # each command's stderr must be empty, and diff -u shows the lines of a
@@ -26,6 +26,7 @@ report verify-spec-q-u2 0 --spec 'q=u^2'
 report verify-spec-q-u2-errata-off 1 --spec 'q=u^2' --errata off
 report verify-mutate-omega 1 --mutate 'omega:11,11=(q/u^2)+(2)'
 golden verify-default.txt 0 verify --all --no-timings
+golden verify-errata-off.txt 1 verify --all --errata off --no-timings
 golden matrix-omega.json 0 matrix --name omega --format json
 golden matrix-omega-inv-q-u2.txt 0 matrix --name omega-inv --set 'q=u^2'
 golden member-t-degree-four-modular.txt 1 member --algebra t --mode modular \

@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", help="comma-separated check ids")
     p_verify.add_argument("--all", action="store_true", help="run every check")
     p_verify.add_argument("--list", action="store_true", help="list check ids and exit")
-    p_verify.add_argument("--mode", choices=("mixed", "exact"), default="mixed",
-                          help="exact skips every modular elimination")
     p_verify.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -221,7 +219,6 @@ def _cmd_verify(args) -> int:
     _check_prime(args.prime)
     ctx = verify.VerifyContext(
         errata=args.errata == "on",
-        mode=args.mode,
         prime=args.prime,
         seed=args.seed,
         bindings=_parse_bindings(",".join(filter(None, (args.bindings, args.spec)))),

@@ -1216,8 +1216,7 @@ def algebra_map(e: Element, target: Alphabet, images: Mapping[str, object] = {})
     return Element(target, out)
 
 
-def algebra_tensor(a: PresentationSpec, b: PresentationSpec,
-                   name: str | None = None) -> PresentationSpec:
+def algebra_tensor(a: PresentationSpec, b: PresentationSpec) -> PresentationSpec:
     """Two-sided tensor: union alphabet, union relations, commuting cross pairs.
 
     All A-generators are ranked below all B-generators; every cross pair
@@ -1237,11 +1236,10 @@ def algebra_tensor(a: PresentationSpec, b: PresentationSpec,
     for ga in range(len(a.alphabet)):
         for gb in range(offset, len(alphabet)):
             relations.append(Element(alphabet, {(ga, gb): one, (gb, ga): -one}))
-    return PresentationSpec(name or f"{a.name}(x){b.name}", alphabet, relations, (a, b))
+    return PresentationSpec(f"{a.name}(x){b.name}", alphabet, relations, (a, b))
 
 
-def specialize(pres: PresentationSpec, bindings: Mapping[str, object],
-               name: str | None = None) -> PresentationSpec:
+def specialize(pres: PresentationSpec, bindings: Mapping[str, object]) -> PresentationSpec:
     """Specialize parameters (to scalars) and/or generators (to 0 or 1).
 
     Generator -> 0 deletes every word containing it; generator -> 1 removes
@@ -1266,7 +1264,7 @@ def specialize(pres: PresentationSpec, bindings: Mapping[str, object],
                     new_alphabet, images)
         for rel in pres.relations
     ]
-    return PresentationSpec(name or f"{pres.name}|specialized", new_alphabet, relations)
+    return PresentationSpec(f"{pres.name}|specialized", new_alphabet, relations)
 
 
 # ---------------------------------------------------------------------------

@@ -139,22 +139,15 @@ def test_verify_text_without_timings_is_byte_stable(capsys):
                                  "[        pass] rtt (exact, 0 ms, 4 assertions)"]
 
 
-def test_verify_exact_mode_skips_the_modular_half(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--check", "determinant", "--mode", "exact",
-                           "--format", "json", "--no-timings")
-    assert code == 0
-    (report,) = json.loads(out)["reports"]
-    assert (report["status"], report["mode"]) == ("pass", "exact")
-    assert report["prime"] is None and report["seed"] is None
-    notes = {d["id"]: d["note"] for d in report["details"]
-             if d["id"].startswith("exact-modular-agreement:")}
-    assert set(notes) == {"exact-modular-agreement:t11", "exact-modular-agreement:t21"}
-    assert all(note.endswith("modular half skipped (--mode exact)") for note in notes.values())
+def test_verify_has_no_mode_option(capsys):
+    # the determinant's exact/modular agreement always runs both halves
+    code, _, err = run_cli(capsys, "verify", "--check", "determinant", "--mode", "exact")
+    assert code == 2
+    assert "unrecognized arguments: --mode exact" in err
 
 
 @pytest.mark.parametrize("argv, code", [
     (("--check", "determinant"), 1),  # pass-modular counts as a failure
-    (("--check", "determinant", "--mode", "exact"), 0),
     (("--check", "ybe"), 0),
 ])
 def test_verify_strict_exact_fails_only_modular_passes(capsys, argv, code):

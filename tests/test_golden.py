@@ -2,8 +2,9 @@
 
 Each verify-*.json file under tests/golden/ is the output of
 `python -m wh3 verify --all --format json --no-timings` with the options that
-name it, and verify-default.txt that of `python -m wh3 verify --all
---no-timings`; each matrix-* file is the output of `python -m wh3 matrix`
+name it, verify-default.txt that of `python -m wh3 verify --all
+--no-timings` and verify-errata-off.txt that of the same command with
+`--errata off`; each matrix-* file is the output of `python -m wh3 matrix`
 with the options that name it; each member-* file is the output of
 `python -m wh3 member --algebra t --mode modular` on the expression of its
 test.  A change that legitimately alters one regenerates it with that
@@ -51,6 +52,12 @@ def test_verify_output_matches_golden_file(capsys, options, name, code):
 def test_text_report_matches_golden_file(capsys):
     assert cli.run(["verify", "--all", "--no-timings"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "verify-default.txt").read_text()
+
+
+def test_errata_off_text_report_matches_golden_file(capsys):
+    # the text rendering of failing details and counterexamples
+    assert cli.run(["verify", "--all", "--no-timings", "--errata", "off"]) == 1
+    assert capsys.readouterr().out == (GOLDEN / "verify-errata-off.txt").read_text()
 
 
 @pytest.mark.parametrize("options, name", [

@@ -417,6 +417,85 @@ def test_specialization_details(default_reports):
     assert "nu" in details["t-prime-commutativity"].note
 
 
+def _tprime(tt, D, inp):
+    """t-prime commutativity of tt and D at q = u^2, t31 = t32 = 0."""
+    u2 = {"q": inp.u * inp.u}
+    return verify._tprime_commutativity(
+        ncalg.specialize(tt, {**u2, "t31": 0, "t32": 0}), D, u2)
+
+
+def _doubled(tt, row, word_text):
+    """tt with the coefficient of one word of one row doubled."""
+    (word,) = parse_element(word_text, tt.alphabet).terms
+    rel = tt.relations[row]
+    rels = list(tt.relations)
+    rels[row] = Element(tt.alphabet, {**rel.terms, word: rel.terms[word] + rel.terms[word]})
+    return ncalg.PresentationSpec(tt.name, tt.alphabet, rels)
+
+
+def test_tprime_commutativity_builds_no_algebra(monkeypatch):
+    # 21 degree-2 span identities: no rules, completion or membership
+    def refuse(pres):
+        raise AssertionError("t-prime commutativity built an algebra object")
+
+    inp = VerifyContext().bound
+    monkeypatch.setattr(ncalg, "algebra", refuse)
+    ok, note, counterexample = _tprime(inp.tt, inp.determinant, inp)
+    assert ok and counterexample is None
+    assert note.endswith("; all 21 pairs commute")
+
+
+@pytest.mark.parametrize("row, word, counterexample", [
+    (15, "t12*t21", "[t12*w, t21*w] = (-t11*t22 + t33*t33)*w^2"),
+    (19, "t33*t33", "[t13*w, t23*w] = ((s/u)*t33*t33)*w^2"),
+])
+def test_tprime_commutativity_counterexample_is_a_degree_two_residual(row, word, counterexample):
+    inp = VerifyContext().bound
+    ok, note, found = _tprime(_doubled(inp.tt, row, word), inp.determinant, inp)
+    assert not ok
+    assert found == counterexample
+    assert note.endswith("; 1 of 21 pairs do not commute")
+
+
+def test_tprime_commutativity_needs_a_clean_rule_for_t33():
+    # without its t33*t11 term, row 7 no longer rewrites t33*t11 at all
+    inp = VerifyContext().bound
+    tt = inp.tt
+    (word,) = parse_element("t33*t11", tt.alphabet).terms
+    rels = list(tt.relations)
+    rels[7] = Element(tt.alphabet, {w: c for w, c in rels[7].terms.items() if w != word})
+    mutant = ncalg.PresentationSpec(tt.name, tt.alphabet, rels)
+    assert _tprime(mutant, inp.determinant, inp) == \
+        (False, "", "no clean commutation rule for t33 with t11: t33*t11")
+
+
+# Every tt term whose doubled coefficient breaks t-prime commutativity; the
+# other 51 of the 96 terms vanish at q = u^2, t31 = t32 = 0 or leave the
+# commutators in the span.
+TPRIME_SWEEP_FAILURES = {
+    0: ("t12*t11", "t11*t12"), 1: ("t22*t11", "t11*t22"), 2: ("t13*t12", "t12*t13"),
+    3: ("t21*t11", "t11*t21"), 4: ("t13*t11", "t11*t13"), 5: ("t23*t11", "t11*t23"),
+    7: ("t33*t11", "t11*t33"), 10: ("t33*t12", "t12*t33"), 11: ("t22*t12", "t12*t22"),
+    12: ("t23*t22", "t22*t23"), 13: ("t23*t12", "t12*t23"), 15: ("t21*t12", "t12*t21"),
+    19: ("t23*t13", "t13*t23", "t33*t33", "t11*t22", "t12*t21"),
+    21: ("t22*t13", "t13*t22"), 22: ("t21*t22", "t22*t21"), 23: ("t33*t22", "t22*t33"),
+    24: ("t23*t21", "t21*t23"), 25: ("t33*t23", "t23*t33"), 31: ("t21*t13", "t13*t21"),
+    33: ("t33*t13", "t13*t33"), 34: ("t33*t21", "t21*t33"),
+}
+
+
+def test_tprime_commutativity_rejects_exactly_the_recorded_doubled_terms():
+    inp = VerifyContext().bound
+    tt, A = inp.tt, inp.tt.alphabet
+    mutants = [(row, A.format_word(word)) for row, rel in enumerate(tt.relations)
+               for word in rel.terms]
+    assert len(mutants) == 96
+    failing = {(row, word) for row, word in mutants
+               if not _tprime(_doubled(tt, row, word), inp.determinant, inp)[0]}
+    assert failing == {(row, word) for row, words in TPRIME_SWEEP_FAILURES.items()
+                       for word in words}
+
+
 @pytest.mark.parametrize("bindings", [(), (("u", "s+1"),)], ids=["free", "u=s+1"])
 def test_t3_row_residue_must_be_a_multiple_of_the_factor(bindings):
     # t31 = t32 = 0 leaves (u^2 - q^2)/(u*q) * t12*t33: nonzero, but u^2 - q
@@ -567,6 +646,28 @@ def test_errata_off_normal_form_certificates_are_undecided(errata_off_reports):
     assert star.note == ("undecided: star(D) - D keeps a nonzero normal form under rules "
                          "with 22 unresolved overlaps")
     assert errata_off_reports["coaction"].counterexample.startswith("entry (1, 1): ")
+
+
+DERIVATIVE_IDENTITIES = ("derivative-annihilates:", "exterior-derivative:",
+                         "derivative-decomposition:")
+
+
+def test_errata_off_group_like_and_derivative_identities_are_undecided(errata_off_reports):
+    # nonzero normal forms under rules with unresolved overlaps refute
+    # nothing; Delta(D) - D(x)D even reduces to zero under the legs' completion(3)
+    group_like = detail_map(errata_off_reports["hopf"])["determinant-group-like"]
+    assert not group_like.ok
+    assert group_like.note == ("undecided: Delta(D) - D(x)D keeps a nonzero normal form "
+                               "under rules with 22 unresolved overlaps")
+    derivative = [d for variant in ("omega", "omega-inv")
+                  for d in errata_off_reports[f"calculus-{variant}"].details
+                  if not d.ok and d.id.startswith(DERIVATIVE_IDENTITIES)]
+    assert [d.id for d in derivative] == ["derivative-annihilates:d1*xx1",
+                                          "derivative-annihilates:d3*xx1",
+                                          "derivative-decomposition:x2*x3*x1"]
+    assert all(d.note.startswith("undecided: ") for d in derivative)
+    assert derivative[0].note == ("undecided: d1*xx1 keeps a nonzero normal form under "
+                                  "rules with 23 unresolved overlaps")
 
 
 def test_errata_off_determinant_names_the_tdinv_errata(errata_off_reports):
