@@ -148,6 +148,7 @@ def test_verify_has_no_mode_option(capsys):
 
 @pytest.mark.parametrize("argv, code", [
     (("--check", "determinant"), 1),  # pass-modular counts as a failure
+    (("--check", "constraints"), 0),
     (("--check", "ybe"), 0),
 ])
 def test_verify_strict_exact_fails_only_modular_passes(capsys, argv, code):
