@@ -556,14 +556,6 @@ FAMILY_IDS = (
     "tdinv",
 )
 
-_FAMILY_ALIASES = {
-    "R_xx": "xx",
-    "R_xixi": "xixi",
-    "R_dd": "dd",
-    "R_tt": "tt",
-    "R_tDinv": "tdinv",
-}
-
 _FAMILY_TABLES = {
     "xx": _XX_TABLE,
     "xixi": _XIXI_TABLE,
@@ -594,7 +586,6 @@ def _family_alphabet(fid: str) -> Alphabet:
 
 
 def canonical_family_id(fid: str) -> str:
-    fid = _FAMILY_ALIASES.get(fid, fid)
     if fid not in _FAMILY_TABLES:
         raise KeyError(f"unknown relation family {fid!r}; known: {', '.join(FAMILY_IDS)}")
     return fid

@@ -19,10 +19,12 @@ decides membership exactly again.  `algebra(pres)` returns the one object
 per presentation content that holds the rules, the certificate, the
 completions and the caches.
 
-A tensor presentation A (x) B orients nothing of its own: its rules are
-A's, B's and b*a -> a*b, so its normal words are an A-normal word followed
-by a B-normal word, and `TensorAlgebra` computes normal forms, the
-certificate and the completions from the two legs' algebras.
+A tensor algebra A (x) B orients nothing of its own: its rules are A's, B's
+and b*a -> a*b, so its normal words are an A-normal word followed by a
+B-normal word.  `TensorAlgebra(left, right, alphabet)` takes the two legs'
+algebra objects and the tensor alphabet (`tensor_alphabet`), and computes
+normal forms, the certificate and the completions from the legs.
+`algebra_tensor` writes the same algebra out as one flat presentation.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ __all__ = [
     "SpanComparison",
     "algebra_map",
     "algebra_tensor",
+    "tensor_alphabet",
     "specialize",
     "presentation_to_json",
     "presentation_from_json",
@@ -382,16 +385,11 @@ def _format_coefficient(value: Scalar, has_word: bool) -> str:
 
 @dataclass
 class PresentationSpec:
-    """An alphabet together with a list of relations (elements that vanish).
-
-    `legs` is (A, B) for the presentation of A (x) B that `algebra_tensor`
-    builds, else None.
-    """
+    """An alphabet together with a list of relations (elements that vanish)."""
 
     name: str
     alphabet: Alphabet
     relations: list[Element] = dc_field(default_factory=list)
-    legs: tuple[PresentationSpec, PresentationSpec] | None = None
 
     def nonzero_relations(self) -> list[Element]:
         return [r for r in self.relations if not r.is_zero]
@@ -526,7 +524,7 @@ class RuleSystem:
 class TensorRules:
     """The rules of a tensor A (x) B applied leg by leg: A's, B's and b*a -> a*b.
 
-    The alphabet is the one `algebra_tensor` builds: A's letters at their
+    The alphabet is the one `tensor_alphabet` builds: A's letters at their
     own ranks, then B's shifted by len(A).  Every ambiguity between a
     commutation and a leg rule resolves, so a word is congruent to its A
     letters followed by its B letters, and A-normal times B-normal words
@@ -811,17 +809,14 @@ class MembershipOracle:
 
     def __init__(self, pres: PresentationSpec):
         self.pres = pres
-        self.rules, self.orientation_error = self._orient()
+        self.homogeneous = pres.all_homogeneous()
+        try:
+            self.rules, self.orientation_error = orient(pres), None
+        except InconsistentPresentationError as err:
+            self.rules, self.orientation_error = None, err
         self._confluence: ConfluenceReport | None = None
         self._completions: dict = {}
         self._echelons: dict = {}
-
-    def _orient(self):
-        """(rules, None), or (None, the orientation error)."""
-        try:
-            return orient(self.pres), None
-        except InconsistentPresentationError as err:
-            return None, err
 
     def rule_system(self) -> RuleSystem:
         """The oriented rules; raises the orientation error if there are none."""
@@ -876,7 +871,7 @@ class MembershipOracle:
         encode = alphabet.encode
         n = len(alphabet)
         relations = self.pres.nonzero_relations()
-        homogeneous = self.pres.all_homogeneous()
+        homogeneous = self.homogeneous
 
         def pads(rel):
             rdeg = rel.degree()
@@ -945,7 +940,7 @@ class MembershipOracle:
             if nf.is_zero:
                 return MembershipReport(True, True, "reduction", "exact", degree,
                                         note="normal form vanishes: explicit ideal decomposition")
-            if self.confluence.confluent or self.pres.all_homogeneous():
+            if self.confluence.confluent or self.homogeneous:
                 return MembershipReport(False, True, "certificate", "exact", degree, residual=nf,
                                         note="nonzero normal form under confluent or "
                                              f"homogeneous rules completed to degree {degree}")
@@ -953,7 +948,7 @@ class MembershipOracle:
                                     note="undecided: nonzero normal form under rules completed "
                                          f"to degree {degree}, neither confluent nor homogeneous")
         alphabet = self.pres.alphabet
-        if self.pres.all_homogeneous():
+        if self.homogeneous:
             parts: dict = {}  # length -> the component of e
             for w, c in e.terms.items():
                 parts.setdefault(len(w), {})[w] = c
@@ -1011,40 +1006,46 @@ class MembershipOracle:
 
 
 class TensorAlgebra(MembershipOracle):
-    """The algebra of a tensor presentation A (x) B, built from its legs' algebras.
+    """The algebra A (x) B of two algebra objects, over the tensor alphabet.
 
-    It orients nothing of its own.  Its rules are the `TensorRules` of the
-    legs' rules, and `completion(degree)` those of the legs' completions:
-    no ambiguity of a commutation b*a -> a*b needs a new rule, so completing
-    the tensor adds exactly the legs' new rules.  Its confluence certificate
-    joins the legs' certificates, with their unresolved overlaps moved into
-    the tensor alphabet.  Membership by rows (modes "rows" and "modular")
-    still eliminates the tensor's own raw rows.
+    The alphabet is `tensor_alphabet` of the legs' alphabets, or one with
+    its letters renamed: the legs' letters keep their ranks, parities and
+    weights, so one algebra can be both legs.  It orients nothing and
+    keeps no normal forms of its own: only the legs' caches fill.  Its
+    rules are the `TensorRules` of the legs' rules, and `completion(degree)`
+    those of the legs' completions: no ambiguity of a commutation b*a -> a*b
+    needs a new rule, so completing the tensor adds exactly the legs' new
+    rules.  Its confluence certificate joins the legs' certificates, with
+    their unresolved overlaps moved into the tensor alphabet.  It is
+    homogeneous when both legs are.  Membership is by normal forms only
+    (mode "exact"): it builds no rows.
     """
 
-    def __init__(self, pres: PresentationSpec):
-        self.legs = tuple(algebra(leg) for leg in pres.legs)
-        super().__init__(pres)
-
-    def _orient(self):
-        for leg in self.legs:
-            if leg.rules is None:
-                return None, leg.orientation_error
-        return TensorRules(self.pres.alphabet, *(leg.rules for leg in self.legs)), None
+    def __init__(self, left: MembershipOracle, right: MembershipOracle, alphabet: Alphabet):
+        self.legs = (left, right)
+        letters = [(g.parity, g.weight) for leg in self.legs for g in leg.pres.alphabet]
+        if [(g.parity, g.weight) for g in alphabet] != letters:
+            raise ValueError("the tensor alphabet does not list the legs' letters in order")
+        self.alphabet = alphabet
+        self.homogeneous = left.homogeneous and right.homogeneous
+        failed = next((leg for leg in self.legs if leg.rules is None), None)
+        self.rules = None if failed else TensorRules(alphabet, left.rules, right.rules)
+        self.orientation_error = failed and failed.orientation_error
+        self._confluence = None
 
     @property
     def confluence(self) -> ConfluenceReport:
         """The legs' overlap analyses joined (computed once); raises if unoriented."""
         if self._confluence is None:
             reports = [leg.confluence for leg in self.legs]
-            alphabet = self.pres.alphabet
             unresolved = []
             for report, shift in zip(reports, (0, self.rules.offset)):
                 for d in report.unresolved:
                     lhs_a, lhs_b, word = (tuple(g + shift for g in w)
                                           for w in (d.lhs_a, d.lhs_b, d.word))
+                    terms = {tuple(g + shift for g in w): c for w, c in d.difference.terms.items()}
                     unresolved.append(OverlapDefect(lhs_a, lhs_b, word,
-                                                    algebra_map(d.difference, alphabet)))
+                                                    Element(self.alphabet, terms)))
             self._confluence = ConfluenceReport(
                 confluent=not unresolved,
                 overlaps_checked=sum(r.overlaps_checked for r in reports),
@@ -1059,37 +1060,44 @@ class TensorAlgebra(MembershipOracle):
 
         Raises a leg's orientation error or rank collapse, the left leg's first.
         """
-        return TensorRules(self.pres.alphabet, *(leg.completion(degree) for leg in self.legs))
+        return TensorRules(self.alphabet, *(leg.completion(degree) for leg in self.legs))
+
+    def member(self, e: Element, degree: int | None = None,
+               mode: str = "exact") -> MembershipReport:
+        """Membership by the normal form under the completed legs; other modes raise."""
+        if mode != "exact":
+            raise ValueError(f"a tensor algebra decides membership by normal forms only, "
+                             f"not in mode {mode!r}")
+        return super().member(e, degree)
 
 
 _ALGEBRAS: OrderedDict = OrderedDict()
 
 
 def _content_key(pres: PresentationSpec) -> tuple:
-    """Generator names, parities and weights, relation terms, and the legs' keys."""
+    """Generator names, parities and weights, and relation terms."""
     return (
         tuple((g.name, g.parity, g.weight) for g in pres.alphabet),
         tuple(frozenset(r.terms.items()) for r in pres.relations),
-        None if pres.legs is None else tuple(_content_key(leg) for leg in pres.legs),
     )
 
 
 def algebra(pres: PresentationSpec) -> MembershipOracle:
     """The shared MembershipOracle for a presentation's content.
 
-    Keyed on the generator names, parities and weights, on the relation
-    terms and on the legs, so equal presentations built anywhere share one
-    object, while a binding, any changed coefficient or a missing pair of
-    legs gives another.  A presentation with legs gets a `TensorAlgebra`.
-    The least recently used of more than ALGEBRA_CACHE_SIZE objects is
-    dropped.
+    Keyed on the generator names, parities and weights and on the relation
+    terms, so equal presentations built anywhere share one object, while a
+    binding or any changed coefficient gives another.  A flat presentation of
+    a tensor (`algebra_tensor`) gets an oracle that orients it whole; a
+    `TensorAlgebra` is built from its legs' objects instead.  The least
+    recently used of more than ALGEBRA_CACHE_SIZE objects is dropped.
     """
     key = _content_key(pres)
     found = _ALGEBRAS.get(key)
     if found is not None:
         _ALGEBRAS.move_to_end(key)
         return found
-    found = _ALGEBRAS[key] = (MembershipOracle if pres.legs is None else TensorAlgebra)(pres)
+    found = _ALGEBRAS[key] = MembershipOracle(pres)
     if len(_ALGEBRAS) > ALGEBRA_CACHE_SIZE:
         _ALGEBRAS.popitem(last=False)
     return found
@@ -1216,27 +1224,30 @@ def algebra_map(e: Element, target: Alphabet, images: Mapping[str, object] = {})
     return Element(target, out)
 
 
+def tensor_alphabet(a: Alphabet, b: Alphabet) -> Alphabet:
+    """A's letters at their own ranks, then B's shifted by len(A); names must differ."""
+    overlap = set(a.names()) & set(b.names())
+    if overlap:
+        raise ValueError(f"generator name collision in tensor: {sorted(overlap)}")
+    return Alphabet.build([(g.name, g.parity, g.weight) for g in (*a, *b)])
+
+
 def algebra_tensor(a: PresentationSpec, b: PresentationSpec) -> PresentationSpec:
     """Two-sided tensor: union alphabet, union relations, commuting cross pairs.
 
-    All A-generators are ranked below all B-generators; every cross pair
-    commutes (even-even and even-odd alike).  The result records (a, b) as
-    its legs, so `algebra` of it normalizes leg by leg.
+    All A-generators are ranked below all B-generators (`tensor_alphabet`);
+    every cross pair commutes (even-even and even-odd alike).  The result is
+    a flat presentation, which `orient` orients whole; `TensorAlgebra`
+    normalizes the same algebra leg by leg.
     """
-    overlap = set(a.alphabet.names()) & set(b.alphabet.names())
-    if overlap:
-        raise ValueError(f"generator name collision in tensor: {sorted(overlap)}")
-    specs = [(g.name, g.parity, g.weight) for g in a.alphabet] + [
-        (g.name, g.parity, g.weight) for g in b.alphabet
-    ]
-    alphabet = Alphabet.build(specs)
+    alphabet = tensor_alphabet(a.alphabet, b.alphabet)
     offset = len(a.alphabet)
     relations = [algebra_map(r, alphabet) for r in (*a.relations, *b.relations)]
     one = Scalar.one()
     for ga in range(len(a.alphabet)):
         for gb in range(offset, len(alphabet)):
             relations.append(Element(alphabet, {(ga, gb): one, (gb, ga): -one}))
-    return PresentationSpec(f"{a.name}(x){b.name}", alphabet, relations, (a, b))
+    return PresentationSpec(f"{a.name}(x){b.name}", alphabet, relations)
 
 
 def specialize(pres: PresentationSpec, bindings: Mapping[str, object]) -> PresentationSpec:

@@ -721,8 +721,10 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 # keeps their order.  Its rules for Dinv-free words are tt's, and
                 # no Dinv rule applies to a Dinv-free word.  The tensor normalizes
                 # leg by leg, under the rules of qg and of the calculus.
-                tensor = ncalg.algebra(ncalg.algebra_tensor(inp.qg, inp.calculus[variant]))
-                alphabet = tensor.pres.alphabet
+                calculus = inp.calculus[variant]
+                alphabet = ncalg.tensor_alphabet(inp.qg.alphabet, calculus.alphabet)
+                tensor = ncalg.TensorAlgebra(ncalg.algebra(inp.qg), ncalg.algebra(calculus),
+                                             alphabet)
                 per_variant[variant] = (tensor, tensor.rule_system(), alphabet,
                                         _coaction_images(alphabet, inp.W),
                                         ncalg.algebra_map(D, alphabet))
@@ -770,20 +772,6 @@ def _leg_images(prefix: str, target) -> dict[str, Element]:
             for i in "123" for j in "123"}
 
 
-def _delta_target(tt: PresentationSpec) -> MembershipOracle:
-    """The algebra of A (x) A, with both legs carrying the relations of tt."""
-
-    def copy_pres(prefix: str) -> PresentationSpec:
-        specs = [(prefix + g.name[1:], g.parity, g.weight) for g in tt.alphabet]
-        alphabet = ncalg.Alphabet.build(specs)
-        images = _leg_images(prefix, alphabet)
-        rels = [ncalg.algebra_map(r, alphabet, images) for r in tt.relations]
-        return PresentationSpec(prefix, alphabet, rels)
-
-    return ncalg.algebra(
-        ncalg.algebra_tensor(copy_pres("l"), copy_pres("r")))
-
-
 def _coproduct_images(target) -> dict[str, Element]:
     """Delta(T) = L.R over A (x) A: Delta(t^i_j) = sum_k l^i_k r^k_j."""
     delta = _matmul(_matrix(target, "l"), _matrix(target, "r"))
@@ -794,9 +782,11 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Coproduct is an algebra map; the determinant is group-like; counit axiom."""
     inp = ctx.bound
     with timed_report("hopf") as report:
-        target = _delta_target(inp.tt)
-        rules = target.rule_system()
-        TA = target.pres.alphabet
+        # A (x) A: tt is both legs, its letters t^i_j renamed l^i_j and r^i_j
+        tt = ncalg.algebra(inp.tt)
+        TA = ncalg.tensor_alphabet(*(ncalg.Alphabet.build(
+            [(leg + g.name[1:], g.parity, g.weight) for g in inp.tt.alphabet]) for leg in "lr"))
+        rules = ncalg.TensorAlgebra(tt, tt, TA).rule_system()
         delta = _coproduct_images(TA)
         relations = inp.tt.relations
         failures = []
@@ -819,9 +809,9 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         report.add(
             "determinant-group-like", diff.is_zero,
             note="Delta(D) - D(x)D reduces to zero at bidegree (3,3), exactly" if diff.is_zero
-            # both legs carry tt's relations, so tt's confluence is theirs
+            # both legs are tt, so tt's confluence is theirs
             else _nonzero_normal_form_note(
-                ncalg.algebra(inp.tt), "Delta(D) - D(x)D",
+                tt, "Delta(D) - D(x)D",
                 "Delta(D) - D(x)D does not reduce to zero at bidegree (3,3)"),
             counterexample=None if diff.is_zero else str(diff)[:160],
         )

@@ -64,10 +64,6 @@ def test_family_counts_and_first_rows():
         catalog.family("nonsense")
 
 
-def test_family_alias_names():
-    assert catalog.family("R_xx") is catalog.family("xx")
-
-
 def test_generated_families_match_transcription():
     target = catalog.calculus_alphabet()
     om, oi = catalog.omega(), catalog.omega_inverse()

@@ -341,6 +341,8 @@ def normalize_file(text):
      """generator weights must be positive integers: "weight" of 'x' is 1.5"""),
     (normalize_file('{"generators": [{"name": "x", "rank": 0}], "order": "x", "relations": []}'),
      "order list disagrees with generator ranks"),
+    # family ids only: no other spelling names a family
+    (("export", "--family", "R_tt"), "unknown algebra 'R_tt'"),
 ])
 def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path):
     argv = [a.path(tmp_path) if isinstance(a, PathArg) else a for a in argv]

@@ -7,8 +7,9 @@ name it, verify-default.txt that of `python -m wh3 verify --all
 `--errata off`; each matrix-* file is the output of `python -m wh3 matrix`
 with the options that name it; each member-* file is the output of
 `python -m wh3 member --algebra t --mode modular` on the expression of its
-test.  A change that legitimately alters one regenerates it with that
-command and lists the changed text in CHANGES.md.
+test; export-tt.json is the output of `python -m wh3 export --family tt`.
+A change that legitimately alters one regenerates it with that command and
+lists the changed text in CHANGES.md.
 """
 
 import json
@@ -84,6 +85,14 @@ def test_member_output_matches_golden_file(capsys, expr, name, code):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / name).read_text()
+
+
+def test_export_output_matches_golden_file(capsys):
+    # the algebra-definition format: generators, weights, relation strings
+    assert cli.run(["export", "--family", "tt"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / "export-tt.json").read_text()
 
 
 def test_every_failing_golden_detail_has_a_note():

@@ -700,52 +700,67 @@ def test_algebra_tensor_name_collision():
         algebra_tensor(x_pres(), x_pres())
 
 
+def tt_copy(prefix, errata):
+    """tt with its letters t^i_j renamed prefix^i_j, at the same ranks."""
+    tt = catalog.tt_presentation(errata)
+    A = Alphabet.build([(prefix + g.name[1:], g.parity, g.weight) for g in tt.alphabet])
+    return PresentationSpec(prefix, A, [Element(A, r.terms) for r in tt.relations])
+
+
 TENSOR_LEGS = {
     "qg(x)calculus-omega": lambda errata: (catalog.qg_presentation(errata),
                                            catalog.calculus_presentation("omega", errata)),
     "qg(x)calculus-omega-inv": lambda errata: (catalog.qg_presentation(errata),
                                                catalog.calculus_presentation("omega-inv", errata)),
     "tt(x)x": lambda errata: (catalog.tt_presentation(errata), x_pres()),
+    "tt(x)tt": lambda errata: (tt_copy("l", errata), tt_copy("r", errata)),
 }
 
 
 @functools.cache
 def oriented_tensor(case, errata):
-    """A tensor presentation and the rules of orienting it whole."""
-    tensor = algebra_tensor(*TENSOR_LEGS[case](errata))
-    return tensor, orient(tensor)
+    """The tensor algebra of a case, and the rules of orienting its presentation whole."""
+    a, b = TENSOR_LEGS[case](errata)
+    tensor = algebra_tensor(a, b)
+    # hopf's coproduct target: tt itself is both legs of the renamed copies
+    legs = (catalog.tt_presentation(errata),) * 2 if case == "tt(x)tt" else (a, b)
+    return ncalg.TensorAlgebra(*map(ncalg.algebra, legs), tensor.alphabet), orient(tensor)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_leg_wise_normal_forms_are_the_tensor_normal_forms(data):
-    case = data.draw(st.sampled_from(sorted(TENSOR_LEGS)))
-    errata = data.draw(st.booleans())
-    tensor, rules = oriented_tensor(case, errata)
-    A = tensor.alphabet
-    words = st.lists(st.integers(0, len(A) - 1), max_size=4).map(tuple)
+    # letters are drawn as numbers read modulo the alphabet's size, so that
+    # every example runs on every case, with and without errata
+    words = st.lists(st.integers(0, 2**16), max_size=4).map(tuple)
     coefficients = st.sampled_from(["1", "-1", "q", "u/q", "s"])
-    e = Element.zero(A)
-    for word, coeff in data.draw(st.lists(st.tuples(words, coefficients), min_size=1, max_size=3)):
-        e = e + Element.from_word(A, word, parse_scalar(coeff))
-    nf = ncalg.algebra(tensor).rule_system().normalize(e)
-    if errata:
-        # confluent legs: the one normal form
-        assert nf == rules.normalize(e)
-    else:
-        # legs with unresolved overlaps: a normal form, not the leftmost one
-        assert all(rules.find_redex(w) is None for w in nf.terms)
+    drawn = data.draw(st.lists(st.tuples(words, coefficients), min_size=1, max_size=3))
+    for case, errata in itertools.product(sorted(TENSOR_LEGS), (True, False)):
+        tensor, rules = oriented_tensor(case, errata)
+        A = tensor.alphabet
+        e = Element.zero(A)
+        for word, coeff in drawn:
+            e = e + Element.from_word(A, tuple(g % len(A) for g in word), parse_scalar(coeff))
+        nf = tensor.rule_system().normalize(e)
+        if errata:
+            # confluent legs: the one normal form
+            assert nf == rules.normalize(e), case
+        else:
+            # legs with unresolved overlaps: a normal form, not the leftmost one
+            assert all(rules.find_redex(w) is None for w in nf.terms), case
 
 
 def bound_tensor(variant="omega", **context):
     inp = VerifyContext(**context).bound
-    return algebra_tensor(inp.qg, inp.calculus[variant])
+    legs = (inp.qg, inp.calculus[variant])
+    return ncalg.TensorAlgebra(*map(ncalg.algebra, legs),
+                               ncalg.tensor_alphabet(*(leg.alphabet for leg in legs)))
 
 
 def test_tensor_algebra_is_built_from_its_legs():
-    tensor = ncalg.algebra(bound_tensor())
-    assert isinstance(tensor, ncalg.TensorAlgebra)
+    tensor = bound_tensor()
     assert [leg.pres.name for leg in tensor.legs] == ["qg", "calculus-omega"]
+    assert tensor.legs[0] is ncalg.algebra(VerifyContext().bound.qg)
     assert tensor.confluence.confluent
     assert tensor.confluence.overlaps_checked == sum(
         leg.confluence.overlaps_checked for leg in tensor.legs)
@@ -754,27 +769,39 @@ def test_tensor_algebra_is_built_from_its_legs():
 
 
 def test_tensor_completion_meets_the_calculus_rank_collapse():
-    tensor = ncalg.algebra(bound_tensor(errata=False, bindings=(("q", parse_scalar("u^2")),)))
+    tensor = bound_tensor(errata=False, bindings=(("q", parse_scalar("u^2")),))
     with pytest.raises(InconsistentPresentationError, match=re.escape(
             "rank collapse: the ambiguity d2*d1*x1 puts (u^4 - 1)*d2 into the ideal")):
         tensor.completion(3)
     assert not tensor.confluence.confluent
     # the unresolved overlaps are the legs', over the tensor alphabet
-    assert all(d.difference.alphabet is tensor.pres.alphabet
-               for d in tensor.confluence.unresolved)
-    assert [tensor.pres.alphabet.format_word(d.word) for d in tensor.confluence.unresolved] == \
+    assert all(d.difference.alphabet is tensor.alphabet for d in tensor.confluence.unresolved)
+    assert [tensor.alphabet.format_word(d.word) for d in tensor.confluence.unresolved] == \
         [leg.pres.alphabet.format_word(d.word) for leg in tensor.legs
          for d in leg.confluence.unresolved]
 
 
-def test_tensor_without_legs_is_another_algebra():
+def test_tensor_presentation_is_one_algebra_with_its_flat_copy():
     tensor = algebra_tensor(catalog.tt_presentation(), x_pres())
-    flat = PresentationSpec(tensor.name, tensor.alphabet, list(tensor.relations))
-    with_legs, without = ncalg.algebra(tensor), ncalg.algebra(flat)
-    assert with_legs is not without
-    assert isinstance(with_legs, ncalg.TensorAlgebra)
-    assert not isinstance(without, ncalg.TensorAlgebra)
-    assert ncalg.algebra(algebra_tensor(catalog.tt_presentation(), x_pres())) is with_legs
+    flat = PresentationSpec("flat", tensor.alphabet, list(tensor.relations))
+    found = ncalg.algebra(tensor)
+    assert found is ncalg.algebra(flat)
+    assert type(found) is MembershipOracle
+
+
+@pytest.mark.parametrize("mode", ["rows", "modular"])
+def test_tensor_algebra_builds_no_rows(mode):
+    tensor = bound_tensor()
+    e = parse_element("d1*t11 - t11*d1", tensor.alphabet)
+    assert tensor.member(e).member
+    with pytest.raises(ValueError, match=f"not in mode '{mode}'"):
+        tensor.member(e, mode=mode)
+
+
+def test_tensor_alphabet_must_list_the_legs_letters():
+    tt, x = ncalg.algebra(catalog.tt_presentation()), ncalg.algebra(x_pres())
+    with pytest.raises(ValueError, match="legs' letters in order"):
+        ncalg.TensorAlgebra(tt, x, ncalg.tensor_alphabet(x.pres.alphabet, tt.pres.alphabet))
 
 
 def test_specialize_to_quantum_plane():

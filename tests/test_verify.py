@@ -128,6 +128,24 @@ def test_tensor_checks_rewrite_no_mixed_word(monkeypatch):
     assert normalized and not any(mixed(alphabet) for alphabet in normalized)
 
 
+@pytest.mark.parametrize("errata", [True, False], ids=["default", "errata-off"])
+def test_run_all_orients_only_the_base_presentations(errata, monkeypatch):
+    # a tensor algebra is built from its legs' objects: hopf's A (x) A has tt
+    # as both legs, and no tensor or renamed copy is oriented or cached
+    oriented = []
+    orient = ncalg.orient
+
+    def spy(pres, *args):
+        oriented.append(pres.name)
+        return orient(pres, *args)
+
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+    monkeypatch.setattr(ncalg, "orient", spy)
+    verify.run_all(VerifyContext(errata=errata))
+    assert sorted(oriented) == ["calculus-omega", "calculus-omega-inv", "qg", "t"]
+    assert [type(found) for found in ncalg._ALGEBRAS.values()] == [MembershipOracle] * 4
+
+
 def test_wrong_transposed_inverse_stops_before_the_families(default_reports):
     ctx = VerifyContext()
     W = ctx.bound.W
