@@ -23,7 +23,7 @@ A tensor algebra A (x) B orients nothing of its own: its rules are A's, B's
 and b*a -> a*b, so its normal words are an A-normal word followed by a
 B-normal word.  `TensorAlgebra(left, right, alphabet)` takes the two legs'
 algebra objects and the tensor alphabet (`tensor_alphabet`), and computes
-normal forms, the certificate and the completions from the legs.
+normal forms, the confluence flag and the completions from the legs.
 `algebra_tensor` writes the same algebra out as one flat presentation.
 """
 
@@ -831,6 +831,11 @@ class MembershipOracle:
             self._confluence = overlap_resolve(self.rule_system())
         return self._confluence
 
+    @property
+    def confluent(self) -> bool:
+        """Whether every overlap of the rules resolves; raises if unoriented."""
+        return self.confluence.confluent
+
     def completion(self, degree: int) -> RuleSystem:
         """The rules with every ambiguity of length <= degree resolved (cached).
 
@@ -845,7 +850,7 @@ class MembershipOracle:
             try:
                 if isinstance(start, InconsistentPresentationError):
                     raise start
-                self._completions[degree] = start if self.confluence.confluent \
+                self._completions[degree] = start if self.confluent \
                     else overlap_resolve(start, complete_up_to=degree).system
             except InconsistentPresentationError as err:
                 self._completions[degree] = err
@@ -940,7 +945,7 @@ class MembershipOracle:
             if nf.is_zero:
                 return MembershipReport(True, True, "reduction", "exact", degree,
                                         note="normal form vanishes: explicit ideal decomposition")
-            if self.confluence.confluent or self.homogeneous:
+            if self.confluent or self.homogeneous:
                 return MembershipReport(False, True, "certificate", "exact", degree, residual=nf,
                                         note="nonzero normal form under confluent or "
                                              f"homogeneous rules completed to degree {degree}")
@@ -1015,10 +1020,9 @@ class TensorAlgebra(MembershipOracle):
     rules are the `TensorRules` of the legs' rules, and `completion(degree)`
     those of the legs' completions: no ambiguity of a commutation b*a -> a*b
     needs a new rule, so completing the tensor adds exactly the legs' new
-    rules.  Its confluence certificate joins the legs' certificates, with
-    their unresolved overlaps moved into the tensor alphabet.  It is
-    homogeneous when both legs are.  Membership is by normal forms only
-    (mode "exact"): it builds no rows.
+    rules.  It is confluent when both legs are, and homogeneous when both
+    legs are; it keeps no overlap report of its own.  Membership is by
+    normal forms only (mode "exact"): it builds no rows.
     """
 
     def __init__(self, left: MembershipOracle, right: MembershipOracle, alphabet: Alphabet):
@@ -1031,35 +1035,23 @@ class TensorAlgebra(MembershipOracle):
         failed = next((leg for leg in self.legs if leg.rules is None), None)
         self.rules = None if failed else TensorRules(alphabet, left.rules, right.rules)
         self.orientation_error = failed and failed.orientation_error
-        self._confluence = None
 
     @property
-    def confluence(self) -> ConfluenceReport:
-        """The legs' overlap analyses joined (computed once); raises if unoriented."""
-        if self._confluence is None:
-            reports = [leg.confluence for leg in self.legs]
-            unresolved = []
-            for report, shift in zip(reports, (0, self.rules.offset)):
-                for d in report.unresolved:
-                    lhs_a, lhs_b, word = (tuple(g + shift for g in w)
-                                          for w in (d.lhs_a, d.lhs_b, d.word))
-                    terms = {tuple(g + shift for g in w): c for w, c in d.difference.terms.items()}
-                    unresolved.append(OverlapDefect(lhs_a, lhs_b, word,
-                                                    Element(self.alphabet, terms)))
-            self._confluence = ConfluenceReport(
-                confluent=not unresolved,
-                overlaps_checked=sum(r.overlaps_checked for r in reports),
-                unresolved=unresolved,
-                rules_added=[],
-                system=self.rules,
-            )
-        return self._confluence
+    def confluent(self) -> bool:
+        """Whether both legs' rules are confluent; raises a leg's orientation error."""
+        return all(leg.confluent for leg in self.legs)
 
     def completion(self, degree: int) -> TensorRules:
         """The TensorRules of the legs' completions to degree (cached in the legs).
 
-        Raises a leg's orientation error or rank collapse, the left leg's first.
+        The legs are completed in step, one degree at a time, so a leg's rank
+        collapse is met at the lowest degree where it occurs, before the other
+        leg is completed past it.  Raises a leg's orientation error or rank
+        collapse, the left leg's first at one degree.
         """
+        for step in range(2, degree + 1):
+            for leg in self.legs:
+                leg.completion(step)
         return TensorRules(self.alphabet, *(leg.completion(degree) for leg in self.legs))
 
     def member(self, e: Element, degree: int | None = None,

@@ -17,14 +17,14 @@ operation.
 The numerators W of the inverse transposed quantum matrix, which transform the
 derivatives, are the star image of the transcribed cofactors (nothing solves
 for them); coaction certifies sum_j W_lj t^k_j = delta_lk D by normal forms
-before it tests any family.  There, in the calculi's derivative identities,
-in hopf's check that the determinant is group-like and in star's check that
-it is star-fixed, a nonzero normal form refutes the identity only under
-confluent rules; otherwise the failing note starts `undecided:`.
-Membership is decided by the normal form under rules completed to the
-element's degree: a vanishing normal form, or a nonzero one under confluent or
-homogeneous rules, is an exact certificate, and anything else is reported
-`undecided:`.  The only modular verdicts are the raw-row cross-checks of the
+under the base rules before it tests any family, and there a nonzero normal
+form refutes the identity only under confluent rules; otherwise the failing
+note starts `undecided:`.
+Every other identity is decided by its normal form under rules completed to
+its degree (the calculi's derivative identities and the determinant's star
+and coproduct images at degree 3): a vanishing normal form, or a nonzero one
+under confluent or homogeneous rules, is an exact certificate, and anything
+else is reported `undecided:`.  The only modular verdicts are the raw-row cross-checks of the
 determinant, and each records the prime and seed that reproduce it.  Rules,
 completions and membership caches live in one shared algebra object per
 presentation content (`ncalg.algebra`), so a binding, an errata switch or any
@@ -42,7 +42,7 @@ from typing import Sequence
 from . import catalog, exprs, ncalg
 from .catalog import CMatrix, PAIRS
 from .linalg import DEFAULT_PRIME, DEFAULT_SEED, ScalarEchelon, add_into, solve_linear
-from .ncalg import Element, MembershipOracle, PresentationSpec
+from .ncalg import Element, PresentationSpec
 from .reports import Report, timed_report
 from .scalars import Scalar
 
@@ -293,19 +293,19 @@ def check_eigenstructure(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             cases.append((f"derivative-eigenvectors:{label}", "dd", "d", Mt,
                           " under the transposed inverse"))
         for detail_id, fid, letter, M, suffix in cases:
-            values = set()
-            ok = True
-            for rel in inp.families[fid]:
+            values, bad = set(), []
+            for ridx, rel in enumerate(inp.families[fid]):
                 vec = _pair_vector(rel, (f"{letter}1", f"{letter}2", f"{letter}3"))
                 if fid == "dd":
                     vec = {(j, i): c for (i, j), c in vec.items()}
                 ratio = _eigen_ratio(vec, _row_action(vec, M))
                 if ratio is None:
-                    ok = False
+                    bad.append(ridx)
                 else:
                     values.add(str(ratio))
-            report.add(detail_id, ok and len(values) == 1,
-                       note=f"eigenvalue {sorted(values)}{suffix}")
+            report.add(detail_id, not bad and len(values) == 1,
+                       note=f"relations {bad} are not eigenvectors{suffix}" if bad
+                       else f"eigenvalue {sorted(values)}{suffix}")
         # dimension of that eigenspace: 9 - rank(M^t + I) for the -1 value
         one = Scalar.one()
         for label, Mt in transposed.items():
@@ -376,50 +376,44 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
                 note=f"ranks {cmp.rank_a}/{cmp.rank_b}",
                 counterexample=None if cmp.verdict == "equal" else str(cmp.witness),
             )
+        # every identity below has degree at most 3: each holds when its normal
+        # form under the rules completed to degree 3 vanishes, and membership
+        # states what a nonzero normal form decides
         calculus = ncalg.algebra(inp.calculus[variant])
         try:
-            rules = calculus.rule_system()
+            rules = calculus.completion(3)
         except ncalg.InconsistentPresentationError as err:
-            report.add("orientation", False, counterexample=str(err))
+            report.add("completion", False, note=str(err), counterexample=str(err))
             return report
+
+        def decide(detail_id: str, e: Element):
+            nf = rules.normalize(e)
+            report.add(detail_id, nf.is_zero,
+                       note="" if nf.is_zero else calculus.member(e, degree=3).note,
+                       counterexample=None if nf.is_zero else str(nf))
+
         xx = [ncalg.algebra_map(r, target) for r in inp.families["xx"]]
-        unreduced = partial(_nonzero_normal_form_note, calculus, refutation="nonzero normal form")
         # (b) derivatives annihilate the variable relations
         for ridx, rel in enumerate(xx, 1):
             for i in (1, 2, 3):
-                nf = rules.normalize(Element.generator(target, f"d{i}") * rel)
-                report.add(
-                    f"derivative-annihilates:d{i}*xx{ridx}", nf.is_zero,
-                    note="" if nf.is_zero else unreduced(f"d{i}*xx{ridx}"),
-                    counterexample=None if nf.is_zero else str(nf),
-                )
+                decide(f"derivative-annihilates:d{i}*xx{ridx}",
+                       Element.generator(target, f"d{i}") * rel)
         # (c) the exterior derivative annihilates them too
         images = _exterior_images(target)
         for ridx, rel in enumerate(xx, 1):
-            nf = rules.normalize(ncalg.derivation_apply(images, rel))
-            report.add(
-                f"exterior-derivative:xx{ridx}", nf.is_zero,
-                note="" if nf.is_zero else unreduced(f"d(xx{ridx})"),
-                counterexample=None if nf.is_zero else str(nf),
-            )
+            decide(f"exterior-derivative:xx{ridx}", ncalg.derivation_apply(images, rel))
         # (d) d agrees with xi^i d_i on probe monomials
         d_ranks = {target.rank_of(f"d{i}") for i in (1, 2, 3)}
         for probe_text in ("x1", "x1*x2", "x2*x3*x1"):
             probe = exprs.parse_element(probe_text, target)
-            lhs = rules.normalize(ncalg.derivation_apply(images, probe))
             rhs = Element.zero(target)
             for i in (1, 2, 3):
                 nf = rules.normalize(Element.generator(target, f"d{i}") * probe)
                 func = Element(target, {w: c for w, c in nf.terms.items()
                                         if not any(g in d_ranks for g in w)})
                 rhs = rhs + Element.generator(target, f"xi{i}") * func
-            diff = rules.normalize(lhs - rhs)
-            report.add(
-                f"derivative-decomposition:{probe_text}", diff.is_zero,
-                note="" if diff.is_zero
-                else unreduced(f"d({probe_text}) - xi^i d_i({probe_text})"),
-                counterexample=None if diff.is_zero else str(diff),
-            )
+            decide(f"derivative-decomposition:{probe_text}",
+                   ncalg.derivation_apply(images, probe) - rhs)
         # (e) overlap analysis of the combined rule system
         confluence = calculus.confluence
         report.add(
@@ -527,7 +521,7 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         try:
             qg_rules = ncalg.algebra(inp.qg).rule_system()
         except ncalg.InconsistentPresentationError as err:
-            report.add("antipode", False, counterexample=str(err))
+            report.add("antipode", False, note=str(err), counterexample=str(err))
             return report
         QG = inp.qg.alphabet
         dinv = Element.generator(QG, "Dinv")
@@ -541,7 +535,10 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 rep = oracle.member(target, degree=3, mode="exact")
                 report.add(
                     f"antipode:({i + 1},{j + 1})", rep.member,
-                    note="lifted by one determinant power; " + rep.route,
+                    note="lifted by one determinant power; " + (
+                        rep.route if rep.member else
+                        f"{rep.route}: D * sum_k S(t^{i + 1}_k) t^k_{j + 1}"
+                        f"{' - D' if i == j else ''} is not in the ideal"),
                     counterexample=None if rep.member else str(rep.residual),
                 )
         # counit kills every relation
@@ -666,19 +663,6 @@ def _determinant_lift(nf: Element, target, D: Element) -> Element:
     return out
 
 
-def _nonzero_normal_form_note(algebra: MembershipOracle, what: str, refutation: str) -> str:
-    """The note of an identity whose side `what` keeps a nonzero normal form.
-
-    Under confluent rules that normal form refutes the identity; otherwise
-    the rules only failed to certify it, and the note says so.
-    """
-    confluence = algebra.confluence
-    if confluence.confluent:
-        return refutation
-    return (f"undecided: {what} keeps a nonzero normal form under rules with "
-            f"{len(confluence.unresolved)} unresolved overlaps")
-
-
 COACTION_DEFAULT_FAMILIES = (
     "xx", "xixi", "dd", "xxi-omega", "dxi-omega", "xd-omega",
     "xxi-omega-inv", "dxi-omega-inv", "xd-omega-inv",
@@ -696,14 +680,17 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         residuals = ((l, k, rules.normalize(cert[l][k] - D if k == l else cert[l][k]))
                      for l in range(3) for k in range(3))
         failed = next(((l, k, nf) for l, k, nf in residuals if nf), None)
+        # under the base rules a nonzero normal form refutes the identity only
+        # when they are confluent
+        confluence = tt_algebra.confluence
         report.add(
             "transposed-inverse", failed is None,
             note="W is the star image of the cofactors; certifies "
                  "sum_j W_lj t^k_j = delta_lk D" if failed is None
-            else _nonzero_normal_form_note(
-                tt_algebra, "sum_j W_lj t^k_j - delta_lk D",
-                "sum_j W_lj t^k_j - delta_lk D does not reduce to zero for W the star "
-                "image of the cofactors"),
+            else "sum_j W_lj t^k_j - delta_lk D does not reduce to zero for W the star "
+                 "image of the cofactors" if confluence.confluent
+            else "undecided: sum_j W_lj t^k_j - delta_lk D keeps a nonzero normal form "
+                 f"under rules with {len(confluence.unresolved)} unresolved overlaps",
             counterexample=None if failed is None else
             f"entry ({failed[0] + 1}, {failed[1] + 1}): {str(failed[2])[:160]}",
         )
@@ -782,11 +769,15 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Coproduct is an algebra map; the determinant is group-like; counit axiom."""
     inp = ctx.bound
     with timed_report("hopf") as report:
-        # A (x) A: tt is both legs, its letters t^i_j renamed l^i_j and r^i_j
+        # A (x) A: tt is both legs, its letters t^i_j renamed l^i_j and r^i_j.
+        # Both legs are homogeneous, so leg-wise normal forms under the legs'
+        # rules completed to degree d decide every identity of bidegree (d, d)
+        # exactly
         tt = ncalg.algebra(inp.tt)
         TA = ncalg.tensor_alphabet(*(ncalg.Alphabet.build(
             [(leg + g.name[1:], g.parity, g.weight) for g in inp.tt.alphabet]) for leg in "lr"))
-        rules = ncalg.TensorAlgebra(tt, tt, TA).rule_system()
+        tensor = ncalg.TensorAlgebra(tt, tt, TA)
+        rules = tensor.completion(2)
         delta = _coproduct_images(TA)
         relations = inp.tt.relations
         failures = []
@@ -805,14 +796,11 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         D = inp.determinant
         left = ncalg.algebra_map(D, TA, _leg_images("l", TA))
         right = ncalg.algebra_map(D, TA, _leg_images("r", TA))
-        diff = rules.normalize(ncalg.algebra_map(D, TA, delta) - left * right)
+        diff = tensor.completion(3).normalize(ncalg.algebra_map(D, TA, delta) - left * right)
         report.add(
             "determinant-group-like", diff.is_zero,
             note="Delta(D) - D(x)D reduces to zero at bidegree (3,3), exactly" if diff.is_zero
-            # both legs are tt, so tt's confluence is theirs
-            else _nonzero_normal_form_note(
-                tt, "Delta(D) - D(x)D",
-                "Delta(D) - D(x)D does not reduce to zero at bidegree (3,3)"),
+            else "Delta(D) - D(x)D does not reduce to zero at bidegree (3,3)",
             counterexample=None if diff.is_zero else str(diff)[:160],
         )
         # counit axiom on generators: (counit (x) id) Delta = id = (id (x) counit) Delta
@@ -878,16 +866,15 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             else f"star images of {len(bad)} of {len(tt)} transcribed rows leave the span",
             counterexample=None if not bad else f"rows {bad} leave the span",
         )
-        # the determinant is star-fixed modulo the ideal, so Dinv* = Dinv is sound
-        tt_algebra = ncalg.algebra(inp.tt)
+        # the determinant is star-fixed modulo the ideal, so Dinv* = Dinv is sound;
+        # tt is homogeneous, so membership at degree 3 decides it exactly
         D = inp.determinant
-        dstar = tt_algebra.rule_system().normalize(catalog.star_apply(D) - D)
+        rep = ncalg.algebra(inp.tt).member(catalog.star_apply(D) - D, degree=3)
         report.add(
-            "determinant-star-fixed", dstar.is_zero,
-            note="star(D) - D reduces to zero at degree 3" if dstar.is_zero
-            else _nonzero_normal_form_note(tt_algebra, "star(D) - D",
-                                           "star(D) - D does not reduce to zero at degree 3"),
-            counterexample=None if dstar.is_zero else str(dstar)[:160],
+            "determinant-star-fixed", rep.member,
+            note="star(D) - D reduces to zero at degree 3" if rep.member
+            else "star(D) - D does not reduce to zero at degree 3",
+            counterexample=None if rep.member else str(rep.residual)[:160],
         )
         # inverse-determinant commutation rules
         tdinv = inp.families["tdinv"]

@@ -50,6 +50,15 @@ def test_verify_output_matches_golden_file(capsys, options, name, code):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+def test_only_the_transposed_inverse_keeps_a_base_rule_verdict():
+    # every other identity is decided under completed rules: only coaction's
+    # certificate of W reads the base rules, and its note names W
+    for path in sorted(GOLDEN.glob("verify-*")):
+        for line in path.read_text().splitlines():
+            if "keeps a nonzero normal form" in line:
+                assert "sum_j W_lj t^k_j - delta_lk D keeps" in line, path
+
+
 def test_text_report_matches_golden_file(capsys):
     assert cli.run(["verify", "--all", "--no-timings"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "verify-default.txt").read_text()

@@ -761,9 +761,7 @@ def test_tensor_algebra_is_built_from_its_legs():
     tensor = bound_tensor()
     assert [leg.pres.name for leg in tensor.legs] == ["qg", "calculus-omega"]
     assert tensor.legs[0] is ncalg.algebra(VerifyContext().bound.qg)
-    assert tensor.confluence.confluent
-    assert tensor.confluence.overlaps_checked == sum(
-        leg.confluence.overlaps_checked for leg in tensor.legs)
+    assert tensor.confluent and all(leg.confluent for leg in tensor.legs)
     assert [rules.rules for rules in tensor.completion(4).legs] == \
         [leg.rules.rules for leg in tensor.legs]
 
@@ -773,12 +771,12 @@ def test_tensor_completion_meets_the_calculus_rank_collapse():
     with pytest.raises(InconsistentPresentationError, match=re.escape(
             "rank collapse: the ambiguity d2*d1*x1 puts (u^4 - 1)*d2 into the ideal")):
         tensor.completion(3)
-    assert not tensor.confluence.confluent
-    # the unresolved overlaps are the legs', over the tensor alphabet
-    assert all(d.difference.alphabet is tensor.alphabet for d in tensor.confluence.unresolved)
-    assert [tensor.alphabet.format_word(d.word) for d in tensor.confluence.unresolved] == \
-        [leg.pres.alphabet.format_word(d.word) for leg in tensor.legs
-         for d in leg.confluence.unresolved]
+    # the tensor is confluent when both legs are: one leg without it is enough
+    qg, calculus = tensor.legs
+    assert not qg.confluent and not calculus.confluent and not tensor.confluent
+    mixed = ncalg.TensorAlgebra(ncalg.algebra(VerifyContext().bound.qg), calculus,
+                                tensor.alphabet)
+    assert mixed.legs[0].confluent and not mixed.confluent
 
 
 def test_tensor_presentation_is_one_algebra_with_its_flat_copy():

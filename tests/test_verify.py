@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from wh3 import catalog, ncalg, verify
+from wh3 import catalog, cli, ncalg, verify
 from wh3.catalog import CMatrix, PAIRS
 from wh3.exprs import parse_element, parse_scalar
 from wh3.linalg import ScalarEchelon
@@ -622,20 +622,11 @@ def test_specializations_run_every_subcheck_when_bindings_allow():
 
 ERRATA_OFF_EXPECTED_FAILURES = {
     "eigenstructure": {"derivative-eigenvectors:omega", "derivative-eigenvectors:omega-inv"},
-    "calculus-omega": {"generated-vs-transcribed:dxi"},
-    "calculus-omega-inv": {
-        "generated-vs-transcribed:xd",
-        "derivative-annihilates:d1*xx1",
-        "derivative-annihilates:d3*xx1",
-        "derivative-decomposition:x2*x3*x1",
-    },
+    "calculus-omega": {"generated-vs-transcribed:dxi", "completion"},
+    "calculus-omega-inv": {"generated-vs-transcribed:xd", "completion"},
     "rtt": {"generated-vs-transcribed"},
-    "star": {
-        "quantum-matrix-relations",
-        "determinant-star-fixed",
-        "inverse-determinant-relations",
-    },
-    "hopf": {"coproduct-is-algebra-map", "determinant-group-like"},
+    "star": {"quantum-matrix-relations", "inverse-determinant-relations"},
+    "hopf": {"coproduct-is-algebra-map"},
     "specializations": {"q=u^2-calculi-coincide:dxi", "q=u^2-calculi-coincide:xd"},
 }
 
@@ -651,41 +642,108 @@ def test_errata_off_failing_set_is_stable(errata_off_reports):
         assert not errata_off_reports[check].passed
 
 
-def test_errata_off_normal_form_certificates_are_undecided(errata_off_reports):
+def test_errata_off_transposed_inverse_is_undecided(errata_off_reports):
     # the uncorrected tt rules are not confluent, so a nonzero normal form
-    # refutes nothing; member() would certify both entries after completion
+    # under them refutes nothing; coaction keeps this base-rule certificate
     confluence = ncalg.algebra(VerifyContext(errata=False).bound.tt).confluence
     assert not confluence.confluent and len(confluence.unresolved) == 22
     coaction = detail_map(errata_off_reports["coaction"])["transposed-inverse"]
-    star = detail_map(errata_off_reports["star"])["determinant-star-fixed"]
-    assert not coaction.ok and not star.ok
+    assert not coaction.ok
     assert coaction.note == ("undecided: sum_j W_lj t^k_j - delta_lk D keeps a nonzero "
                              "normal form under rules with 22 unresolved overlaps")
-    assert star.note == ("undecided: star(D) - D keeps a nonzero normal form under rules "
-                         "with 22 unresolved overlaps")
     assert errata_off_reports["coaction"].counterexample.startswith("entry (1, 1): ")
+
+
+def test_errata_off_group_like_and_star_fixed_pass(errata_off_reports):
+    # tt is homogeneous: normal forms under its rules completed to degree 3
+    # decide both identities, and each reduces to zero
+    group_like = detail_map(errata_off_reports["hopf"])["determinant-group-like"]
+    star_fixed = detail_map(errata_off_reports["star"])["determinant-star-fixed"]
+    assert group_like.ok and star_fixed.ok
+    assert group_like.note == "Delta(D) - D(x)D reduces to zero at bidegree (3,3), exactly"
+    assert star_fixed.note == "star(D) - D reduces to zero at degree 3"
 
 
 DERIVATIVE_IDENTITIES = ("derivative-annihilates:", "exterior-derivative:",
                          "derivative-decomposition:")
 
 
-def test_errata_off_group_like_and_derivative_identities_are_undecided(errata_off_reports):
-    # nonzero normal forms under rules with unresolved overlaps refute
-    # nothing; Delta(D) - D(x)D even reduces to zero under the legs' completion(3)
-    group_like = detail_map(errata_off_reports["hopf"])["determinant-group-like"]
-    assert not group_like.ok
-    assert group_like.note == ("undecided: Delta(D) - D(x)D keeps a nonzero normal form "
-                               "under rules with 22 unresolved overlaps")
-    derivative = [d for variant in ("omega", "omega-inv")
-                  for d in errata_off_reports[f"calculus-{variant}"].details
-                  if not d.ok and d.id.startswith(DERIVATIVE_IDENTITIES)]
-    assert [d.id for d in derivative] == ["derivative-annihilates:d1*xx1",
-                                          "derivative-annihilates:d3*xx1",
-                                          "derivative-decomposition:x2*x3*x1"]
-    assert all(d.note.startswith("undecided: ") for d in derivative)
-    assert derivative[0].note == ("undecided: d1*xx1 keeps a nonzero normal form under "
-                                  "rules with 23 unresolved overlaps")
+def test_errata_off_calculi_report_one_completion_collapse(errata_off_reports):
+    # completing each uncorrected calculus to degree 3 puts a derivative into
+    # the ideal, so no derivative identity is decided
+    collapses = {
+        "omega": "d2*d1*x1 puts ((q^4 - u^4)/u^4)*d2",
+        "omega-inv": "d2*d1*x2 puts ((q^4 - u^4)/(q^2*u^2))*d1",
+    }
+    for variant, collapse in collapses.items():
+        details = errata_off_reports[f"calculus-{variant}"].details
+        completion = [d for d in details if d.id == "completion"]
+        assert [d.ok for d in completion] == [False]
+        assert completion[0].note == f"rank collapse: the ambiguity {collapse} into the ideal"
+        assert not any(d.id.startswith(DERIVATIVE_IDENTITIES) for d in details)
+
+
+def test_failing_derivative_identity_takes_the_membership_note(monkeypatch):
+    # d(x1) = xi2 breaks the exterior derivative of xx1; the calculus is
+    # confluent, so its nonzero normal form is a certificate
+    images = verify._exterior_images
+    monkeypatch.setattr(verify, "_exterior_images",
+                        lambda A: {**images(A), "x1": Element.generator(A, "xi2")})
+    report = verify.check_calculus(VerifyContext())
+    detail = detail_map(report)["exterior-derivative:xx1"]
+    assert not detail.ok
+    assert detail.note == ("nonzero normal form under confluent or homogeneous rules "
+                           "completed to degree 3")
+    assert report.counterexample
+
+
+def test_errata_off_failing_notes_say_what_failed(errata_off_reports):
+    inverse = detail_map(errata_off_reports["inverse"])
+    assert inverse["antipode:(1,1)"].note == (
+        "lifted by one determinant power; certificate: "
+        "D * sum_k S(t^1_k) t^k_1 - D is not in the ideal")
+    assert inverse["antipode:(2,3)"].note == (
+        "lifted by one determinant power; certificate: "
+        "D * sum_k S(t^2_k) t^k_3 is not in the ideal")
+    eigen = detail_map(errata_off_reports["eigenstructure"])
+    for variant in ("omega", "omega-inv"):
+        assert eigen[f"derivative-eigenvectors:{variant}"].note == (
+            "relations [0, 1, 2] are not eigenvectors under the transposed inverse")
+
+
+def test_unoriented_qg_gives_the_antipode_its_error(monkeypatch):
+    orient = ncalg.orient
+
+    def refuse_qg(pres, *args):
+        if pres.name == "qg":
+            raise ncalg.InconsistentPresentationError("qg refused")
+        return orient(pres, *args)
+
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+    monkeypatch.setattr(ncalg, "orient", refuse_qg)
+    report = verify.check_inverse(VerifyContext())
+    detail = detail_map(report)["antipode"]
+    assert not detail.ok and detail.note == "qg refused"
+
+
+def test_tensor_completion_stops_qg_at_the_calculus_collapse(monkeypatch, capsys):
+    # the calculus collapses at degree 3: completing the legs in step never
+    # completes qg past it
+    asked = []
+    completion = MembershipOracle.completion
+
+    def spy(self, degree):
+        asked.append((self.pres.name, degree))
+        return completion(self, degree)
+
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+    monkeypatch.setattr(MembershipOracle, "completion", spy)
+    argv = ["verify", "--check", "coaction", "--spec", "q=u^2", "--errata", "off",
+            "--format", "json", "--no-timings"]
+    assert cli.run(argv) == 1
+    assert "rank collapse" in capsys.readouterr().out
+    qg = [degree for name, degree in asked if name == "qg"]
+    assert qg and max(qg) <= 3
 
 
 def test_errata_off_determinant_names_the_tdinv_errata(errata_off_reports):
