@@ -681,19 +681,7 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None) -> Conflu
                 unresolved.append(OverlapDefect(lhs_a, lhs_b, word, diff))
         if not unresolved or complete_up_to is None:
             break
-        new_rules = {}
-        for defect in unresolved:
-            lead = defect.difference.lead_word()
-            if len(lead) < 2:
-                raise InconsistentPresentationError(
-                    f"rank collapse: the ambiguity {system.alphabet.format_word(defect.word)} "
-                    f"puts {defect.difference} into the ideal"
-                )
-            inv = defect.difference.terms[lead].inverse()
-            tail = {
-                w: -(c * inv) for w, c in defect.difference.terms.items() if w != lead
-            }
-            new_rules[lead] = Element(system.alphabet, tail)
+        new_rules = _defect_rules(system, unresolved)
         added.extend(new_rules)
         system = system.extended(new_rules)
     return ConfluenceReport(
@@ -703,6 +691,21 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None) -> Conflu
         rules_added=added,
         system=system,
     )
+
+
+def _defect_rules(system: RuleSystem, defects: Sequence[OverlapDefect]) -> dict:
+    """Each defect's difference as a monic rule; raises a rank collapse (overlap_resolve)."""
+    new_rules = {}
+    for defect in defects:
+        lead = defect.difference.lead_word()
+        if len(lead) < 2:
+            raise InconsistentPresentationError(
+                f"rank collapse: the ambiguity {system.alphabet.format_word(defect.word)} "
+                f"puts {defect.difference} into the ideal")
+        inv = defect.difference.terms[lead].inverse()
+        tail = {w: -(c * inv) for w, c in defect.difference.terms.items() if w != lead}
+        new_rules[lead] = Element(system.alphabet, tail)
+    return new_rules
 
 
 def _apply_rule_at(system: RuleSystem, word, pos, lhs) -> Element:
@@ -841,8 +844,10 @@ class MembershipOracle:
 
         Confluent rules are their own completion.  Otherwise the completion
         starts from the largest cached completion below degree, a valid start
-        since its added rules are ideal elements.  Raises the orientation
-        error, or the rank collapse that this or a lower completion met.
+        since its added rules are ideal elements, or from the base rules with
+        the certificate's unresolved defects of length <= degree oriented.
+        Raises the orientation error, or the rank collapse that this or a
+        lower completion met.
         """
         if degree not in self._completions:
             below = [d for d in self._completions if d < degree]
@@ -851,13 +856,22 @@ class MembershipOracle:
                 if isinstance(start, InconsistentPresentationError):
                     raise start
                 self._completions[degree] = start if self.confluent \
-                    else overlap_resolve(start, complete_up_to=degree).system
+                    else self._complete(start, degree)
             except InconsistentPresentationError as err:
                 self._completions[degree] = err
         found = self._completions[degree]
         if isinstance(found, InconsistentPresentationError):
             raise found
         return found
+
+    def _complete(self, start: RuleSystem, degree: int) -> RuleSystem:
+        if start is self.rules:
+            new_rules = _defect_rules(start, [defect for defect in self.confluence.unresolved
+                                              if len(defect.word) <= degree])
+            if not new_rules:
+                return start
+            start = start.extended(new_rules)
+        return overlap_resolve(start, complete_up_to=degree).system
 
     # -- row generation ------------------------------------------------------
 
@@ -1037,6 +1051,10 @@ class TensorAlgebra(MembershipOracle):
         self.orientation_error = failed and failed.orientation_error
 
     @property
+    def confluence(self) -> ConfluenceReport:
+        raise AttributeError("a tensor algebra keeps no overlap report; its legs do")
+
+    @property
     def confluent(self) -> bool:
         """Whether both legs' rules are confluent; raises a leg's orientation error."""
         return all(leg.confluent for leg in self.legs)
@@ -1044,13 +1062,15 @@ class TensorAlgebra(MembershipOracle):
     def completion(self, degree: int) -> TensorRules:
         """The TensorRules of the legs' completions to degree (cached in the legs).
 
-        The legs are completed in step, one degree at a time, so a leg's rank
-        collapse is met at the lowest degree where it occurs, before the other
-        leg is completed past it.  Raises a leg's orientation error or rank
-        collapse, the left leg's first at one degree.
+        The legs are completed in step, one degree at a time and an
+        inhomogeneous leg first, so a rank collapse is met at the lowest degree
+        where it occurs, before the other leg is completed to it: a
+        homogeneous quadratic leg never collapses, since every defect it meets
+        is homogeneous of length >= 3.  Raises a leg's error.
         """
+        legs = sorted(self.legs, key=lambda leg: leg.homogeneous)
         for step in range(2, degree + 1):
-            for leg in self.legs:
+            for leg in legs:
                 leg.completion(step)
         return TensorRules(self.alphabet, *(leg.completion(degree) for leg in self.legs))
 

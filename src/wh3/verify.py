@@ -16,19 +16,16 @@ inverse, the braid equation's legs C(x)1 and 1(x)C) is a `catalog.CMatrix`
 operation.
 The numerators W of the inverse transposed quantum matrix, which transform the
 derivatives, are the star image of the transcribed cofactors (nothing solves
-for them); coaction certifies sum_j W_lj t^k_j = delta_lk D by normal forms
-under the base rules before it tests any family, and there a nonzero normal
-form refutes the identity only under confluent rules; otherwise the failing
-note starts `undecided:`.
-Every other identity is decided by its normal form under rules completed to
-its degree (the calculi's derivative identities and the determinant's star
-and coproduct images at degree 3): a vanishing normal form, or a nonzero one
-under confluent or homogeneous rules, is an exact certificate, and anything
-else is reported `undecided:`.  The only modular verdicts are the raw-row cross-checks of the
-determinant, and each records the prime and seed that reproduce it.  Rules,
-completions and membership caches live in one shared algebra object per
-presentation content (`ncalg.algebra`), so a binding, an errata switch or any
-changed coefficient yields its own.
+for them).  Every identity is decided by its normal form under rules completed
+to its degree (W's certificate, the calculi's derivative identities and the
+determinant's star and coproduct images at degree 3): a vanishing normal form,
+or a nonzero one under confluent or homogeneous rules, is an exact
+certificate, and anything else is reported `undecided:`.  Base rules only move
+Dinv left before it is lifted by determinant powers.  The only modular verdicts
+are the raw-row cross-checks of the determinant, and each records the prime and
+seed that reproduce it.  Rules, completions and membership caches live in one
+shared algebra object per presentation content (`ncalg.algebra`), so a binding,
+an errata switch or any changed coefficient yields its own.
 """
 
 from __future__ import annotations
@@ -482,7 +479,6 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     inp = ctx.bound
     with timed_report("inverse") as report:
         oracle = ncalg.algebra(inp.tt)
-        rules = oracle.rules
         TA = inp.tt.alphabet
         D = inp.determinant
         T = _matrix(TA, "t")
@@ -497,17 +493,10 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                     counterexample=None if rep.member else str(rep.residual),
                 )
         # left product without the determinant-inverse weights: reported finding
-        diag = []
-        offdiag_zero = True
-        left = _matmul(inp.cofactors, T)
-        for i in range(3):
-            for j in range(3):
-                nf = rules.normalize(left[i][j])
-                if i == j:
-                    diag.append(nf)
-                elif not nf.is_zero:
-                    offdiag_zero = False
-        plain_left_diagonal = offdiag_zero and all(d == diag[0] for d in diag)
+        rules = oracle.completion(3)
+        left = [[rules.normalize(e) for e in row] for row in _matmul(inp.cofactors, T)]
+        plain_left_diagonal = all(left[i][j] == left[0][0] if i == j else left[i][j].is_zero
+                                  for i in range(3) for j in range(3))
         report.add(
             "left-determinant-analysis", True,
             note=(
@@ -673,60 +662,51 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Invariance of every calculus relation family under the quantum matrix."""
     inp = ctx.bound
     with timed_report("coaction") as report:
-        tt_algebra = ncalg.algebra(inp.tt)
-        rules = tt_algebra.rule_system()
+        # tt is homogeneous, so membership at degree 3 decides each entry exactly
+        tt = ncalg.algebra(inp.tt)
         D = inp.determinant
         cert = _matmul(inp.W, list(zip(*_matrix(inp.tt.alphabet, "t"))))
-        residuals = ((l, k, rules.normalize(cert[l][k] - D if k == l else cert[l][k]))
-                     for l in range(3) for k in range(3))
-        failed = next(((l, k, nf) for l, k, nf in residuals if nf), None)
-        # under the base rules a nonzero normal form refutes the identity only
-        # when they are confluent
-        confluence = tt_algebra.confluence
+        reps = ((l, k, tt.member(cert[l][k] - D if k == l else cert[l][k], degree=3))
+                for l in range(3) for k in range(3))
+        failed = next(((l, k, rep) for l, k, rep in reps if not rep.member), None)
         report.add(
             "transposed-inverse", failed is None,
             note="W is the star image of the cofactors; certifies "
                  "sum_j W_lj t^k_j = delta_lk D" if failed is None
-            else "sum_j W_lj t^k_j - delta_lk D does not reduce to zero for W the star "
-                 "image of the cofactors" if confluence.confluent
-            else "undecided: sum_j W_lj t^k_j - delta_lk D keeps a nonzero normal form "
-                 f"under rules with {len(confluence.unresolved)} unresolved overlaps",
+            else "sum_j W_lj t^k_j - delta_lk D is not in the ideal for W the star "
+                 "image of the cofactors",
             counterexample=None if failed is None else
-            f"entry ({failed[0] + 1}, {failed[1] + 1}): {str(failed[2])[:160]}",
+            f"entry ({failed[0] + 1}, {failed[1] + 1}): {str(failed[2].residual)[:160]}",
         )
         if failed is not None:
             return report
+        # qg (x) calculus also normalizes and decides the lifted images, which
+        # have no Dinv: no relation of qg mixes words with Dinv and words
+        # without it (every word of the tdinv rows has one, no word of a tt row
+        # does), so orienting qg reduces the two kinds of rows apart, and Dinv's
+        # rank 0 shifts every other rank by one and keeps their order.  Its
+        # rules for Dinv-free words are tt's, and no Dinv rule applies to a
+        # Dinv-free word.  The tensor normalizes leg by leg, under the rules of
+        # qg and of the calculus.
         per_variant = {}
+        for variant, calculus in inp.calculus.items():
+            alphabet = ncalg.tensor_alphabet(inp.qg.alphabet, calculus.alphabet)
+            tensor = ncalg.TensorAlgebra(ncalg.algebra(inp.qg), ncalg.algebra(calculus), alphabet)
+            per_variant[variant] = (tensor, tensor.rule_system(), alphabet,
+                                    _coaction_images(alphabet, inp.W),
+                                    ncalg.algebra_map(D, alphabet))
         for fid in COACTION_DEFAULT_FAMILIES:
             variant = "omega-inv" if fid.endswith("omega-inv") else "omega"
-            if variant not in per_variant:
-                # qg (x) calculus also normalizes and decides the lifted images,
-                # which have no Dinv: no relation of qg mixes words with Dinv and
-                # words without it (every word of the tdinv rows has one, no word
-                # of a tt row does), so orienting qg reduces the two kinds of rows
-                # apart, and Dinv's rank 0 shifts every other rank by one and
-                # keeps their order.  Its rules for Dinv-free words are tt's, and
-                # no Dinv rule applies to a Dinv-free word.  The tensor normalizes
-                # leg by leg, under the rules of qg and of the calculus.
-                calculus = inp.calculus[variant]
-                alphabet = ncalg.tensor_alphabet(inp.qg.alphabet, calculus.alphabet)
-                tensor = ncalg.TensorAlgebra(ncalg.algebra(inp.qg), ncalg.algebra(calculus),
-                                             alphabet)
-                per_variant[variant] = (tensor, tensor.rule_system(), alphabet,
-                                        _coaction_images(alphabet, inp.W),
-                                        ncalg.algebra_map(D, alphabet))
             tensor, tensor_rules, alphabet, images, D_tensor = per_variant[variant]
             failures = []
             stopped = None  # a rank collapse or an undecided verdict ends the family
             relations = inp.families[fid]
             for ridx, rel in enumerate(relations):
                 nf = tensor_rules.normalize(ncalg.algebra_map(rel, alphabet, images))
-                residual = tensor_rules.normalize(_determinant_lift(nf, alphabet, D_tensor))
-                if residual.is_zero:
-                    continue
+                lifted = _determinant_lift(nf, alphabet, D_tensor)
                 # decide the lifted element by its normal form under completed rules
                 try:
-                    rep = tensor.member(residual, degree=residual.degree())
+                    rep = tensor.member(lifted, degree=lifted.degree())
                 except ncalg.InconsistentPresentationError as err:
                     stopped = f"{err} (deciding relation {ridx})"
                     break

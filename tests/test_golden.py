@@ -50,13 +50,22 @@ def test_verify_output_matches_golden_file(capsys, options, name, code):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
-def test_only_the_transposed_inverse_keeps_a_base_rule_verdict():
-    # every other identity is decided under completed rules: only coaction's
-    # certificate of W reads the base rules, and its note names W
-    for path in sorted(GOLDEN.glob("verify-*")):
-        for line in path.read_text().splitlines():
-            if "keeps a nonzero normal form" in line:
-                assert "sum_j W_lj t^k_j - delta_lk D keeps" in line, path
+def test_no_golden_verdict_is_read_from_base_rules():
+    # every exact verdict comes from normal forms under completed rules, so no
+    # note reports a base-rule normal form or leaves a verdict undecided
+    notes = [(path.name, detail.get("note") or "")
+             for path in sorted(GOLDEN.glob("verify-*.json"))
+             for report in json.loads(path.read_text())["reports"]
+             for detail in report["details"]]
+    # a text report prints each failing detail as "FAIL id: note"
+    notes += [(path.name, line.split(": ", 1)[1])
+              for path in sorted(GOLDEN.glob("verify-*.txt"))
+              for line in path.read_text().splitlines()
+              if line.lstrip().startswith("FAIL ") and ": " in line]
+    assert {"verify-errata-off.json", "verify-errata-off.txt"} <= {name for name, _ in notes}
+    for name, note in notes:
+        assert "keeps a nonzero normal form" not in note, name
+        assert not note.startswith("undecided:"), name
 
 
 def test_text_report_matches_golden_file(capsys):

@@ -406,6 +406,8 @@ def test_completion_reports_a_rank_collapse():
 
 
 def test_completion_starts_from_the_largest_cached_completion_below(monkeypatch):
+    # the certificate's overlap pass is the first round of a completion from
+    # the base rules: it starts with the defects' rules added
     starts = []
     resolve = ncalg.overlap_resolve
 
@@ -415,10 +417,20 @@ def test_completion_starts_from_the_largest_cached_completion_below(monkeypatch)
 
     monkeypatch.setattr(ncalg, "overlap_resolve", spy)
     oracle = MembershipOracle(catalog.tt_presentation(errata=False))
-    oracle.confluence
+    leads = {defect.difference.lead_word() for defect in oracle.confluence.unresolved}
     third = oracle.completion(3)
     oracle.completion(4)
-    assert starts[1:] == [oracle.rules, third]
+    base, seeded, from_third = starts
+    assert base is oracle.rules and from_third is third
+    assert set(seeded.rules) == set(base.rules) | leads
+
+
+def test_completion_of_quadratic_rules_to_degree_two_is_the_base_rules(monkeypatch):
+    # every ambiguity of quadratic rules has length 3: nothing to orient or scan
+    oracle = MembershipOracle(catalog.tt_presentation(errata=False))
+    assert not oracle.confluent
+    monkeypatch.setattr(ncalg, "overlap_resolve", None)
+    assert oracle.completion(2) is oracle.rules
 
 
 @pytest.fixture(scope="module")
@@ -777,6 +789,14 @@ def test_tensor_completion_meets_the_calculus_rank_collapse():
     mixed = ncalg.TensorAlgebra(ncalg.algebra(VerifyContext().bound.qg), calculus,
                                 tensor.alphabet)
     assert mixed.legs[0].confluent and not mixed.confluent
+
+
+def test_tensor_algebra_keeps_no_overlap_report():
+    tensor = bound_tensor()
+    with pytest.raises(AttributeError, match="a tensor algebra keeps no overlap report; "
+                                             "its legs do"):
+        tensor.confluence
+    assert all(leg.confluence.confluent for leg in tensor.legs)
 
 
 def test_tensor_presentation_is_one_algebra_with_its_flat_copy():

@@ -628,6 +628,7 @@ ERRATA_OFF_EXPECTED_FAILURES = {
     "star": {"quantum-matrix-relations", "inverse-determinant-relations"},
     "hopf": {"coproduct-is-algebra-map"},
     "specializations": {"q=u^2-calculi-coincide:dxi", "q=u^2-calculi-coincide:xd"},
+    "coaction": {f"family:{fid}" for fid in verify.COACTION_DEFAULT_FAMILIES},
 }
 
 
@@ -642,16 +643,20 @@ def test_errata_off_failing_set_is_stable(errata_off_reports):
         assert not errata_off_reports[check].passed
 
 
-def test_errata_off_transposed_inverse_is_undecided(errata_off_reports):
-    # the uncorrected tt rules are not confluent, so a nonzero normal form
-    # under them refutes nothing; coaction keeps this base-rule certificate
-    confluence = ncalg.algebra(VerifyContext(errata=False).bound.tt).confluence
-    assert not confluence.confluent and len(confluence.unresolved) == 22
-    coaction = detail_map(errata_off_reports["coaction"])["transposed-inverse"]
-    assert not coaction.ok
-    assert coaction.note == ("undecided: sum_j W_lj t^k_j - delta_lk D keeps a nonzero "
-                             "normal form under rules with 22 unresolved overlaps")
-    assert errata_off_reports["coaction"].counterexample.startswith("entry (1, 1): ")
+def test_errata_off_coaction_reaches_the_calculus_collapse(errata_off_reports):
+    # tt is homogeneous: normal forms under its rules completed to degree 3
+    # certify W, and each family then meets its calculus's rank collapse
+    details = detail_map(errata_off_reports["coaction"])
+    passing = detail_map(verify.check_coaction(VerifyContext()))["transposed-inverse"]
+    assert details["transposed-inverse"].ok
+    assert details["transposed-inverse"].note == passing.note
+    for fid in verify.COACTION_DEFAULT_FAMILIES:
+        variant = "omega-inv" if fid.endswith("omega-inv") else "omega"
+        detail = details[f"family:{fid}"]
+        assert not detail.ok
+        assert detail.note.startswith(
+            f"rank collapse: the ambiguity {ERRATA_OFF_COLLAPSES[variant]} into the ideal "
+            "(deciding relation "), (fid, detail.note)
 
 
 def test_errata_off_group_like_and_star_fixed_pass(errata_off_reports):
@@ -668,14 +673,16 @@ DERIVATIVE_IDENTITIES = ("derivative-annihilates:", "exterior-derivative:",
                          "derivative-decomposition:")
 
 
+# completing each uncorrected calculus to degree 3 puts a derivative into the ideal
+ERRATA_OFF_COLLAPSES = {
+    "omega": "d2*d1*x1 puts ((q^4 - u^4)/u^4)*d2",
+    "omega-inv": "d2*d1*x2 puts ((q^4 - u^4)/(q^2*u^2))*d1",
+}
+
+
 def test_errata_off_calculi_report_one_completion_collapse(errata_off_reports):
-    # completing each uncorrected calculus to degree 3 puts a derivative into
-    # the ideal, so no derivative identity is decided
-    collapses = {
-        "omega": "d2*d1*x1 puts ((q^4 - u^4)/u^4)*d2",
-        "omega-inv": "d2*d1*x2 puts ((q^4 - u^4)/(q^2*u^2))*d1",
-    }
-    for variant, collapse in collapses.items():
+    # no derivative identity is decided
+    for variant, collapse in ERRATA_OFF_COLLAPSES.items():
         details = errata_off_reports[f"calculus-{variant}"].details
         completion = [d for d in details if d.id == "completion"]
         assert [d.ok for d in completion] == [False]
@@ -727,23 +734,43 @@ def test_unoriented_qg_gives_the_antipode_its_error(monkeypatch):
 
 
 def test_tensor_completion_stops_qg_at_the_calculus_collapse(monkeypatch, capsys):
-    # the calculus collapses at degree 3: completing the legs in step never
-    # completes qg past it
-    asked = []
+    # the calculus collapses at degree 3 and, being inhomogeneous, is completed
+    # before qg at each degree: qg is never completed to degree 3
     completion = MembershipOracle.completion
+    for argv in (["--check", "coaction", "--spec", "q=u^2"], ["--all"]):
+        asked = []
 
-    def spy(self, degree):
-        asked.append((self.pres.name, degree))
-        return completion(self, degree)
+        def spy(self, degree):
+            asked.append((self.pres.name, degree))
+            return completion(self, degree)
+
+        monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+        monkeypatch.setattr(MembershipOracle, "completion", spy)
+        assert cli.run(["verify", *argv, "--errata", "off", "--format", "json",
+                        "--no-timings"]) == 1
+        assert "rank collapse" in capsys.readouterr().out
+        qg = [degree for name, degree in asked if name == "qg"]
+        assert qg and max(qg) <= 2, argv
+
+
+def test_errata_off_run_scans_each_base_rule_system_once(monkeypatch):
+    # confluence scans the base rules' overlaps, and a completion from them
+    # starts from its unresolved defects instead of scanning them again
+    scanned = []
+    ambiguities = ncalg._ambiguities
+
+    def spy(rules):
+        scanned.append(rules)
+        return ambiguities(rules)
 
     monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
-    monkeypatch.setattr(MembershipOracle, "completion", spy)
-    argv = ["verify", "--check", "coaction", "--spec", "q=u^2", "--errata", "off",
-            "--format", "json", "--no-timings"]
-    assert cli.run(argv) == 1
-    assert "rank collapse" in capsys.readouterr().out
-    qg = [degree for name, degree in asked if name == "qg"]
-    assert qg and max(qg) <= 3
+    monkeypatch.setattr(ncalg, "_ambiguities", spy)
+    verify.run_all(VerifyContext(errata=False))
+    algebras = list(ncalg._ALGEBRAS.values())
+    assert sorted(found.pres.name for found in algebras) == \
+        ["calculus-omega", "calculus-omega-inv", "qg", "t"]
+    for found in algebras:
+        assert sum(rules == found.rules.rules for rules in scanned) == 1, found.pres.name
 
 
 def test_errata_off_determinant_names_the_tdinv_errata(errata_off_reports):
