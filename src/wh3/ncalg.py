@@ -842,12 +842,12 @@ class MembershipOracle:
     def completion(self, degree: int) -> RuleSystem:
         """The rules with every ambiguity of length <= degree resolved (cached).
 
-        Confluent rules are their own completion.  Otherwise the completion
+        Every ambiguity of the quadratic rules has length 3, so below degree 3,
+        and for confluent rules, the completion is the rules.  Otherwise it
         starts from the largest cached completion below degree, a valid start
-        since its added rules are ideal elements, or from the base rules with
-        the certificate's unresolved defects of length <= degree oriented.
-        Raises the orientation error, or the rank collapse that this or a
-        lower completion met.
+        since its added rules are ideal elements, or from the rules with the
+        certificate's unresolved defects oriented.  Raises the orientation
+        error, or the rank collapse that this or a lower completion met.
         """
         if degree not in self._completions:
             below = [d for d in self._completions if d < degree]
@@ -855,8 +855,8 @@ class MembershipOracle:
             try:
                 if isinstance(start, InconsistentPresentationError):
                     raise start
-                self._completions[degree] = start if self.confluent \
-                    else self._complete(start, degree)
+                self._completions[degree] = self.rule_system() \
+                    if degree < 3 or self.confluent else self._complete(start, degree)
             except InconsistentPresentationError as err:
                 self._completions[degree] = err
         found = self._completions[degree]
@@ -865,12 +865,8 @@ class MembershipOracle:
         return found
 
     def _complete(self, start: RuleSystem, degree: int) -> RuleSystem:
-        if start is self.rules:
-            new_rules = _defect_rules(start, [defect for defect in self.confluence.unresolved
-                                              if len(defect.word) <= degree])
-            if not new_rules:
-                return start
-            start = start.extended(new_rules)
+        if start is self.rules:  # confluence has scanned its overlaps
+            start = start.extended(_defect_rules(start, self.confluence.unresolved))
         return overlap_resolve(start, complete_up_to=degree).system
 
     # -- row generation ------------------------------------------------------

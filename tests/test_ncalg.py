@@ -426,11 +426,13 @@ def test_completion_starts_from_the_largest_cached_completion_below(monkeypatch)
 
 
 def test_completion_of_quadratic_rules_to_degree_two_is_the_base_rules(monkeypatch):
-    # every ambiguity of quadratic rules has length 3: nothing to orient or scan
+    # every ambiguity of quadratic rules has length 3: nothing to orient or
+    # scan, not even for the certificate
     oracle = MembershipOracle(catalog.tt_presentation(errata=False))
-    assert not oracle.confluent
     monkeypatch.setattr(ncalg, "overlap_resolve", None)
     assert oracle.completion(2) is oracle.rules
+    monkeypatch.undo()
+    assert not oracle.confluent
 
 
 @pytest.fixture(scope="module")
