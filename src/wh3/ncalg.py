@@ -694,7 +694,7 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None) -> Conflu
 
 
 def _defect_rules(system: RuleSystem, defects: Sequence[OverlapDefect]) -> dict:
-    """Each defect's difference as a monic rule; raises a rank collapse (overlap_resolve)."""
+    """Each defect's difference as a monic rule; a lead of length <= 1 is a rank collapse."""
     new_rules = {}
     for defect in defects:
         lead = defect.difference.lead_word()
