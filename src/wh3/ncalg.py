@@ -30,7 +30,6 @@ normal forms, the confluence flag and the completions from the legs.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -79,7 +78,6 @@ __all__ = [
 ]
 
 DEFAULT_REWRITE_BUDGET = 2_000_000
-DEFAULT_MEMBERSHIP_DEGREE = 4
 MEMBERSHIP_ROW_CAP = 400_000
 ALGEBRA_CACHE_SIZE = 32
 
@@ -471,49 +469,13 @@ class RuleSystem:
             stack.pop()
         return cache[word]
 
-    def normalize(self, e: Element, strategy: str = "leftmost",
-                  rng: random.Random | None = None, with_steps: bool = False):
+    def normalize(self, e: Element) -> Element:
         """Normal form of an element; linear in the element by construction."""
-        if strategy == "leftmost":
-            counter = [0]
-            terms: dict = {}
-            for w, c in e.terms.items():
-                add_into(terms, self.normalize_word(w, counter).terms, c)
-            out = Element(self.alphabet, terms)
-            return (out, counter[0]) if with_steps else out
-        return self._normalize_strategy(e, strategy, rng, with_steps)
-
-    def _normalize_strategy(self, e: Element, strategy: str,
-                            rng: random.Random | None, with_steps: bool):
-        """Unmemoized rewriting with a configurable redex choice (for tests)."""
-        steps = 0
-        work = [(w, c) for w, c in e.terms.items()]
-        result: dict[tuple[int, ...], Scalar] = {}
-        while work:
-            word, coeff = work.pop()
-            positions = []
-            for i in range(len(word)):
-                for length in self._lhs_lengths:
-                    if i + length <= len(word) and word[i : i + length] in self.rules:
-                        positions.append((i, word[i : i + length]))
-            if not positions:
-                add_into(result, {word: coeff})
-                continue
-            if strategy == "rightmost":
-                i, lhs = positions[-1]
-            elif strategy == "random":
-                i, lhs = (rng or random).choice(positions)
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
-            steps += 1
-            if steps > self.budget:
-                raise RewriteBudgetError("rewrite budget exceeded")
-            rhs = self.rules[lhs]
-            prefix, suffix = word[:i], word[i + len(lhs):]
-            for w, c in rhs.terms.items():
-                work.append((prefix + w + suffix, coeff * c))
-        out = Element(self.alphabet, result)
-        return (out, steps) if with_steps else out
+        counter = [0]
+        terms: dict = {}
+        for w, c in e.terms.items():
+            add_into(terms, self.normalize_word(w, counter).terms, c)
+        return Element(self.alphabet, terms)
 
     def extended(self, extra_rules: Mapping[tuple[int, ...], Element]) -> "RuleSystem":
         merged = dict(self.rules)
@@ -778,31 +740,31 @@ class MembershipOracle:
     certificate, the completions and the echelons of the raw rows, each
     computed on first need.  Obtain shared instances through `algebra(pres)`.
 
+    `normal_form(e)` is the normal form of e under the rules completed to
+    e's own degree: each identity is decided at its own degree.
     `member(e, degree, mode)` has two routes:
 
-    - mode "exact": the normal form of e under `completion(degree)`.  Zero is
-      a member, exactly (route "reduction").  Nonzero is an exact non-member
-      (route "certificate") when the rules are confluent or the relations
-      homogeneous; otherwise the verdict is not certain and its note starts
-      "undecided:".  No rows are built.
-    - modes "rows" and "modular": elimination on the raw rows w1 * r * w2,
-      exactly or over GF(p), independent of the rules.  Their columns are
-      the words' `Alphabet.encode` integers for length degree; when every
-      relation is homogeneous the ideal is graded, and each homogeneous
-      component of e meets the rows of its own length instead (`span_rank`
-      adds up their ranks).  Residuals are decoded back to words.  A
-      modular verdict is never certain: an unlucky point can drop the rank
-      of the rows or of the residual.  So a modular non-member is checked
-      again at the next point of the seed, the note names both points and
-      starts "undecided:" if they disagree, and `support` holds the
-      residual's words at the first point (its GF(p) values are not
-      coefficients over Q(q, u, s)).  Both residuals
-      are the echelon's canonical remainders: they lie on the non-pivot
-      words and do not depend on the order of the rows.  For homogeneous
-      relations, such as tt's, the non-pivot words are the normal words of
-      `completion(degree)`: the exact residual is the normal form there,
-      and the support is its set of words (at a point that drops neither
-      the rank nor a coefficient).
+    - mode "exact": the normal form of e, under `completion(degree)` when a
+      degree is given.  Zero is a member, exactly (route "reduction").
+      Nonzero is an exact non-member (route "certificate") when the rules
+      are confluent or the relations homogeneous; otherwise the verdict is
+      not certain and its note starts "undecided:".  No rows are built.
+    - mode "modular": elimination on the raw rows w1 * r * w2 over GF(p),
+      independent of the rules.  Their columns are the words'
+      `Alphabet.encode` integers for length degree (e's degree by default);
+      when every relation is homogeneous the ideal is graded, and each
+      homogeneous component of e meets the rows of its own length instead
+      (`span_rank` adds up their ranks).  The verdict is never certain: an
+      unlucky point can drop the rank of the rows or of the residual.  So a
+      non-member is checked again at the next point of the seed, the note
+      names both points and starts "undecided:" if they disagree, and
+      `support` holds the residual's words at the first point (its GF(p)
+      values are not coefficients over Q(q, u, s)).  The residual is the
+      echelon's canonical remainder: it lies on the non-pivot words and does
+      not depend on the order of the rows.  For homogeneous relations, such
+      as tt's, the non-pivot words are the normal words of
+      `completion(degree)`, so the support is the normal form's set of
+      words (at a point that drops neither the rank nor a coefficient).
 
     Completions start from the largest cached completion below their
     degree.  A completion that puts a constant or a generator into the
@@ -869,6 +831,13 @@ class MembershipOracle:
             start = start.extended(_defect_rules(start, self.confluence.unresolved))
         return overlap_resolve(start, complete_up_to=degree).system
 
+    def normal_form(self, e: Element) -> Element:
+        """The normal form of e under the rules completed to e's degree.
+
+        Raises the orientation error or a rank collapse, like `completion`.
+        """
+        return self.completion(e.degree()).normalize(e)
+
     # -- row generation ------------------------------------------------------
 
     def _row_vectors(self, degree: int, point=None):
@@ -920,8 +889,8 @@ class MembershipOracle:
                             codes = [left + mid + r for mid, r in zip(mids, right)]
                             yield {k: v for k, v in zip(codes, row_values) if v}
 
-    def _echelon(self, degree: int, point=None) -> ScalarEchelon:
-        """The cached echelon of the rows: exact, or over GF(p) at a modular point.
+    def _echelon(self, degree: int, point) -> ModEchelon:
+        """The cached echelon of the rows over GF(p) at a modular point.
 
         The rows enter in ascending order of their lead column, as in F4 and
         structured sparse elimination, not in generation order: a row is then
@@ -932,7 +901,7 @@ class MembershipOracle:
         key = (degree, point)
         ech = self._echelons.get(key)
         if ech is None:
-            ech = ScalarEchelon() if point is None else ModEchelon(point.prime)
+            ech = ModEchelon(point.prime)
             for row in sorted(self._row_vectors(degree, point), key=lambda r: max(r, default=-1)):
                 ech.insert(row)
             self._echelons[key] = ech
@@ -942,56 +911,43 @@ class MembershipOracle:
 
     def member(self, e: Element, degree: int | None = None, mode: str = "exact",
                prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED) -> MembershipReport:
-        if mode not in ("exact", "rows", "modular"):
+        """Whether e lies in the ideal, at degree or, by default, at e's own degree."""
+        if mode not in ("exact", "modular"):
             raise ValueError(f"unknown membership mode {mode!r}")
-        if degree is None:
-            degree = max(e.degree(), DEFAULT_MEMBERSHIP_DEGREE)
-        if e.degree() > degree:
-            raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {degree}")
+        bound = e.degree() if degree is None else degree
+        if e.degree() > bound:
+            raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {bound}")
         if e.is_zero:
-            return MembershipReport(True, True, "trivial", "exact", degree)
+            return MembershipReport(True, True, "trivial", "exact", bound)
         if mode == "exact":
-            nf = self.completion(degree).normalize(e)
+            nf = self.normal_form(e) if degree is None else self.completion(degree).normalize(e)
             if nf.is_zero:
-                return MembershipReport(True, True, "reduction", "exact", degree,
+                return MembershipReport(True, True, "reduction", "exact", bound,
                                         note="normal form vanishes: explicit ideal decomposition")
             if self.confluent or self.homogeneous:
-                return MembershipReport(False, True, "certificate", "exact", degree, residual=nf,
+                return MembershipReport(False, True, "certificate", "exact", bound, residual=nf,
                                         note="nonzero normal form under confluent or "
-                                             f"homogeneous rules completed to degree {degree}")
-            return MembershipReport(False, False, "reduction", "exact", degree, residual=nf,
+                                             f"homogeneous rules completed to degree {bound}")
+            return MembershipReport(False, False, "reduction", "exact", bound, residual=nf,
                                     note="undecided: nonzero normal form under rules completed "
-                                         f"to degree {degree}, neither confluent nor homogeneous")
+                                         f"to degree {bound}, neither confluent nor homogeneous")
         alphabet = self.pres.alphabet
         if self.homogeneous:
             parts: dict = {}  # length -> the component of e
             for w, c in e.terms.items():
                 parts.setdefault(len(w), {})[w] = c
         else:
-            parts = {degree: e.terms}
+            parts = {bound: e.terms}
 
-        def remainder(point=None):
-            """The echelons' total rank and e's remainder on words, exact or at point."""
+        def remainder(point):
+            """The echelons' total rank and e's remainder on words at point."""
             rank, out = 0, {}
             for length, terms in parts.items():
                 ech = self._echelon(length, point)
-                vec = alphabet.encode_terms(terms, length)
                 rank += ech.rank
                 out.update(alphabet.decode_terms(
-                    ech.reduce(vec if point is None else eval_vec_mod(vec, point)), length))
+                    ech.reduce(eval_vec_mod(alphabet.encode_terms(terms, length), point)), length))
             return rank, out
-
-        if mode == "rows":
-            rank, residual = remainder()
-            return MembershipReport(
-                member=not residual,
-                certain=True,
-                route="linear-algebra",
-                mode="exact",
-                degree=degree,
-                span_rank=rank,
-                residual=Element(alphabet, residual) if residual else None,
-            )
 
         point, (rank, residual) = with_modular_retries(remainder, prime, seed)
         report = MembershipReport(
@@ -1001,7 +957,7 @@ class MembershipOracle:
             certain=False,
             route="linear-algebra",
             mode="modular",
-            degree=degree,
+            degree=bound,
             span_rank=rank,
             prime=point.prime,
             seed=point.seed,
@@ -1031,8 +987,12 @@ class TensorAlgebra(MembershipOracle):
     those of the legs' completions: no ambiguity of a commutation b*a -> a*b
     needs a new rule, so completing the tensor adds exactly the legs' new
     rules.  It is confluent when both legs are, and homogeneous when both
-    legs are; it keeps no overlap report of its own.  Membership is by
-    normal forms only (mode "exact"): it builds no rows.
+    legs are; it keeps no overlap report of its own.  `normal_form(e)`
+    decides a tensor of homogeneous legs at its bidegree: the quotient is
+    then bigraded, so each leg is completed only to the longest part of e's
+    words in it.  With an inhomogeneous leg it completes both legs in step
+    to e's total degree.  Membership is by normal forms only (mode
+    "exact"): it builds no rows.
     """
 
     def __init__(self, left: MembershipOracle, right: MembershipOracle, alphabet: Alphabet):
@@ -1069,6 +1029,16 @@ class TensorAlgebra(MembershipOracle):
             for leg in legs:
                 leg.completion(step)
         return TensorRules(self.alphabet, *(leg.completion(degree) for leg in self.legs))
+
+    def normal_form(self, e: Element) -> Element:
+        """The normal form of e, at its bidegree when both legs are homogeneous."""
+        if not self.homogeneous:
+            return self.completion(e.degree()).normalize(e)
+        left, right = self.legs
+        offset = len(left.pres.alphabet)
+        a = max((sum(g < offset for g in w) for w in e.terms), default=0)
+        b = max((sum(g >= offset for g in w) for w in e.terms), default=0)
+        return TensorRules(self.alphabet, left.completion(a), right.completion(b)).normalize(e)
 
     def member(self, e: Element, degree: int | None = None,
                mode: str = "exact") -> MembershipReport:

@@ -2,10 +2,10 @@
 
 Each check returns a Report with per-assertion details, witnesses on failure
 and the arithmetic mode that produced each verdict.  Checks are pure
-functions of an immutable context, so they can run in any order (or
-concurrently).  Each reads its inputs from `ctx.bound`, where the bindings
-are applied once, before the check starts; nothing derived from them is bound
-again, and a scalar error inside a check is an `undecided:` detail of it.
+functions of an immutable context, so they can run in any order.  Each reads
+its inputs from `ctx.bound`, where the bindings are applied once, before the
+check starts; nothing derived from them is bound again, and a scalar error
+inside a check is an `undecided:` detail of it.
 The quantum-matrix identities (T.Cof = D.I, the antipode S(T).T = I, the
 coproduct Delta(T) = L.R and the coaction on x, xi and the derivatives) are
 products of 3x3 element matrices through one routine, `_matmul`, and every
@@ -16,16 +16,17 @@ inverse, the braid equation's legs C(x)1 and 1(x)C) is a `catalog.CMatrix`
 operation.
 The numerators W of the inverse transposed quantum matrix, which transform the
 derivatives, are the star image of the transcribed cofactors (nothing solves
-for them).  Every identity is decided by its normal form under rules completed
-to its degree (W's certificate, the calculi's derivative identities and the
-determinant's star and coproduct images at degree 3): a vanishing normal form,
-or a nonzero one under confluent or homogeneous rules, is an exact
-certificate, and anything else is reported `undecided:`.  Base rules only move
-Dinv left before it is lifted by determinant powers.  The only modular verdicts
-are the raw-row cross-checks of the determinant, and each records the prime and
-seed that reproduce it.  Rules, completions and membership caches live in one
-shared algebra object per presentation content (`ncalg.algebra`), so a binding,
-an errata switch or any changed coefficient yields its own.
+for them).  Each identity is decided at its own degree, and a tensor of
+homogeneous legs at its bidegree: the algebra object's `member` and
+`normal_form` choose the completion, and no check names a degree.  A
+vanishing normal form, or a nonzero one under confluent or homogeneous rules,
+is an exact certificate, and anything else is reported `undecided:`.  Base
+rules only move Dinv left before it is lifted by determinant powers.  The only
+modular verdicts are the raw-row cross-checks of the determinant, and each
+records the prime and seed that reproduce it.  Rules, completions and
+membership caches live in one shared algebra object per presentation content
+(`ncalg.algebra`), so a binding, an errata switch or any changed coefficient
+yields its own.
 """
 
 from __future__ import annotations
@@ -373,44 +374,41 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
                 note=f"ranks {cmp.rank_a}/{cmp.rank_b}",
                 counterexample=None if cmp.verdict == "equal" else str(cmp.witness),
             )
-        # every identity below has degree at most 3: each holds when its normal
-        # form under the rules completed to degree 3 vanishes, and membership
-        # states what a nonzero normal form decides
         calculus = ncalg.algebra(inp.calculus[variant])
+
+        def decide(detail_id: str, e: Element):
+            rep = calculus.member(e)
+            report.add(detail_id, rep.member, note="" if rep.member else rep.note,
+                       counterexample=None if rep.member else str(rep.residual))
+
+        xx = [ncalg.algebra_map(r, target) for r in inp.families["xx"]]
+        images = _exterior_images(target)
+        d_ranks = {target.rank_of(f"d{i}") for i in (1, 2, 3)}
+        # a completion that collapses raises at the first identity that needs
+        # it, and is then the one `completion` detail
         try:
-            rules = calculus.completion(3)
+            # (b) derivatives annihilate the variable relations
+            for ridx, rel in enumerate(xx, 1):
+                for i in (1, 2, 3):
+                    decide(f"derivative-annihilates:d{i}*xx{ridx}",
+                           Element.generator(target, f"d{i}") * rel)
+            # (c) the exterior derivative annihilates them too
+            for ridx, rel in enumerate(xx, 1):
+                decide(f"exterior-derivative:xx{ridx}", ncalg.derivation_apply(images, rel))
+            # (d) d agrees with xi^i d_i on probe monomials
+            for probe_text in ("x1", "x1*x2", "x2*x3*x1"):
+                probe = exprs.parse_element(probe_text, target)
+                rhs = Element.zero(target)
+                for i in (1, 2, 3):
+                    nf = calculus.normal_form(Element.generator(target, f"d{i}") * probe)
+                    func = Element(target, {w: c for w, c in nf.terms.items()
+                                            if not any(g in d_ranks for g in w)})
+                    rhs = rhs + Element.generator(target, f"xi{i}") * func
+                decide(f"derivative-decomposition:{probe_text}",
+                       ncalg.derivation_apply(images, probe) - rhs)
         except ncalg.InconsistentPresentationError as err:
             report.add("completion", False, note=str(err), counterexample=str(err))
             return report
-
-        def decide(detail_id: str, e: Element):
-            nf = rules.normalize(e)
-            report.add(detail_id, nf.is_zero,
-                       note="" if nf.is_zero else calculus.member(e, degree=3).note,
-                       counterexample=None if nf.is_zero else str(nf))
-
-        xx = [ncalg.algebra_map(r, target) for r in inp.families["xx"]]
-        # (b) derivatives annihilate the variable relations
-        for ridx, rel in enumerate(xx, 1):
-            for i in (1, 2, 3):
-                decide(f"derivative-annihilates:d{i}*xx{ridx}",
-                       Element.generator(target, f"d{i}") * rel)
-        # (c) the exterior derivative annihilates them too
-        images = _exterior_images(target)
-        for ridx, rel in enumerate(xx, 1):
-            decide(f"exterior-derivative:xx{ridx}", ncalg.derivation_apply(images, rel))
-        # (d) d agrees with xi^i d_i on probe monomials
-        d_ranks = {target.rank_of(f"d{i}") for i in (1, 2, 3)}
-        for probe_text in ("x1", "x1*x2", "x2*x3*x1"):
-            probe = exprs.parse_element(probe_text, target)
-            rhs = Element.zero(target)
-            for i in (1, 2, 3):
-                nf = rules.normalize(Element.generator(target, f"d{i}") * probe)
-                func = Element(target, {w: c for w, c in nf.terms.items()
-                                        if not any(g in d_ranks for g in w)})
-                rhs = rhs + Element.generator(target, f"xi{i}") * func
-            decide(f"derivative-decomposition:{probe_text}",
-                   ncalg.derivation_apply(images, probe) - rhs)
         # (e) overlap analysis of the combined rule system
         confluence = calculus.confluence
         report.add(
@@ -486,15 +484,14 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         for i in range(3):
             for j in range(3):
                 total = right[i][j] - D if i == j else right[i][j]
-                rep = oracle.member(total, degree=3, mode="exact")
+                rep = oracle.member(total)
                 report.add(
                     f"right-inverse:({i + 1},{j + 1})", rep.member,
                     note=rep.route,
                     counterexample=None if rep.member else str(rep.residual),
                 )
         # left product without the determinant-inverse weights: reported finding
-        rules = oracle.completion(3)
-        left = [[rules.normalize(e) for e in row] for row in _matmul(inp.cofactors, T)]
+        left = [[oracle.normal_form(e) for e in row] for row in _matmul(inp.cofactors, T)]
         plain_left_diagonal = all(left[i][j] == left[0][0] if i == j else left[i][j].is_zero
                                   for i in range(3) for j in range(3))
         report.add(
@@ -521,7 +518,7 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 # each word carries one Dinv, which qg's rules keep and straighten left
                 lifted = _determinant_lift(qg_rules.normalize(antipode[i][j]), TA, D)
                 target = lifted - (D if i == j else Element.zero(TA))
-                rep = oracle.member(target, degree=3, mode="exact")
+                rep = oracle.member(target)
                 report.add(
                     f"antipode:({i + 1},{j + 1})", rep.member,
                     note="lifted by one determinant power; " + (
@@ -551,19 +548,16 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     inp = ctx.bound
     with timed_report("determinant") as report:
         oracle = ncalg.algebra(inp.tt)
-        # the tt relations are homogeneous, so normal forms under the rules
-        # completed to degree 4 decide every degree-4 identity exactly; they
-        # are linear, so g*D - lambda*D*g vanishes exactly when g*D and D*g
-        # are proportional
-        rules = oracle.completion(4)
         TA = inp.tt.alphabet
         D = inp.determinant
         lam: dict[str, Scalar] = {}
         probes = {}  # name -> g*D - lambda*D*g, for the modular cross-check
         for name in TA.names():
             g = Element.generator(TA, name)
-            left = rules.normalize(g * D)
-            right = rules.normalize(D * g)
+            # normal forms are linear, so g*D - lambda*D*g vanishes exactly
+            # when the normal forms of g*D and D*g are proportional
+            left = oracle.normal_form(g * D)
+            right = oracle.normal_form(D * g)
             if right.is_zero:
                 report.add(f"lambda:{name}", False, note="D*g reduces to zero",
                            counterexample="D*g reduces to zero")
@@ -592,8 +586,7 @@ def check_determinant(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         for name in ("t11", "t21"):
             if name not in probes:
                 continue
-            modular = oracle.member(probes[name], degree=4, mode="modular",
-                                    prime=ctx.prime, seed=ctx.seed)
+            modular = oracle.member(probes[name], mode="modular", prime=ctx.prime, seed=ctx.seed)
             report.prime, report.seed = modular.prime, modular.seed
             report.add(
                 f"exact-modular-agreement:{name}", modular.member,
@@ -662,11 +655,10 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Invariance of every calculus relation family under the quantum matrix."""
     inp = ctx.bound
     with timed_report("coaction") as report:
-        # tt is homogeneous, so membership at degree 3 decides each entry exactly
         tt = ncalg.algebra(inp.tt)
         D = inp.determinant
         cert = _matmul(inp.W, list(zip(*_matrix(inp.tt.alphabet, "t"))))
-        reps = ((l, k, tt.member(cert[l][k] - D if k == l else cert[l][k], degree=3))
+        reps = ((l, k, tt.member(cert[l][k] - D if k == l else cert[l][k]))
                 for l in range(3) for k in range(3))
         failed = next(((l, k, rep) for l, k, rep in reps if not rep.member), None)
         report.add(
@@ -704,9 +696,8 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             for ridx, rel in enumerate(relations):
                 nf = tensor_rules.normalize(ncalg.algebra_map(rel, alphabet, images))
                 lifted = _determinant_lift(nf, alphabet, D_tensor)
-                # decide the lifted element by its normal form under completed rules
                 try:
-                    rep = tensor.member(lifted, degree=lifted.degree())
+                    rep = tensor.member(lifted)
                 except ncalg.InconsistentPresentationError as err:
                     stopped = f"{err} (deciding relation {ridx})"
                     break
@@ -749,20 +740,16 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """Coproduct is an algebra map; the determinant is group-like; counit axiom."""
     inp = ctx.bound
     with timed_report("hopf") as report:
-        # A (x) A: tt is both legs, its letters t^i_j renamed l^i_j and r^i_j.
-        # Both legs are homogeneous, so leg-wise normal forms under the legs'
-        # rules completed to degree d decide every identity of bidegree (d, d)
-        # exactly
+        # A (x) A: tt is both legs, its letters t^i_j renamed l^i_j and r^i_j
         tt = ncalg.algebra(inp.tt)
         TA = ncalg.tensor_alphabet(*(ncalg.Alphabet.build(
             [(leg + g.name[1:], g.parity, g.weight) for g in inp.tt.alphabet]) for leg in "lr"))
         tensor = ncalg.TensorAlgebra(tt, tt, TA)
-        rules = tensor.completion(2)
         delta = _coproduct_images(TA)
         relations = inp.tt.relations
         failures = []
         for idx, rel in enumerate(relations):
-            nf = rules.normalize(ncalg.algebra_map(rel, TA, delta))
+            nf = tensor.normal_form(ncalg.algebra_map(rel, TA, delta))
             if not nf.is_zero:
                 failures.append((idx, nf))
         report.add(
@@ -776,7 +763,7 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         D = inp.determinant
         left = ncalg.algebra_map(D, TA, _leg_images("l", TA))
         right = ncalg.algebra_map(D, TA, _leg_images("r", TA))
-        diff = tensor.completion(3).normalize(ncalg.algebra_map(D, TA, delta) - left * right)
+        diff = tensor.normal_form(ncalg.algebra_map(D, TA, delta) - left * right)
         report.add(
             "determinant-group-like", diff.is_zero,
             note="Delta(D) - D(x)D reduces to zero at bidegree (3,3), exactly" if diff.is_zero
@@ -846,10 +833,9 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             else f"star images of {len(bad)} of {len(tt)} transcribed rows leave the span",
             counterexample=None if not bad else f"rows {bad} leave the span",
         )
-        # the determinant is star-fixed modulo the ideal, so Dinv* = Dinv is sound;
-        # tt is homogeneous, so membership at degree 3 decides it exactly
+        # the determinant is star-fixed modulo the ideal, so Dinv* = Dinv is sound
         D = inp.determinant
-        rep = ncalg.algebra(inp.tt).member(catalog.star_apply(D) - D, degree=3)
+        rep = ncalg.algebra(inp.tt).member(catalog.star_apply(D) - D)
         report.add(
             "determinant-star-fixed", rep.member,
             note="star(D) - D reduces to zero at degree 3" if rep.member

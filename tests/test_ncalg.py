@@ -29,6 +29,8 @@ from wh3.ncalg import (
 from wh3.scalars import Scalar
 from wh3.verify import VerifyContext
 
+from reference_routes import leftmost_steps, rewrite, row_member
+
 
 def x_pres():
     return catalog.x_presentation()
@@ -146,8 +148,8 @@ def test_normalize_strategies_agree_on_confluent_system():
     rules = orient(x_pres())
     e = parse_x("x3*x2*x1 - q*x1*x3*x2")
     leftmost = rules.normalize(e)
-    rightmost = rules.normalize(e, strategy="rightmost")
-    randomized = rules.normalize(e, strategy="random", rng=random.Random(7))
+    rightmost = rewrite(rules, e, "rightmost")
+    randomized = rewrite(rules, e, "random", random.Random(7))
     assert leftmost == rightmost == randomized
 
 
@@ -155,7 +157,7 @@ def test_rewrite_budget():
     rules = orient(x_pres())
     tight = ncalg.RuleSystem(rules.alphabet, rules.rules, budget=1)
     with pytest.raises(ncalg.RewriteBudgetError):
-        tight.normalize(parse_x("x3*x3*x2*x2*x1*x1"), strategy="rightmost")
+        rewrite(tight, parse_x("x3*x3*x2*x2*x1*x1"), "rightmost")
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +340,9 @@ def test_every_tt_relation_is_a_row_member_below_the_degree(errata):
     # the ideal is graded: a degree-2 relation meets the degree-2 rows
     oracle = ncalg.algebra(catalog.tt_presentation(errata=errata))
     for rel in oracle.pres.nonzero_relations():
-        rows = oracle.member(rel, degree=3, mode="rows")
+        rows = row_member(oracle, rel, 3)
         assert (rows.member, rows.certain) == (True, True)
-        modular = oracle.member(rel, mode="modular")
+        modular = oracle.member(rel, degree=4, mode="modular")
         assert (modular.member, modular.degree) == (True, 4)
 
 
@@ -375,7 +377,7 @@ def test_completion_agrees_with_raw_exact_rows_on_errata_off_tt(data):
         probe = probe + (Element.from_word(A, pad[:left]) * oracle.pres.relations[ridx]
                          * Element.from_word(A, pad[left:]))
     completed = oracle.member(probe, degree=degree)
-    raw = oracle.member(probe, degree=degree, mode="rows")
+    raw = row_member(oracle, probe, degree)
     assert completed.certain and completed.route in ("trivial", "reduction", "certificate")
     assert completed.member == raw.member
 
@@ -522,7 +524,7 @@ def test_member_residual_is_the_completed_normal_form(errata):
         assert not report.member
         assert set(report.support) == set(oracle.completion(4).normalize(e).terms), quartic
         e = parse_element(cubic, A)
-        assert oracle.member(e, degree=3, mode="rows").residual == \
+        assert row_member(oracle, e, 3).residual == \
             oracle.completion(3).normalize(e), cubic
 
 
@@ -548,7 +550,7 @@ def test_modular_points_that_disagree_leave_the_verdict_undecided():
     assert report.note == (f"undecided: not a member at (q, u, s) = "
                            f"{(q0, *ModularPoint.generate().values[1:])} (attempt 0) "
                            f"but a member at {second} (attempt 1)")
-    assert ncalg.algebra(pres).member(parse_element("x*y", A), degree=2, mode="rows").member
+    assert row_member(ncalg.algebra(pres), parse_element("x*y", A), 2).member
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -570,7 +572,7 @@ def test_certificate_agrees_with_raw_exact_membership(data):
         probe = probe + Element.from_word(A, pad[:left]) * rel * Element.from_word(A, pad[left:])
     oracle = ncalg.algebra(pres)
     certified = oracle.member(probe, degree=degree)
-    raw = oracle.member(probe, degree=degree, mode="rows")
+    raw = row_member(oracle, probe, degree)
     assert certified.route in ("trivial", "reduction", "certificate")
     assert raw.route in ("trivial", "linear-algebra")
     assert certified.member == raw.member
@@ -824,6 +826,44 @@ def test_tensor_alphabet_must_list_the_legs_letters():
         ncalg.TensorAlgebra(tt, x, ncalg.tensor_alphabet(x.pres.alphabet, tt.pres.alphabet))
 
 
+@pytest.mark.parametrize("errata", [True, False], ids=["errata", "errata-off"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tensor_normal_form_at_the_bidegree_is_the_total_degree_one(errata, data):
+    # hopf's tt (x) tt: homogeneous legs, each completed only to its part of e
+    tt = ncalg.algebra(catalog.tt_presentation(errata))
+    legs = [Alphabet.build([(leg + g.name[1:], g.parity, g.weight) for g in tt.pres.alphabet])
+            for leg in "lr"]
+    TA = ncalg.tensor_alphabet(*legs)
+    tensor = ncalg.TensorAlgebra(tt, tt, TA)
+    n = len(tt.pres.alphabet)
+    a = data.draw(st.integers(0, 4))
+    b = data.draw(st.integers(0, 4 - a))
+
+    def word(length, leg):
+        return tuple(data.draw(st.lists(st.integers(leg * n, leg * n + n - 1),
+                                        min_size=length, max_size=length)))
+
+    # an ideal element of the same bidegree, so that members occur too
+    sizes = (a, b)
+    leg = data.draw(st.sampled_from([k for k in (0, 1) if sizes[k] >= 2] + [None]))
+    coefficients = st.sampled_from(["1", "-1", "q", "u/q", "s"])
+    e = Element.zero(TA)
+    for _ in range(data.draw(st.integers(0 if leg is not None else 1, 2))):
+        # the letters of the two legs interleaved in any order
+        shuffled = data.draw(st.permutations(word(a, 0) + word(b, 1)))
+        e = e + Element.from_word(TA, tuple(shuffled), parse_scalar(data.draw(coefficients)))
+    if leg is not None:
+        rel = tt.pres.relations[data.draw(st.integers(0, len(tt.pres.relations) - 1))]
+        images = {g.name: Element.generator(TA, f"{'lr'[leg]}{g.name[1:]}")
+                  for g in tt.pres.alphabet}
+        pad = word(sizes[leg] - 2, leg)
+        cut = data.draw(st.integers(0, len(pad)))
+        e = e + (Element.from_word(TA, pad[:cut]) * algebra_map(rel, TA, images)
+                 * Element.from_word(TA, pad[cut:]) * Element.from_word(TA, word(sizes[1 - leg], 1 - leg)))
+    assert tensor.normal_form(e) == tensor.completion(a + b).normalize(e)
+
+
 def test_specialize_to_quantum_plane():
     spec = specialize(x_pres(), {"s": 0})
     assert span_compare(spec, catalog.quantum_plane_presentation()).verdict == "equal"
@@ -944,7 +984,7 @@ def test_rewriting_terminates_on_random_words(data):
     n = len(pres.alphabet)
     word = tuple(data.draw(st.integers(0, n - 1))
                  for _ in range(data.draw(st.integers(0, 5))))
-    _, steps = rules.normalize(Element.from_word(pres.alphabet, word), with_steps=True)
+    _, steps = leftmost_steps(rules, Element.from_word(pres.alphabet, word))
     assert steps < rules.budget
 
 
@@ -957,7 +997,7 @@ def test_confluent_normalize_is_idempotent_and_path_independent(data):
     nf = rules.normalize(e)
     assert rules.normalize(nf) == nf
     rng = random.Random(data.draw(st.integers(0, 10_000)))
-    assert rules.normalize(e, strategy="random", rng=rng) == nf
+    assert rewrite(rules, e, "random", rng) == nf
 
 
 def test_element_format_round_trip():

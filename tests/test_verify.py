@@ -1,5 +1,6 @@
 """The verification checks, their witnesses, and their negative controls."""
 
+import ast
 import random
 from collections import OrderedDict
 from pathlib import Path
@@ -699,8 +700,9 @@ def test_failing_derivative_identity_takes_the_membership_note(monkeypatch):
     report = verify.check_calculus(VerifyContext())
     detail = detail_map(report)["exterior-derivative:xx1"]
     assert not detail.ok
+    # the identity has degree 2, and is decided at its own degree
     assert detail.note == ("nonzero normal form under confluent or homogeneous rules "
-                           "completed to degree 3")
+                           "completed to degree 2")
     assert report.counterexample
 
 
@@ -863,6 +865,15 @@ def test_coaction_fails_collapsed_families_without_building_rows(monkeypatch):
     assert report.status == "fail"
 
 
+def test_verify_leaves_every_completion_degree_to_the_algebra_objects():
+    # each identity is decided at its own degree by `member` or `normal_form`
+    calls = [node for node in ast.walk(ast.parse(Path(verify.__file__).read_text()))
+             if isinstance(node, ast.Call)]
+    assert [c.lineno for c in calls
+            if isinstance(c.func, ast.Attribute) and c.func.attr == "completion"] == []
+    assert [c.lineno for c in calls if any(k.arg == "degree" for k in c.keywords)] == []
+
+
 def test_row_cap_is_checked_before_any_row_is_built(monkeypatch):
     oracle = ncalg.MembershipOracle(catalog.x_presentation())
     probe = parse_element("x1*x2*x3", catalog.x_alphabet())
@@ -870,7 +881,7 @@ def test_row_cap_is_checked_before_any_row_is_built(monkeypatch):
     monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 3 * 2 * 3 - 1)
     monkeypatch.setattr(ncalg.Element, "from_word", None)  # any built row would fail
     try:
-        oracle.member(probe, degree=3, mode="rows")
+        oracle.member(probe, degree=3, mode="modular")
     except ncalg.DegreeBoundError as err:
         assert "18 products > 17" in str(err)
     else:
