@@ -15,7 +15,7 @@ __all__ = ["main", "build_parser", "run"]
 USAGE_ERROR = 2
 # `wh3 member` decides at this degree, or at the element's if it is higher,
 # unless --degree is given
-MEMBER_DEGREE = 4
+_MEMBER_DEGREE = 4
 
 ALGEBRA_NAMES = {
     "x": lambda errata: catalog.x_presentation(),
@@ -261,7 +261,7 @@ def _cmd_member(args) -> int:
     _check_prime(args.prime)
     pres = _load_algebra(args.algebra, args.algebra_file, args.errata == "on")
     element = exprs.parse_element(args.expr, pres.alphabet)
-    degree = max(element.degree(), MEMBER_DEGREE) if args.degree is None else args.degree
+    degree = max(element.degree(), _MEMBER_DEGREE) if args.degree is None else args.degree
     report = ncalg.algebra(pres).member(
         element, degree=degree, mode=args.mode, prime=args.prime, seed=args.seed,
     )
