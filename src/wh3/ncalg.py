@@ -1033,11 +1033,11 @@ class TensorAlgebra(MembershipOracle):
     def normal_form(self, e: Element) -> Element:
         """The normal form of e, at its bidegree when both legs are homogeneous."""
         if not self.homogeneous:
-            return self.completion(e.degree()).normalize(e)
-        left, right = self.legs
-        offset = len(left.pres.alphabet)
+            return super().normal_form(e)
+        offset = self.rule_system().offset
         a = max((sum(g < offset for g in w) for w in e.terms), default=0)
         b = max((sum(g >= offset for g in w) for w in e.terms), default=0)
+        left, right = self.legs
         return TensorRules(self.alphabet, left.completion(a), right.completion(b)).normalize(e)
 
     def member(self, e: Element, degree: int | None = None,

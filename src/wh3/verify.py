@@ -377,9 +377,10 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
         calculus = ncalg.algebra(inp.calculus[variant])
 
         def decide(detail_id: str, e: Element):
-            rep = calculus.member(e)
-            report.add(detail_id, rep.member, note="" if rep.member else rep.note,
-                       counterexample=None if rep.member else str(rep.residual))
+            nf = calculus.normal_form(e)
+            report.add(detail_id, nf.is_zero,
+                       note="" if nf.is_zero else calculus.member(e).note,
+                       counterexample=None if nf.is_zero else str(nf))
 
         xx = [ncalg.algebra_map(r, target) for r in inp.families["xx"]]
         images = _exterior_images(target)
