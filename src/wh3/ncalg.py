@@ -741,7 +741,11 @@ class MembershipOracle:
     computed on first need.  Obtain shared instances through `algebra(pres)`.
 
     `normal_form(e)` is the normal form of e under the rules completed to
-    e's own degree: each identity is decided at its own degree.
+    e's own degree, which decides e for confluent or homogeneous rules.
+    Inhomogeneous rules that are not confluent can still put a lower-degree
+    element into the ideal through a longer ambiguity (without errata a
+    calculus's length-3 ambiguity puts d2 there), so their nonzero normal
+    form is not a verdict.
     `member(e, degree, mode)` has two routes:
 
     - mode "exact": the normal form of e, under `completion(degree)` when a
@@ -834,7 +838,9 @@ class MembershipOracle:
     def normal_form(self, e: Element) -> Element:
         """The normal form of e under the rules completed to e's degree.
 
-        Raises the orientation error or a rank collapse, like `completion`.
+        Exact for confluent or homogeneous rules; for others a nonzero normal
+        form decides nothing.  Raises the orientation error or a rank
+        collapse, like `completion`.
         """
         return self.completion(e.degree()).normalize(e)
 

@@ -20,13 +20,14 @@ for them).  Each identity is decided at its own degree, and a tensor of
 homogeneous legs at its bidegree: the algebra object's `member` and
 `normal_form` choose the completion, and no check names a degree.  A
 vanishing normal form, or a nonzero one under confluent or homogeneous rules,
-is an exact certificate, and anything else is reported `undecided:`.  Base
-rules only move Dinv left before it is lifted by determinant powers.  The only
-modular verdicts are the raw-row cross-checks of the determinant, and each
-records the prime and seed that reproduce it.  Rules, completions and
-membership caches live in one shared algebra object per presentation content
-(`ncalg.algebra`), so a binding, an errata switch or any changed coefficient
-yields its own.
+is an exact certificate, and anything else is reported `undecided:`: rules
+that are neither can put a lower-degree element into the ideal through a
+longer ambiguity.  Base rules only move Dinv left before it is lifted by
+determinant powers.  The only modular verdicts are the raw-row cross-checks
+of the determinant, and each records the prime and seed that reproduce it.
+Rules, completions and membership caches live in one shared algebra object
+per presentation content (`ncalg.algebra`), so a binding, an errata switch or
+any changed coefficient yields its own.
 """
 
 from __future__ import annotations
@@ -386,7 +387,9 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
         images = _exterior_images(target)
         d_ranks = {target.rank_of(f"d{i}") for i in (1, 2, 3)}
         # a completion that collapses raises at the first identity that needs
-        # it, and is then the one `completion` detail
+        # it, and is then the one `completion` detail; the first identities,
+        # d_i times a quadratic relation, have degree 3, so the errata-off
+        # collapse at degree 3 is met before a degree-2 identity is decided
         try:
             # (b) derivatives annihilate the variable relations
             for ridx, rel in enumerate(xx, 1):

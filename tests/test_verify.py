@@ -691,6 +691,18 @@ def test_errata_off_calculi_report_one_completion_collapse(errata_off_reports):
         assert not any(d.id.startswith(DERIVATIVE_IDENTITIES) for d in details)
 
 
+def test_holding_derivative_identities_ask_no_membership_note(monkeypatch):
+    # a vanishing normal form decides an identity; `member` only writes the
+    # note of a failing one
+    def refuse(self, e, degree=None, mode="exact", **kwargs):
+        raise AssertionError(f"member asked for {e}")
+
+    monkeypatch.setattr(ncalg.MembershipOracle, "member", refuse)
+    for variant in ("omega", "omega-inv"):
+        report = verify.check_calculus(VerifyContext(), variant)
+        assert report.status == "pass", [d.id for d in report.details if not d.ok]
+
+
 def test_failing_derivative_identity_takes_the_membership_note(monkeypatch):
     # d(x1) = xi2 breaks the exterior derivative of xx1; the calculus is
     # confluent, so its nonzero normal form is a certificate
