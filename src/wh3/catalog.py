@@ -7,6 +7,10 @@ variant, the quantum-matrix straightening table, the quantum determinant and
 cofactor matrix, the determinant-inverse commutation table, and the star and
 counit data.
 
+One table maps each family id to its verbatim table and alphabet; one list,
+`calculus_family_ids`, names the families of a calculus; and one lookup,
+`named_presentation`, resolves every algebra name the command line accepts.
+
 The transcription layer stores the source tables verbatim.  A separate,
 machine-certified errata list patches the handful of typographical slips in
 them; every deviation is recorded there (verbatim form, corrected form and
@@ -18,7 +22,7 @@ the oracle that certifies the correction) and nowhere else.  Builders accept
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import exprs
 from .linalg import ScalarEchelon, add_into
@@ -32,6 +36,10 @@ __all__ = [
     "omega",
     "omega_inverse",
     "FAMILY_IDS",
+    "CALCULUS_VARIANTS",
+    "calculus_family_ids",
+    "ALGEBRA_IDS",
+    "named_presentation",
     "ErrataEntry",
     "ERRATA",
     "family",
@@ -542,53 +550,30 @@ ERRATA: tuple[ErrataEntry, ...] = (
 # families
 # ---------------------------------------------------------------------------
 
-FAMILY_IDS = (
-    "xx",
-    "xixi",
-    "dd",
-    "xxi-omega",
-    "xxi-omega-inv",
-    "dxi-omega",
-    "dxi-omega-inv",
-    "xd-omega",
-    "xd-omega-inv",
-    "tt",
-    "tdinv",
-)
-
-_FAMILY_TABLES = {
-    "xx": _XX_TABLE,
-    "xixi": _XIXI_TABLE,
-    "dd": _DD_TABLE,
-    "xxi-omega": _XXI_OMEGA_TABLE,
-    "xxi-omega-inv": _XXI_OMEGA_INV_TABLE,
-    "dxi-omega": _DXI_OMEGA_TABLE,
-    "dxi-omega-inv": _DXI_OMEGA_INV_TABLE,
-    "xd-omega": _XD_OMEGA_TABLE,
-    "xd-omega-inv": _XD_OMEGA_INV_TABLE,
-    "tt": _TT_TABLE,
-    "tdinv": _TDINV_TABLE,
+# family id -> (verbatim table, alphabet); a calculus variant's own family is KIND-VARIANT
+_FAMILIES = {
+    "xx": (_XX_TABLE, x_alphabet),
+    "xixi": (_XIXI_TABLE, xi_alphabet),
+    "dd": (_DD_TABLE, d_alphabet),
+    "xxi-omega": (_XXI_OMEGA_TABLE, calculus_alphabet),
+    "xxi-omega-inv": (_XXI_OMEGA_INV_TABLE, calculus_alphabet),
+    "dxi-omega": (_DXI_OMEGA_TABLE, calculus_alphabet),
+    "dxi-omega-inv": (_DXI_OMEGA_INV_TABLE, calculus_alphabet),
+    "xd-omega": (_XD_OMEGA_TABLE, calculus_alphabet),
+    "xd-omega-inv": (_XD_OMEGA_INV_TABLE, calculus_alphabet),
+    "tt": (_TT_TABLE, t_alphabet),
+    "tdinv": (_TDINV_TABLE, qg_alphabet),
 }
+FAMILY_IDS = tuple(_FAMILIES)
+
+CALCULUS_VARIANTS = ("omega", "omega-inv")
 
 
-def _family_alphabet(fid: str) -> Alphabet:
-    if fid == "xx":
-        return x_alphabet()
-    if fid == "xixi":
-        return xi_alphabet()
-    if fid == "dd":
-        return d_alphabet()
-    if fid == "tt":
-        return t_alphabet()
-    if fid == "tdinv":
-        return qg_alphabet()
-    return calculus_alphabet()
-
-
-def canonical_family_id(fid: str) -> str:
-    if fid not in _FAMILY_TABLES:
-        raise KeyError(f"unknown relation family {fid!r}; known: {', '.join(FAMILY_IDS)}")
-    return fid
+def calculus_family_ids(variant: str) -> tuple[str, ...]:
+    """The families of one calculus: xx, xixi, dd, then the variant's xxi, dxi and xd."""
+    if variant not in CALCULUS_VARIANTS:
+        raise ValueError("variant must be 'omega' or 'omega-inv'")
+    return ("xx", "xixi", "dd", f"xxi-{variant}", f"dxi-{variant}", f"xd-{variant}")
 
 
 def family(fid: str, errata: bool = True) -> PresentationSpec:
@@ -596,17 +581,20 @@ def family(fid: str, errata: bool = True) -> PresentationSpec:
 
     The result is shared between callers and must not be modified.
     """
-    return _family_cached(canonical_family_id(fid), errata)
+    if fid not in _FAMILIES:
+        raise KeyError(f"unknown relation family {fid!r}; known: {', '.join(FAMILY_IDS)}")
+    return _family_cached(fid, errata)
 
 
 @lru_cache(maxsize=None)
 def _family_cached(fid: str, errata: bool) -> PresentationSpec:
-    texts = list(_FAMILY_TABLES[fid])
+    table, alphabet_of = _FAMILIES[fid]
+    texts = list(table)
     if errata:
         for entry in ERRATA:
             if entry.family == fid:
                 texts[entry.index] = entry.corrected
-    alphabet = _family_alphabet(fid)
+    alphabet = alphabet_of()
     return PresentationSpec(fid, alphabet, [exprs.parse_element(t, alphabet) for t in texts])
 
 
@@ -634,11 +622,9 @@ def quantum_plane_presentation() -> PresentationSpec:
 @lru_cache(maxsize=None)
 def calculus_presentation(variant: str, errata: bool = True) -> PresentationSpec:
     """Variables, one-forms and derivatives with the full relation set."""
-    if variant not in ("omega", "omega-inv"):
-        raise ValueError("variant must be 'omega' or 'omega-inv'")
     alphabet = calculus_alphabet()
     relations: list[Element] = []
-    for fid in ("xx", "xixi", "dd", f"xxi-{variant}", f"dxi-{variant}", f"xd-{variant}"):
+    for fid in calculus_family_ids(variant):
         relations.extend(algebra_map(r, alphabet) for r in family(fid, errata).relations)
     return PresentationSpec(f"calculus-{variant}", alphabet, relations)
 
@@ -656,6 +642,27 @@ def qg_presentation(errata: bool = True) -> PresentationSpec:
     relations = [algebra_map(r, alphabet) for r in family("tt", errata).relations]
     relations.extend(family("tdinv", errata).relations)
     return PresentationSpec("qg", alphabet, relations)
+
+
+_NAMED_ALGEBRAS = {
+    "x": lambda errata: x_presentation(),
+    "quantum-plane": lambda errata: quantum_plane_presentation(),
+    "t": tt_presentation,
+    "qg": qg_presentation,
+    **{f"calculus-{variant}": partial(calculus_presentation, variant)
+       for variant in CALCULUS_VARIANTS},
+}
+ALGEBRA_IDS = tuple(sorted(_NAMED_ALGEBRAS))
+
+
+def named_presentation(name: str, errata: bool = True) -> PresentationSpec:
+    """A named algebra, or the relation family with that id; KeyError lists both."""
+    if name in _NAMED_ALGEBRAS:
+        return _NAMED_ALGEBRAS[name](errata)
+    if name in _FAMILIES:
+        return family(name, errata)
+    raise KeyError(f"unknown algebra {name!r}; names: {', '.join(ALGEBRA_IDS)} "
+                   f"or families: {', '.join(FAMILY_IDS)}")
 
 
 # ---------------------------------------------------------------------------

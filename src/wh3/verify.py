@@ -127,7 +127,7 @@ class BoundInputs:
         self.tt = presentation(catalog.tt_presentation(ctx.errata))
         self.qg = presentation(catalog.qg_presentation(ctx.errata))
         self.calculus = {variant: presentation(catalog.calculus_presentation(variant, ctx.errata))
-                         for variant in ("omega", "omega-inv")}
+                         for variant in catalog.CALCULUS_VARIANTS}
         self.determinant = bind(catalog.quantum_determinant())
         self.cofactors = [[bind(c) for c in row] for row in catalog.cofactor_matrix()]
         self.dinv = {name: bind(catalog.dinv_factor(name, ctx.errata))
@@ -364,11 +364,12 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
     with timed_report(f"calculus-{variant}") as report:
         C, C_inv = inp.braidings[variant]
         target = catalog.calculus_alphabet()
-        # (a) generation from the braiding matrix reproduces the transcription
-        for kind, fid in (("xxi", f"xxi-{variant}"), ("dxi", f"dxi-{variant}"),
-                          ("xd", f"xd-{variant}"), ("xixi", "xixi")):
+        # (a) generation from the braiding matrix reproduces the transcription;
+        # a calculus family's id starts with its kind
+        fids = {fid.split("-")[0]: fid for fid in catalog.calculus_family_ids(variant)}
+        for kind in ("xxi", "dxi", "xd", "xixi"):
             generated = catalog.generate_from_C(C, C_inv, kind).relations
-            transcribed = [ncalg.algebra_map(r, target) for r in inp.families[fid]]
+            transcribed = [ncalg.algebra_map(r, target) for r in inp.families[fids[kind]]]
             cmp = ncalg.span_compare(generated, transcribed)
             report.add(
                 f"generated-vs-transcribed:{kind}", cmp.verdict == "equal",
@@ -491,7 +492,9 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 rep = oracle.member(total)
                 report.add(
                     f"right-inverse:({i + 1},{j + 1})", rep.member,
-                    note=rep.route,
+                    note=rep.route if rep.member else
+                    f"{rep.route}: sum_k t^{i + 1}_k Cof_k{j + 1}"
+                    f"{' - D' if i == j else ''} is not in the ideal",
                     counterexample=None if rep.member else str(rep.residual),
                 )
         # left product without the determinant-inverse weights: reported finding
@@ -539,11 +542,10 @@ def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             note="t^i_j -> delta_ij annihilates every relation" if not bad
             else f"counit fails on rows {bad}",
         )
-        report.add(
-            "counit-on-determinant",
-            catalog.counit_value(D) == Scalar.one(),
-            note="counit(D) = 1",
-        )
+        counit_D = catalog.counit_value(D)
+        report.add("counit-on-determinant", counit_D == Scalar.one(),
+                   note="counit(D) = 1" if counit_D == Scalar.one()
+                   else f"counit(D) = {counit_D}, not 1")
     return report
 
 
@@ -649,10 +651,9 @@ def _determinant_lift(nf: Element, target, D: Element) -> Element:
     return out
 
 
-COACTION_DEFAULT_FAMILIES = (
-    "xx", "xixi", "dd", "xxi-omega", "dxi-omega", "xd-omega",
-    "xxi-omega-inv", "dxi-omega-inv", "xd-omega-inv",
-)
+# every calculus family once, in the order of the calculi
+COACTION_DEFAULT_FAMILIES = tuple(dict.fromkeys(
+    fid for variant in catalog.CALCULUS_VARIANTS for fid in catalog.calculus_family_ids(variant)))
 
 
 def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
@@ -684,16 +685,17 @@ def check_coaction(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         # rules for Dinv-free words are tt's, and no Dinv rule applies to a
         # Dinv-free word.  The tensor normalizes leg by leg, under the rules of
         # qg and of the calculus.
-        per_variant = {}
+        # each family is decided in the first calculus that has it
+        per_family = {}
         for variant, calculus in inp.calculus.items():
             alphabet = ncalg.tensor_alphabet(inp.qg.alphabet, calculus.alphabet)
             tensor = ncalg.TensorAlgebra(ncalg.algebra(inp.qg), ncalg.algebra(calculus), alphabet)
-            per_variant[variant] = (tensor, tensor.rule_system(), alphabet,
-                                    _coaction_images(alphabet, inp.W),
-                                    ncalg.algebra_map(D, alphabet))
+            setup = (tensor, tensor.rule_system(), alphabet, _coaction_images(alphabet, inp.W),
+                     ncalg.algebra_map(D, alphabet))
+            for fid in catalog.calculus_family_ids(variant):
+                per_family.setdefault(fid, setup)
         for fid in COACTION_DEFAULT_FAMILIES:
-            variant = "omega-inv" if fid.endswith("omega-inv") else "omega"
-            tensor, tensor_rules, alphabet, images, D_tensor = per_variant[variant]
+            tensor, tensor_rules, alphabet, images, D_tensor = per_family[fid]
             failures = []
             stopped = None  # a rank collapse or an undecided verdict ends the family
             relations = inp.families[fid]
@@ -776,18 +778,19 @@ def check_hopf(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         )
         # counit axiom on generators: (counit (x) id) Delta = id = (id (x) counit) Delta
         t_alpha = catalog.t_alphabet()
-        ok = True
-        for leg, kept in (("l", "r"), ("r", "l")):
+        failed = []
+        for leg, kept, side in (("l", "r", "counit x id"), ("r", "l", "id x counit")):
             collapse = {f"{leg}{i}{j}": int(i == j) for i in "123" for j in "123"}
             collapse.update({f"{kept}{i}{j}": Element.generator(t_alpha, f"t{i}{j}")
                              for i in "123" for j in "123"})
-            for name, image in delta.items():
-                if ncalg.algebra_map(image, t_alpha, collapse) != Element.generator(t_alpha, name):
-                    ok = False
+            bad = [name for name, image in delta.items()
+                   if ncalg.algebra_map(image, t_alpha, collapse) != Element.generator(t_alpha, name)]
+            if bad:
+                failed.append(f"({side}) Delta(t^i_j) differs from t^i_j for {', '.join(bad)}")
         report.add(
-            "counit-axiom", ok,
+            "counit-axiom", not failed,
             note="(counit x id) Delta(t^i_j) = t^i_j = (id x counit) Delta(t^i_j) "
-                 "on all nine generators, symbolically",
+                 "on all nine generators, symbolically" if not failed else "; ".join(failed),
         )
         report.add(
             "antipode-axiom", True,
@@ -806,9 +809,10 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     inp = ctx.bound
     with timed_report("star") as report:
         mapping = catalog.star_generator_map()
-        involutive = all(mapping[mapping[name]] == name for name in mapping)
-        report.add("involutive-on-generators", involutive,
-                   note=f"{len(mapping)} generators checked, star o star = id")
+        moved = [name for name in mapping if mapping[mapping[name]] != name]
+        report.add("involutive-on-generators", not moved,
+                   note=f"{len(mapping)} generators checked, star o star = id" if not moved
+                   else f"star o star moves {', '.join(moved)}")
         # variable relations: the span is star-stable; the central relation is
         # literally fixed, the two light-cone rows swap up to a unit
         xx = inp.families["xx"]
@@ -816,16 +820,18 @@ def check_star(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         for idx, rel in enumerate(xx, 1):
             image = catalog.star_apply(rel)
             member = xx_span.residual(image).is_zero
-            note = "star image is the relation itself" if image == rel else \
-                "star image stays in the relation span"
+            note = ("star image is the relation itself" if image == rel else
+                    "star image stays in the relation span" if member else
+                    "star image leaves the relation span")
             report.add(
                 f"variable-relations:{idx}", member, note=note,
                 counterexample=None if member else str(image),
             )
+        fixed = catalog.star_apply(xx[0]) == xx[0]
         report.add(
-            "variable-relation-fixed-point",
-            catalog.star_apply(xx[0]) == xx[0],
-            note="the deformation relation x1*x2 - q*x2*x1 - s*x3^2 is star-fixed",
+            "variable-relation-fixed-point", fixed,
+            note="the deformation relation x1*x2 - q*x2*x1 - s*x3^2 is star-fixed" if fixed
+            else "the star image of the deformation relation is not the relation itself",
         )
         # quantum matrix relations
         tt = inp.tt.relations
@@ -975,7 +981,8 @@ def _tprime_commutativity(spec2: PresentationSpec, D: Element, u2: dict):
     D_spec = ncalg.algebra_map(D.substitute_params(u2), SA,
                                {"t31": 0, "t32": 0})
     if not all(w and w[-1] == t33 for w in D_spec.terms):
-        return False, "", "specialized determinant does not factor through t33"
+        reason = "specialized determinant does not factor through t33"
+        return False, reason, reason
     M = Element(SA, {w[:-1]: c for w, c in D_spec.terms.items()})
     span = ncalg.Span([*spec2.nonzero_relations(), M - Element.from_word(SA, (t33, t33))])
     gen = partial(Element.generator, SA)
@@ -985,7 +992,8 @@ def _tprime_commutativity(spec2: PresentationSpec, D: Element, u2: dict):
             continue
         rhs = span.residual(gen("t33") * gen(g.name))
         if set(rhs.terms) != {(g.rank, t33)}:
-            return False, "", f"no clean commutation rule for t33 with {g.name}: {rhs}"
+            reason = f"no clean commutation rule for t33 with {g.name}: {rhs}"
+            return False, reason, reason
         nu[g.name] = rhs.terms[(g.rank, t33)]
     inv = {"t33": Scalar.one(), **{name: v.inverse() for name, v in nu.items()}}
     failures = [(a, b, res) for a, b in itertools.combinations(SA.names(), 2)

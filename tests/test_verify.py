@@ -484,8 +484,8 @@ def test_tprime_commutativity_needs_a_clean_rule_for_t33():
     rels = list(tt.relations)
     rels[7] = Element(tt.alphabet, {w: c for w, c in rels[7].terms.items() if w != word})
     mutant = ncalg.PresentationSpec(tt.name, tt.alphabet, rels)
-    assert _tprime(mutant, inp.determinant, inp) == \
-        (False, "", "no clean commutation rule for t33 with t11: t33*t11")
+    reason = "no clean commutation rule for t33 with t11: t33*t11"
+    assert _tprime(mutant, inp.determinant, inp) == (False, reason, reason)
 
 
 # Every tt term whose doubled coefficient breaks t-prime commutativity; the
@@ -826,6 +826,42 @@ def test_central_determinant_fails_with_its_own_note():
     detail = detail_map(verify.check_determinant(ctx))["some-lambda-nontrivial"]
     assert not detail.ok
     assert detail.note == "no generator has a lambda other than 1"
+
+
+def test_failing_notes_differ_from_the_passing_ones(default_reports, monkeypatch):
+    # perturb the bound inputs, the star map, the counit and the coproduct so
+    # that each detail below fails; its note must then say what failed
+    two = Scalar.from_fraction(2)
+    coproduct = verify._coproduct_images
+    monkeypatch.setattr(verify, "_coproduct_images",
+                        lambda target: {k: v.scale(two) for k, v in coproduct(target).items()})
+    monkeypatch.setattr(catalog, "star_generator_map",
+                        lambda: {"x1": "x2", "x2": "x3", "x3": "x1"})
+    monkeypatch.setattr(catalog, "counit_value", lambda e: two)
+    ctx = VerifyContext()
+    inp = ctx.bound
+    inp.determinant = inp.determinant + parse_element("t11^3", inp.tt.alphabet)
+    inp.families["xx"][0] = inp.families["xx"][0] + parse_element("x1^2", catalog.x_alphabet())
+    duplicated = VerifyContext()
+    tt = duplicated.bound.tt
+    duplicated.bound.tt = ncalg.PresentationSpec(tt.name, tt.alphabet,
+                                                 [*tt.relations, tt.relations[0]])
+    expected = {
+        "rtt": (duplicated, {"independent-rows"}),
+        "inverse": (ctx, {"counit-on-relations", "counit-on-determinant",
+                          *(f"{kind}:({i},{i})" for kind in ("right-inverse", "antipode")
+                            for i in (1, 2, 3))}),
+        "hopf": (ctx, {"counit-axiom", "determinant-group-like"}),
+        "star": (ctx, {"involutive-on-generators", "variable-relations:1",
+                       "variable-relation-fixed-point", "determinant-star-fixed"}),
+        "specializations": (ctx, {"s=0-quantum-plane", "t-prime-commutativity"}),
+    }
+    for check, (context, failing) in expected.items():
+        passing = detail_map(default_reports[check])
+        failed = [d for d in verify.run_check(check, context).details if not d.ok]
+        assert {d.id for d in failed} == failing, (check, [d.id for d in failed])
+        for detail in failed:
+            assert detail.note and detail.note != passing[detail.id].note, (check, detail)
 
 
 def test_failing_coaction_family_says_what_failed(monkeypatch):
