@@ -137,8 +137,10 @@ class ScalarEchelon:
         pivot = residual.pop(lead)
         p = self.prime
         if p is None:
-            inv = pivot.inverse()
-            self.rows[lead] = {w: c * inv for w, c in residual.items()}
+            if not pivot.is_one:  # a monic remainder is stored as it is
+                inv = pivot.inverse()
+                residual = {w: c * inv for w, c in residual.items()}
+            self.rows[lead] = residual
         else:
             inv = pow(pivot, -1, p)
             self.rows[lead] = {w: c * inv % p for w, c in residual.items()}

@@ -19,6 +19,15 @@ decides membership exactly again.  `algebra(pres)` returns the one object
 per presentation content that holds the rules, the certificate, the
 completions and the caches.
 
+Overlap analysis and completion check each ambiguity once.
+`_ambiguities` finds the overlaps and inclusions between left sides through
+an index of their proper prefixes and a lookup of their shorter subwords,
+in the order of a scan of all pairs.  `overlap_resolve` is the one
+completion loop, a pair queue: a later round checks only the ambiguities
+that involve a rule the previous round added and normalizes that round's
+defects once more, and a completion goes on from the certificate or from a
+lower completion instead of checking their ambiguities again.
+
 A tensor algebra A (x) B orients nothing of its own: its rules are A's, B's
 and b*a -> a*b, so its normal words are an A-normal word followed by a
 B-normal word.  `TensorAlgebra(left, right, alphabet)` takes the two legs'
@@ -583,6 +592,7 @@ class OverlapDefect:
     lhs_b: tuple[int, ...]
     word: tuple[int, ...]
     difference: Element
+    pos_b: int  # where lhs_b applies in word; lhs_a applies at 0
 
 
 @dataclass
@@ -592,67 +602,123 @@ class ConfluenceReport:
     unresolved: list[OverlapDefect]
     rules_added: list[tuple[int, ...]]
     system: RuleSystem
+    checked_up_to: int | None = None  # the completion's length bound; None: every length
 
 
-def _ambiguities(rules: Mapping[tuple[int, ...], Element]):
+def _ambiguities(rules: Mapping[tuple[int, ...], Element], fresh=None):
     """All overlap and inclusion ambiguities between rule left sides.
 
     Each is yielded once, as (word, (pos_a, lhs_a), (pos_b, lhs_b)) with two
     distinct rule occurrences: an overlap is one per (a, b, k) and puts b at
-    len(a) - k > 0, and an inclusion needs b shorter than a.
+    len(a) - k > 0, and an inclusion needs b shorter than a.  They come in
+    the order of a scan of all pairs: by a, then by b, both in rule order,
+    and for one pair its overlaps by growing k before its inclusions by
+    growing position.  With fresh (some of the left sides), only the
+    ambiguities that involve a fresh rule are yielded.  No pair is compared
+    letter by letter: an index of the left sides' proper prefixes finds the
+    b that overlap the end of a, and a lookup of each shorter subword of a
+    finds those inside it.
     """
-    items = list(rules)
-    for a in items:
-        for b in items:
-            # overlap: a proper suffix of a equals a proper prefix of b
-            for k in range(1, min(len(a), len(b))):
-                if a[len(a) - k :] == b[:k]:
-                    word = a + b[k:]
-                    yield word, (0, a), (len(a) - k, b)
-            # inclusion: b occurs strictly inside a
-            if len(b) < len(a):
-                for i in range(len(a) - len(b) + 1):
-                    if a[i : i + len(b)] == b:
-                        yield a, (0, a), (i, b)
+    lhs = list(rules)
+    order = {b: idx for idx, b in enumerate(lhs)}
+    prefixes: dict = {}  # proper prefix -> the indices of the left sides it starts
+    for idx, b in enumerate(lhs):
+        for k in range(1, len(b)):
+            prefixes.setdefault(b[:k], []).append(idx)
+    fresh_idx = None if fresh is None else {order[b] for b in fresh}
+    for ia, a in enumerate(lhs):
+        n = len(a)
+        # (b, 0, k) for an overlap and (b, 1, i) for an inclusion sort in scan order
+        found = [(ib, 0, k) for k in range(1, n) for ib in prefixes.get(a[n - k:], ())]
+        found += [(ib, 1, i) for m in range(1, n) for i in range(n - m + 1)
+                  if (ib := order.get(a[i:i + m])) is not None]
+        if fresh_idx is not None and ia not in fresh_idx:
+            found = [hit for hit in found if hit[0] in fresh_idx]
+        found.sort()
+        for ib, inclusion, at in found:
+            b = lhs[ib]
+            if inclusion:
+                yield a, (0, a), (at, b)
+            else:
+                yield a + b[at:], (0, a), (n - at, b)
 
 
-def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None) -> ConfluenceReport:
-    """Check every overlap ambiguity; optionally complete up to a degree bound.
+def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None,
+                    checked: ConfluenceReport | None = None) -> ConfluenceReport:
+    """Check every overlap ambiguity once; optionally complete up to a degree bound.
 
     For each word admitting two rule applications, both reduction paths are
     normalized and compared.  With complete_up_to = d, ambiguity words longer
     than d are skipped and every nonzero difference is oriented into a new
-    rule (its deg-lex-maximal word becomes the left side), iterating until
+    rule (its deg-lex-maximal word becomes the left side), in rounds until
     every ambiguity of length <= d resolves.  A difference led by a word of
     length <= 1 puts a constant or a generator into the ideal: that rank
     collapse raises InconsistentPresentationError naming the element.
+
+    The rounds keep a pair queue, as Buchberger completion does (Gebauer and
+    Moeller, 1988): an ambiguity that resolves stays resolvable when ideal
+    elements are added as rules (Bergman's diamond lemma), so it is checked
+    once.  A later round checks only the ambiguities that involve a rule the
+    previous round added, and normalizes each defect of that round once more
+    under the extended rules instead of deriving it again from both paths.
+    Each round takes its ambiguities in the order `_ambiguities` yields them
+    from all the rules, so a lead word met twice keeps the later defect's
+    rule and a collapse names the first ambiguity a full scan meets.
+
+    checked, given with complete_up_to, is an earlier report whose system is
+    rs: its ambiguities up to checked.checked_up_to are not checked again,
+    and its unresolved defects are oriented first and carried like a round's.
     """
-    system = rs
-    added: list[tuple[int, ...]] = []
-    overlaps_checked = 0
+    bound = complete_up_to
+    if checked is not None and (bound is None or checked.system is not rs):
+        raise ValueError("a checked report resumes a completion of its own rules")
+    system, added, count = rs, [], 0
+    defects: list[OverlapDefect] = []
+    fresh: dict = {}
+    settled = 0  # every ambiguity of the rules before fresh up to this length is checked
+    if checked is not None:
+        defects = [d for d in checked.unresolved if len(d.word) <= bound]
+        settled = bound if checked.checked_up_to is None else checked.checked_up_to
     while True:
-        unresolved: list[OverlapDefect] = []
-        for word, (pos_a, lhs_a), (pos_b, lhs_b) in _ambiguities(system.rules):
-            if complete_up_to is not None and len(word) > complete_up_to:
-                continue
-            overlaps_checked += 1
-            path_a = _apply_rule_at(system, word, pos_a, lhs_a)
-            path_b = _apply_rule_at(system, word, pos_b, lhs_b)
-            diff = system.normalize(path_a) - system.normalize(path_b)
+        carried = defects
+        if carried:
+            fresh = _defect_rules(system, carried)
+            added.extend(fresh)
+            system = system.extended(fresh)
+            settled = bound
+        if fresh:
+            scan = _ambiguities(system.rules, fresh)
+        else:
+            scan = (amb for amb in _ambiguities(system.rules) if len(amb[0]) > settled)
+        order = {lhs: idx for idx, lhs in enumerate(system.rules)}
+        work = [(d.word, d.lhs_a, d.pos_b, d.lhs_b, d.difference) for d in carried]
+        work += [(word, a, pos, b, None) for word, (_, a), (pos, b) in scan
+                 if bound is None or len(word) <= bound]
+        work.sort(key=lambda item: _scan_position(order, *item[:4]))
+        defects = []
+        for word, lhs_a, pos_b, lhs_b, difference in work:
+            diff = _path_difference(system, word, lhs_a, pos_b, lhs_b) if difference is None \
+                else system.normalize(difference)
             if not diff.is_zero:
-                unresolved.append(OverlapDefect(lhs_a, lhs_b, word, diff))
-        if not unresolved or complete_up_to is None:
+                defects.append(OverlapDefect(lhs_a, lhs_b, word, diff, pos_b))
+        count += len(work)
+        if not defects or bound is None:
             break
-        new_rules = _defect_rules(system, unresolved)
-        added.extend(new_rules)
-        system = system.extended(new_rules)
     return ConfluenceReport(
-        confluent=not unresolved,
-        overlaps_checked=overlaps_checked,
-        unresolved=unresolved,
+        confluent=not defects,
+        overlaps_checked=count,
+        unresolved=defects,
         rules_added=added,
         system=system,
+        checked_up_to=bound,
     )
+
+
+def _scan_position(order: Mapping, word, lhs_a, pos_b, lhs_b) -> tuple:
+    """Where `_ambiguities` yields an ambiguity, for the rules' order of left sides."""
+    if len(word) == len(lhs_a):  # an inclusion, by growing position
+        return order[lhs_a], order[lhs_b], 1, pos_b
+    return order[lhs_a], order[lhs_b], 0, -pos_b  # an overlap, by growing k
 
 
 def _defect_rules(system: RuleSystem, defects: Sequence[OverlapDefect]) -> dict:
@@ -670,11 +736,16 @@ def _defect_rules(system: RuleSystem, defects: Sequence[OverlapDefect]) -> dict:
     return new_rules
 
 
-def _apply_rule_at(system: RuleSystem, word, pos, lhs) -> Element:
-    prefix, suffix = word[:pos], word[pos + len(lhs):]
-    # the rule's words are distinct, so their substitutions are too
-    return Element(system.alphabet,
-                   {prefix + w + suffix: c for w, c in system.rules[lhs].terms.items()})
+def _path_difference(system: RuleSystem, word, lhs_a, pos_b, lhs_b) -> Element:
+    """The normal form of word with lhs_a rewritten at 0 minus that with lhs_b at pos_b."""
+
+    def path(pos, lhs):
+        prefix, suffix = word[:pos], word[pos + len(lhs):]
+        # the rule's words are distinct, so their substitutions are too
+        return Element(system.alphabet,
+                       {prefix + w + suffix: c for w, c in system.rules[lhs].terms.items()})
+
+    return system.normalize(path(0, lhs_a)) - system.normalize(path(pos_b, lhs_b))
 
 
 # ---------------------------------------------------------------------------
@@ -770,10 +841,13 @@ class MembershipOracle:
       `completion(degree)`, so the support is the normal form's set of
       words (at a point that drops neither the rank nor a coefficient).
 
-    Completions start from the largest cached completion below their
-    degree.  A completion that puts a constant or a generator into the
-    ideal raises InconsistentPresentationError ("rank collapse: ..."), each
-    time it or a higher completion is asked for, like the orientation error.
+    Completions go on from what is already settled: from the largest cached
+    completion below their degree, checking only its longer ambiguities, or
+    from the certificate, orienting its unresolved defects and checking no
+    other ambiguity of the base rules again.  A completion that puts a
+    constant or a generator into the ideal raises
+    InconsistentPresentationError ("rank collapse: ..."), each time it or a
+    higher completion is asked for, like the orientation error.
     """
 
     def __init__(self, pres: PresentationSpec):
@@ -809,31 +883,30 @@ class MembershipOracle:
         """The rules with every ambiguity of length <= degree resolved (cached).
 
         Every ambiguity of the quadratic rules has length 3, so below degree 3,
-        and for confluent rules, the completion is the rules.  Otherwise it
-        starts from the largest cached completion below degree, a valid start
-        since its added rules are ideal elements, or from the rules with the
-        certificate's unresolved defects oriented.  Raises the orientation
-        error, or the rank collapse that this or a lower completion met.
+        and for confluent rules, the completion is the rules.  Otherwise
+        `overlap_resolve` goes on from what is settled: from the largest
+        cached completion below degree, checking only its longer ambiguities,
+        or from the certificate, whose unresolved defects are oriented first
+        and whose other ambiguities are not checked again.  Raises the
+        orientation error, or the rank collapse that this or a lower
+        completion met.
         """
+        rules = self.rule_system()
+        if degree < 3 or self.confluent:
+            return rules
         if degree not in self._completions:
             below = [d for d in self._completions if d < degree]
-            start = self._completions[max(below)] if below else self.rules
+            start = self._completions[max(below)] if below else self.confluence
             try:
                 if isinstance(start, InconsistentPresentationError):
                     raise start
-                self._completions[degree] = self.rule_system() \
-                    if degree < 3 or self.confluent else self._complete(start, degree)
+                self._completions[degree] = overlap_resolve(start.system, degree, checked=start)
             except InconsistentPresentationError as err:
                 self._completions[degree] = err
         found = self._completions[degree]
         if isinstance(found, InconsistentPresentationError):
             raise found
-        return found
-
-    def _complete(self, start: RuleSystem, degree: int) -> RuleSystem:
-        if start is self.rules:  # confluence has scanned its overlaps
-            start = start.extended(_defect_rules(start, self.confluence.unresolved))
-        return overlap_resolve(start, complete_up_to=degree).system
+        return found.system
 
     def normal_form(self, e: Element) -> Element:
         """The normal form of e under the rules completed to e's degree.

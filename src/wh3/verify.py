@@ -358,6 +358,15 @@ def _exterior_images(alphabet) -> dict[str, Element]:
     return images
 
 
+def _span_note(cmp: ncalg.SpanComparison, first: str, second: str) -> str:
+    """The ranks of two compared spans and, when they differ, how."""
+    note = f"ranks {cmp.rank_a}/{cmp.rank_b}"
+    differs = {"A_subset_B": f"{first} span strictly inside {second}",
+               "B_subset_A": f"{second} span strictly inside {first}",
+               "incomparable": "spans incomparable"}.get(cmp.verdict)
+    return note if differs is None else f"{note}; {differs}"
+
+
 def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega") -> Report:
     """Internal consistency of one differential calculus."""
     inp = ctx.bound
@@ -373,7 +382,7 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
             cmp = ncalg.span_compare(generated, transcribed)
             report.add(
                 f"generated-vs-transcribed:{kind}", cmp.verdict == "equal",
-                note=f"ranks {cmp.rank_a}/{cmp.rank_b}",
+                note=_span_note(cmp, "generated", "transcribed"),
                 counterexample=None if cmp.verdict == "equal" else str(cmp.witness),
             )
         calculus = ncalg.algebra(inp.calculus[variant])
@@ -442,13 +451,13 @@ def check_rtt(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
         cmp = ncalg.span_compare(gen, fam)
         report.add(
             "generated-vs-transcribed", cmp.verdict == "equal",
-            note=f"ranks {cmp.rank_a}/{cmp.rank_b}",
+            note=_span_note(cmp, "generated", "transcribed"),
             counterexample=None if cmp.verdict == "equal" else str(cmp.witness),
         )
         cmp2 = ncalg.span_compare(gen, gen_inv)
         report.add(
             "same-quantum-matrix-for-both-braidings", cmp2.verdict == "equal",
-            note=f"ranks {cmp2.rank_a}/{cmp2.rank_b}",
+            note=_span_note(cmp2, "omega", "omega-inv"),
             counterexample=None if cmp2.verdict == "equal" else str(cmp2.witness),
         )
         report.add("rank", cmp.rank_b == 36, note=f"transcribed span rank {cmp.rank_b}")

@@ -8,6 +8,9 @@
 - `rewrite(rules, e, strategy, rng)`: unmemoized rewriting that takes the
   rightmost or a random redex instead of the leftmost one.
 - `leftmost_steps(rules, e)`: the normal form with its count of rewrite steps.
+- `all_pairs_ambiguities(rules, fresh)`: the ambiguities between rule left
+  sides found by comparing every pair letter by letter, in the order that
+  `wh3.ncalg._ambiguities` must keep.
 """
 
 from __future__ import annotations
@@ -91,3 +94,26 @@ def leftmost_steps(rules, e: Element) -> tuple[Element, int]:
     for w, c in e.terms.items():
         add_into(terms, rules.normalize_word(w, counter).terms, c)
     return Element(rules.alphabet, terms), counter[0]
+
+
+def all_pairs_ambiguities(rules, fresh=None):
+    """Every overlap and inclusion ambiguity, by a scan of all pairs of left sides.
+
+    Yields (word, (0, a), (pos_b, b)) by a, then by b, both in rule order, and
+    for one pair its overlaps by growing k before its inclusions by growing
+    position; with fresh, only the pairs with a or b in fresh.
+    """
+    items = list(rules)
+    for a in items:
+        for b in items:
+            if fresh is not None and a not in fresh and b not in fresh:
+                continue
+            # overlap: a proper suffix of a equals a proper prefix of b
+            for k in range(1, min(len(a), len(b))):
+                if a[len(a) - k:] == b[:k]:
+                    yield a + b[k:], (0, a), (len(a) - k, b)
+            # inclusion: b occurs strictly inside a
+            if len(b) < len(a):
+                for i in range(len(a) - len(b) + 1):
+                    if a[i:i + len(b)] == b:
+                        yield a, (0, a), (i, b)

@@ -29,7 +29,7 @@ from wh3.ncalg import (
 from wh3.scalars import Scalar
 from wh3.verify import VerifyContext
 
-from reference_routes import leftmost_steps, rewrite, row_member
+from reference_routes import all_pairs_ambiguities, leftmost_steps, rewrite, row_member
 
 
 def x_pres():
@@ -217,6 +217,20 @@ def test_ambiguities_are_distinct_pairs_of_distinct_occurrences(rules, count):
         assert (word, first, second) not in seen, word
         seen.add((word, first, second))
     assert len(seen) == count
+    assert list(ncalg._ambiguities(rules())) == list(all_pairs_ambiguities(rules()))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_indexed_ambiguities_follow_the_all_pairs_scan(data):
+    # same ambiguities in the same order, so a collapse names the same one
+    letters = data.draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, letters - 1), min_size=1, max_size=4).map(tuple)
+    lhs = data.draw(st.lists(words, min_size=1, max_size=8, unique=True))
+    rules = dict.fromkeys(lhs)
+    assert list(ncalg._ambiguities(rules)) == list(all_pairs_ambiguities(rules))
+    fresh = data.draw(st.lists(st.sampled_from(lhs), unique=True))
+    assert list(ncalg._ambiguities(rules, fresh)) == list(all_pairs_ambiguities(rules, fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +361,17 @@ def test_every_tt_relation_is_a_row_member_below_the_degree(errata):
 
 
 def test_completion_resolves_every_short_ambiguity():
+    # each ambiguity is checked once, under the rules of its round: a full
+    # scan of the completed rules finds nothing left to add
     oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
     completed = oracle.completion(3)
     assert oracle.completion(3) is completed
     assert len(completed) > len(oracle.rules)
     assert overlap_resolve(completed, complete_up_to=3).rules_added == []
+    fourth = oracle.completion(4)
+    assert overlap_resolve(fourth, complete_up_to=4).rules_added == []
+    # the rule counts of a loop that checks every ambiguity again each round
+    assert (len(completed), len(fourth), len(oracle.completion(5))) == (54, 105, 203)
     # confluent rules are their own completion
     x_algebra = ncalg.algebra(x_pres())
     assert x_algebra.completion(5) is x_algebra.rules
@@ -409,13 +429,15 @@ def test_completion_reports_a_rank_collapse():
 
 def test_completion_starts_from_the_largest_cached_completion_below(monkeypatch):
     # the certificate's overlap pass is the first round of a completion from
-    # the base rules: it starts with the defects' rules added
+    # the base rules: its defects' rules are added first; a higher completion
+    # goes on from the largest cached one below it
     starts = []
     resolve = ncalg.overlap_resolve
 
-    def spy(rs, complete_up_to=None):
-        starts.append(rs)
-        return resolve(rs, complete_up_to)
+    def spy(rs, complete_up_to=None, checked=None):
+        report = resolve(rs, complete_up_to, checked)
+        starts.append((rs, complete_up_to, checked, report))
+        return report
 
     monkeypatch.setattr(ncalg, "overlap_resolve", spy)
     oracle = MembershipOracle(catalog.tt_presentation(errata=False))
@@ -423,8 +445,11 @@ def test_completion_starts_from_the_largest_cached_completion_below(monkeypatch)
     third = oracle.completion(3)
     oracle.completion(4)
     base, seeded, from_third = starts
-    assert base is oracle.rules and from_third is third
-    assert set(seeded.rules) == set(base.rules) | leads
+    assert base[:3] == (oracle.rules, None, None)
+    assert seeded[:3] == (oracle.rules, 3, oracle.confluence)
+    assert set(seeded[3].rules_added[:len(leads)]) == leads
+    assert from_third[:3] == (third, 4, seeded[3])
+    assert seeded[3].system is third
 
 
 def test_completion_of_quadratic_rules_to_degree_two_is_the_base_rules(monkeypatch):
