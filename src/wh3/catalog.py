@@ -758,18 +758,18 @@ def cofactor_matrix() -> tuple[tuple[Element, ...], ...]:
 
 
 def dinv_factor(name: str, errata: bool = True) -> Scalar:
-    """The coefficient lambda' in t . Dinv = lambda' . Dinv . t for a generator."""
+    """The coefficient lambda' in t . Dinv = lambda' . Dinv . t for a generator.
+
+    The row a * t*Dinv + b * Dinv*t gives lambda' = -b/a, however it is scaled.
+    """
     fam = family("tdinv", errata)
     alphabet = fam.alphabet
     rank = alphabet.rank_of(name)
     dinv = alphabet.rank_of("Dinv")
     for rel in fam.relations:
         if (rank, dinv) in rel.terms:
-            swapped = rel.coefficient((dinv, rank))
-            if not swapped.is_zero:
-                return -swapped
-            # verbatim unswapped rows relate t*Dinv to itself; no factor exists
-            return Scalar.zero()
+            # verbatim unswapped rows relate t*Dinv to itself: b = 0, no factor exists
+            return -rel.coefficient((dinv, rank)) / rel.terms[(rank, dinv)]
     raise KeyError(f"no inverse-determinant rule for {name!r}")
 
 

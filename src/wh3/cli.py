@@ -31,13 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", help="comma-separated check ids")
     p_verify.add_argument("--all", action="store_true", help="run every check")
     p_verify.add_argument("--list", action="store_true", help="list check ids and exit")
-    p_verify.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="accepted and ignored: every verdict is exact")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--errata", choices=("on", "off"), default="on",
                           help="off verifies the uncorrected transcription")
-    p_verify.add_argument("--strict-exact", action="store_true",
-                          help="treat pass-modular as failure for the exit code")
     p_verify.add_argument("--set", dest="bindings", default=None,
                           help="parameter values, e.g. q=3/2,u=5/7,s=2")
     p_verify.add_argument("--spec", dest="spec", default=None,
@@ -204,11 +202,8 @@ def _cmd_verify(args) -> int:
         repeated = next((c for i, c in enumerate(checks) if c in checks[:i]), None)
         if repeated:
             raise UsageError(f"check {repeated} given more than once in --check")
-    _check_prime(args.prime)
     ctx = verify.VerifyContext(
         errata=args.errata == "on",
-        prime=args.prime,
-        seed=args.seed,
         bindings=_parse_bindings(",".join(filter(None, (args.bindings, args.spec)))),
         omega_mutations=_parse_mutation(args.mutate),
     )
@@ -221,14 +216,13 @@ def _cmd_verify(args) -> int:
     else:
         for report in reports:
             print(f"[{report.status:>12}] {report.check} "
-                  f"({report.mode}, {report.millis} ms, {len(report.details)} assertions)")
+                  f"(exact, {report.millis} ms, {len(report.details)} assertions)")
             for detail in report.details:
                 if not detail.ok:
                     print(f"    FAIL {detail.id}: {detail.note}")
             if report.counterexample:
                 print(f"    counterexample: {report.counterexample}")
-    ok = all(r.status == "pass" if args.strict_exact else r.passed for r in reports)
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_normalize(args) -> int:

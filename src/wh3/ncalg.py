@@ -17,7 +17,10 @@ length <= d resolved); for homogeneous relations the normal words of length
 <= d are then a basis of the quotient in those degrees, and the normal form
 decides membership exactly again.  `algebra(pres)` returns the one object
 per presentation content that holds the rules, the certificate, the
-completions and the caches.
+completions and the caches.  When a normal form vanishes, the same object
+writes the element out as an explicit sum of products c * w1 * r * w2 of
+the relations (`MembershipOracle.decomposition`), which a reader can
+multiply out without this module.
 
 Overlap analysis and completion check each ambiguity once.
 `_ambiguities` finds the overlaps and inclusions between left sides through
@@ -33,11 +36,11 @@ and b*a -> a*b, so its normal words are an A-normal word followed by a
 B-normal word.  `TensorAlgebra(left, right, alphabet)` takes the two legs'
 algebra objects and the tensor alphabet (`tensor_alphabet`), and computes
 normal forms, the confluence flag and the completions from the legs.
-`algebra_tensor` writes the same algebra out as one flat presentation.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
@@ -79,7 +82,6 @@ __all__ = [
     "span_compare",
     "SpanComparison",
     "algebra_map",
-    "algebra_tensor",
     "tensor_alphabet",
     "specialize",
     "presentation_to_json",
@@ -593,6 +595,9 @@ class OverlapDefect:
     word: tuple[int, ...]
     difference: Element
     pos_b: int  # where lhs_b applies in word; lhs_a applies at 0
+    # the rule counts of the systems that normalized the two paths, then
+    # the difference again, in turn: each is a prefix of the final rules
+    systems: tuple[int, ...]
 
 
 @dataclass
@@ -603,6 +608,8 @@ class ConfluenceReport:
     rules_added: list[tuple[int, ...]]
     system: RuleSystem
     checked_up_to: int | None = None  # the completion's length bound; None: every length
+    # every rule the completion added to the base rules -> the defect it was oriented from
+    sources: dict = dc_field(default_factory=dict)
 
 
 def _ambiguities(rules: Mapping[tuple[int, ...], Element], fresh=None):
@@ -668,6 +675,13 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None,
     checked, given with complete_up_to, is an earlier report whose system is
     rs: its ambiguities up to checked.checked_up_to are not checked again,
     and its unresolved defects are oriented first and carried like a round's.
+
+    The report records where each added rule comes from, and rewrites
+    nothing for it: `sources` maps the rule to the defect it was oriented
+    from, and each defect lists the rule counts of the systems that
+    normalized it.  Rules are only appended, so each such system is a
+    prefix of the final rules, and `MembershipOracle.decomposition` can
+    retrace every rule as a combination of the relations.
     """
     bound = complete_up_to
     if checked is not None and (bound is None or checked.system is not rs):
@@ -675,14 +689,16 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None,
     system, added, count = rs, [], 0
     defects: list[OverlapDefect] = []
     fresh: dict = {}
+    sources: dict = {}
     settled = 0  # every ambiguity of the rules before fresh up to this length is checked
     if checked is not None:
         defects = [d for d in checked.unresolved if len(d.word) <= bound]
         settled = bound if checked.checked_up_to is None else checked.checked_up_to
+        sources.update(checked.sources)
     while True:
         carried = defects
         if carried:
-            fresh = _defect_rules(system, carried)
+            fresh = _defect_rules(system, carried, sources)
             added.extend(fresh)
             system = system.extended(fresh)
             settled = bound
@@ -691,16 +707,19 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None,
         else:
             scan = (amb for amb in _ambiguities(system.rules) if len(amb[0]) > settled)
         order = {lhs: idx for idx, lhs in enumerate(system.rules)}
-        work = [(d.word, d.lhs_a, d.pos_b, d.lhs_b, d.difference) for d in carried]
+        work = [(d.word, d.lhs_a, d.pos_b, d.lhs_b, d) for d in carried]
         work += [(word, a, pos, b, None) for word, (_, a), (pos, b) in scan
                  if bound is None or len(word) <= bound]
         work.sort(key=lambda item: _scan_position(order, *item[:4]))
         defects = []
-        for word, lhs_a, pos_b, lhs_b, difference in work:
-            diff = _path_difference(system, word, lhs_a, pos_b, lhs_b) if difference is None \
-                else system.normalize(difference)
+        size = len(system)
+        for word, lhs_a, pos_b, lhs_b, earlier in work:
+            if earlier is None:
+                diff, systems = _path_difference(system, word, lhs_a, pos_b, lhs_b), (size,)
+            else:
+                diff, systems = system.normalize(earlier.difference), earlier.systems + (size,)
             if not diff.is_zero:
-                defects.append(OverlapDefect(lhs_a, lhs_b, word, diff, pos_b))
+                defects.append(OverlapDefect(lhs_a, lhs_b, word, diff, pos_b, systems))
         count += len(work)
         if not defects or bound is None:
             break
@@ -711,6 +730,7 @@ def overlap_resolve(rs: RuleSystem, complete_up_to: int | None = None,
         rules_added=added,
         system=system,
         checked_up_to=bound,
+        sources=sources,
     )
 
 
@@ -721,8 +741,11 @@ def _scan_position(order: Mapping, word, lhs_a, pos_b, lhs_b) -> tuple:
     return order[lhs_a], order[lhs_b], 0, -pos_b  # an overlap, by growing k
 
 
-def _defect_rules(system: RuleSystem, defects: Sequence[OverlapDefect]) -> dict:
-    """Each defect's difference as a monic rule; a lead of length <= 1 is a rank collapse."""
+def _defect_rules(system: RuleSystem, defects: Sequence[OverlapDefect], sources: dict) -> dict:
+    """Each defect's difference as a monic rule; a lead of length <= 1 is a rank collapse.
+
+    A lead met twice keeps the later defect's rule; sources records which.
+    """
     new_rules = {}
     for defect in defects:
         lead = defect.difference.lead_word()
@@ -733,19 +756,22 @@ def _defect_rules(system: RuleSystem, defects: Sequence[OverlapDefect]) -> dict:
         inv = defect.difference.terms[lead].inverse()
         tail = {w: -(c * inv) for w, c in defect.difference.terms.items() if w != lead}
         new_rules[lead] = Element(system.alphabet, tail)
+        sources[lead] = defect
     return new_rules
+
+
+def _path(system: RuleSystem, word, pos, lhs) -> Element:
+    """word with the rule for lhs applied at pos."""
+    prefix, suffix = word[:pos], word[pos + len(lhs):]
+    # the rule's words are distinct, so their substitutions are too
+    return Element(system.alphabet,
+                   {prefix + w + suffix: c for w, c in system.rules[lhs].terms.items()})
 
 
 def _path_difference(system: RuleSystem, word, lhs_a, pos_b, lhs_b) -> Element:
     """The normal form of word with lhs_a rewritten at 0 minus that with lhs_b at pos_b."""
-
-    def path(pos, lhs):
-        prefix, suffix = word[:pos], word[pos + len(lhs):]
-        # the rule's words are distinct, so their substitutions are too
-        return Element(system.alphabet,
-                       {prefix + w + suffix: c for w, c in system.rules[lhs].terms.items()})
-
-    return system.normalize(path(0, lhs_a)) - system.normalize(path(pos_b, lhs_b))
+    return (system.normalize(_path(system, word, 0, lhs_a))
+            - system.normalize(_path(system, word, pos_b, lhs_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +814,43 @@ def derivation_apply(images: Mapping[str, Element], e: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
+def _trace(system: RuleSystem, terms: Mapping) -> tuple[dict, dict]:
+    """The rewrite steps that take terms to their normal form under system.
+
+    Words are visited in descending order and each is rewritten once, at its
+    leftmost redex (`RuleSystem.find_redex`), so the normal form is the one
+    `normalize` reaches.  Returns (steps, normal form terms): steps maps
+    (prefix, lhs, suffix) to c, and terms minus their normal form is the sum
+    of c * prefix * (lhs - rhs) * suffix.
+    """
+    alphabet = system.alphabet
+    # rewriting lowers the weight, and a word is no longer than its weight
+    max_len = max((alphabet.word_key(w)[0] for w in terms), default=0)
+    encode = alphabet.encode
+    todo = dict(terms)
+    heap = [(-encode(w, max_len), w) for w in todo]
+    heapq.heapify(heap)
+    steps, normal = {}, {}
+    while heap:
+        word = heapq.heappop(heap)[1]
+        coeff = todo.pop(word, None)
+        if coeff is None:  # cancelled, or pushed twice
+            continue
+        redex = system.find_redex(word)
+        if redex is None:
+            normal[word] = coeff
+            continue
+        i, lhs = redex
+        prefix, suffix = word[:i], word[i + len(lhs):]
+        steps[(prefix, lhs, suffix)] = coeff
+        for w, c in system.rules[lhs].terms.items():
+            child = prefix + w + suffix
+            if child not in todo:
+                heapq.heappush(heap, (-encode(child, max_len), child))
+            add_into(todo, {child: c}, coeff)
+    return steps, normal
+
+
 @dataclass
 class MembershipReport:
     member: bool
@@ -808,8 +871,9 @@ class MembershipOracle:
     """The algebra of one presentation: rules, confluence certificate, membership.
 
     Holds the oriented rules (with their normal-form cache), the confluence
-    certificate, the completions and the echelons of the raw rows, each
-    computed on first need.  Obtain shared instances through `algebra(pres)`.
+    certificate, the completions, the rules written out over the relations
+    and the echelons of the raw rows, each computed on first need.  Obtain
+    shared instances through `algebra(pres)`.
 
     `normal_form(e)` is the normal form of e under the rules completed to
     e's own degree, which decides e for confluent or homogeneous rules.
@@ -824,7 +888,8 @@ class MembershipOracle:
       Nonzero is an exact non-member (route "certificate") when the rules
       are confluent or the relations homogeneous; otherwise the verdict is
       not certain and its note starts "undecided:".  No rows are built.
-    - mode "modular": elimination on the raw rows w1 * r * w2 over GF(p),
+    - mode "modular" (`wh3 member --mode modular`; no verification check
+      takes it): elimination on the raw rows w1 * r * w2 over GF(p),
       independent of the rules.  Their columns are the words'
       `Alphabet.encode` integers for length degree (e's degree by default);
       when every relation is homogeneous the ideal is graded, and each
@@ -840,6 +905,10 @@ class MembershipOracle:
       as tt's, the non-pivot words are the normal words of
       `completion(degree)`, so the support is the normal form's set of
       words (at a point that drops neither the rank nor a coefficient).
+
+    `decomposition(e)` writes a member whose normal form vanishes out as an
+    explicit sum of products c * w1 * r * w2 of the relations, which can be
+    multiplied out without this module.
 
     Completions go on from what is already settled: from the largest cached
     completion below their degree, checking only its longer ambiguities, or
@@ -860,6 +929,8 @@ class MembershipOracle:
         self._confluence: ConfluenceReport | None = None
         self._completions: dict = {}
         self._echelons: dict = {}
+        self._combinations: dict | None = None  # base rule -> {relation index: coefficient}
+        self._rule_steps: dict = {}  # completion rule -> (its source defect, its steps)
 
     def rule_system(self) -> RuleSystem:
         """The oriented rules; raises the orientation error if there are none."""
@@ -916,6 +987,101 @@ class MembershipOracle:
         collapse, like `completion`.
         """
         return self.completion(e.degree()).normalize(e)
+
+    # -- ideal decompositions ------------------------------------------------
+
+    def decomposition(self, e: Element) -> dict | None:
+        """e as a sum of products c * w1 * r * w2 of the presentation's relations.
+
+        Returns {(w1, index of r in pres.relations, w2): c}, or None when the
+        normal form of e under the rules completed to e's degree is not
+        zero.  The rewriting of e is traced (`_trace`), and each rule it used
+        is written out in turn, highest first: a base rule is the combination
+        of relations its echelon row is (`_base_combinations`), and a rule
+        the completion added is the defect it was oriented from, the two
+        one-step paths of its ambiguity followed by the traces that
+        normalized it (`ConfluenceReport.sources`), over its lead
+        coefficient.  Those traces use only the rules before it, and each
+        added rule is derived once, on first need.  Raises like `completion`.
+        """
+        degree = e.degree()
+        system = self.completion(degree)
+        steps, normal = _trace(system, e.terms)
+        if normal:
+            return None
+        sources = {} if system is self.rules else self._completions[degree].sources
+        rules = list(system.rules)
+        index = {lhs: idx for idx, lhs in enumerate(rules)}
+        prefixes: dict = {}
+
+        def prefix(size: int) -> RuleSystem:
+            """The first size rules: the system that normalized a defect."""
+            if size not in prefixes:
+                prefixes[size] = RuleSystem(system.alphabet,
+                                            dict(itertools.islice(system.rules.items(), size)))
+            return prefixes[size]
+
+        pending: dict = {}  # rule index -> {(w1, w2): c}, each c * w1 * (lhs - rhs) * w2
+
+        def spread(occurrences: Mapping, coeff=None, w1=(), w2=()):
+            for (u1, lhs, u2), c in occurrences.items():
+                add_into(pending.setdefault(index[lhs], {}), {(w1 + u1, u2 + w2): c}, coeff)
+
+        spread(steps)
+        base = self._base_combinations()
+        out: dict = {}
+        for idx in range(len(rules) - 1, -1, -1):
+            lhs = rules[idx]
+            for (w1, w2), c in pending.pop(idx, {}).items():
+                if lhs in base:
+                    add_into(out, {(w1, r, w2): a for r, a in base[lhs].items()}, c)
+                else:
+                    spread(self._defect_steps(sources[lhs], lhs, prefix), c, w1, w2)
+        return out
+
+    def _base_combinations(self) -> dict:
+        """Each base rule lhs -> rhs as lhs - rhs = {relation index: coefficient}.
+
+        One echelon over the relations, each with a tag column of its own
+        ranked below every word: its reduced rows on words are the rules
+        (`orient`), and their tag columns say which relations they combine.
+        """
+        if self._combinations is None:
+            rules, alphabet = self.rule_system(), self.pres.alphabet
+            echelon = ScalarEchelon()
+            for idx, rel in enumerate(self.pres.relations):
+                if not rel.is_zero:
+                    echelon.insert({**alphabet.encode_terms(rel.terms, 2), -1 - idx: Scalar.one()})
+            echelon.interreduce()
+            self._combinations = {
+                lhs: {-1 - k: c for k, c in echelon.rows[alphabet.encode(lhs, 2)].items() if k < 0}
+                for lhs in rules.rules}
+        return self._combinations
+
+    def _defect_steps(self, defect: OverlapDefect, lhs: tuple, prefix) -> dict:
+        """The completion rule for lhs as rewrite steps over the rules before it."""
+        cached = self._rule_steps.get(lhs)
+        if cached is not None and cached[0] is defect:
+            return cached[1]
+        word, lhs_a, pos_b, lhs_b = defect.word, defect.lhs_a, defect.pos_b, defect.lhs_b
+        one = Scalar.one()
+        first, *later = defect.systems
+        system = prefix(first)
+        # word minus each one-step path, then each path minus its normal form
+        steps = {((), lhs_a, word[len(lhs_a):]): -one,
+                 (word[:pos_b], lhs_b, word[pos_b + len(lhs_b):]): one}
+        trace_a, normal_a = _trace(system, _path(system, word, 0, lhs_a).terms)
+        trace_b, normal_b = _trace(system, _path(system, word, pos_b, lhs_b).terms)
+        add_into(steps, trace_a, -one)
+        add_into(steps, trace_b)
+        difference = add_into(normal_a, normal_b, -one)
+        for size in later:  # the difference normalized again under a longer prefix
+            trace, difference = _trace(prefix(size), difference)
+            add_into(steps, trace, -one)
+        inverse = difference[lhs].inverse()
+        steps = {key: c * inverse for key, c in steps.items()}
+        self._rule_steps[lhs] = (defect, steps)
+        return steps
 
     # -- row generation ------------------------------------------------------
 
@@ -1144,10 +1310,9 @@ def algebra(pres: PresentationSpec) -> MembershipOracle:
 
     Keyed on the generator names, parities and weights and on the relation
     terms, so equal presentations built anywhere share one object, while a
-    binding or any changed coefficient gives another.  A flat presentation of
-    a tensor (`algebra_tensor`) gets an oracle that orients it whole; a
-    `TensorAlgebra` is built from its legs' objects instead.  The least
-    recently used of more than ALGEBRA_CACHE_SIZE objects is dropped.
+    binding or any changed coefficient gives another.  A `TensorAlgebra` is
+    built from its legs' objects instead.  The least recently used of more
+    than ALGEBRA_CACHE_SIZE objects is dropped.
     """
     key = _content_key(pres)
     found = _ALGEBRAS.get(key)
@@ -1287,24 +1452,6 @@ def tensor_alphabet(a: Alphabet, b: Alphabet) -> Alphabet:
     if overlap:
         raise ValueError(f"generator name collision in tensor: {sorted(overlap)}")
     return Alphabet.build([(g.name, g.parity, g.weight) for g in (*a, *b)])
-
-
-def algebra_tensor(a: PresentationSpec, b: PresentationSpec) -> PresentationSpec:
-    """Two-sided tensor: union alphabet, union relations, commuting cross pairs.
-
-    All A-generators are ranked below all B-generators (`tensor_alphabet`);
-    every cross pair commutes (even-even and even-odd alike).  The result is
-    a flat presentation, which `orient` orients whole; `TensorAlgebra`
-    normalizes the same algebra leg by leg.
-    """
-    alphabet = tensor_alphabet(a.alphabet, b.alphabet)
-    offset = len(a.alphabet)
-    relations = [algebra_map(r, alphabet) for r in (*a.relations, *b.relations)]
-    one = Scalar.one()
-    for ga in range(len(a.alphabet)):
-        for gb in range(offset, len(alphabet)):
-            relations.append(Element(alphabet, {(ga, gb): one, (gb, ga): -one}))
-    return PresentationSpec(f"{a.name}(x){b.name}", alphabet, relations)
 
 
 def specialize(pres: PresentationSpec, bindings: Mapping[str, object]) -> PresentationSpec:

@@ -19,58 +19,44 @@ class Detail:
     id: str
     ok: bool
     note: str = ""
-    modular: bool = False
 
     def to_dict(self) -> dict:
         out = {"id": self.id, "ok": self.ok}
         if self.note:
             out["note"] = self.note
-        if self.modular:
-            out["modular"] = True
         return out
 
 
 @dataclass
 class Report:
-    """Outcome of one verification check."""
+    """Outcome of one verification check; every verdict is exact."""
 
     check: str
-    status: str = "pass"  # pass | fail | pass-modular
-    mode: str = "exact"  # exact | modular | mixed
+    status: str = "pass"  # pass | fail
     details: list[Detail] = field(default_factory=list)
     counterexample: str | None = None
     millis: int = 0
-    prime: int | None = None
-    seed: int | None = None
 
-    def add(self, detail_id: str, ok: bool, note: str = "", modular: bool = False,
+    def add(self, detail_id: str, ok: bool, note: str = "",
             counterexample: str | None = None) -> Detail:
-        detail = Detail(detail_id, ok, note, modular)
+        detail = Detail(detail_id, ok, note)
         self.details.append(detail)
         if not ok and self.counterexample is None and counterexample is not None:
             self.counterexample = counterexample
         return detail
 
     def finalize(self) -> "Report":
-        ok = all(d.ok for d in self.details)
-        any_modular = any(d.modular for d in self.details)
-        self.status = "pass" if ok and not any_modular else ("pass-modular" if ok else "fail")
-        self.mode = "mixed" if any_modular and not all(d.modular for d in self.details) else (
-            "modular" if any_modular else "exact"
-        )
+        self.status = "pass" if all(d.ok for d in self.details) else "fail"
         return self
 
     @property
     def passed(self) -> bool:
-        return self.status in ("pass", "pass-modular")
+        return self.status == "pass"
 
     def to_dict(self) -> dict:
         return {
             "check": self.check,
             "status": self.status,
-            "mode": self.mode,
-            "prime": self.prime,
-            "seed": self.seed,
             "details": [d.to_dict() for d in self.details],
             "counterexample": self.counterexample,
             "millis": self.millis,

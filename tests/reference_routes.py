@@ -11,6 +11,11 @@
 - `all_pairs_ambiguities(rules, fresh)`: the ambiguities between rule left
   sides found by comparing every pair letter by letter, in the order that
   `wh3.ncalg._ambiguities` must keep.
+- `algebra_tensor(a, b)`: the tensor A (x) B written out as one flat
+  presentation, which `orient` orients whole; `wh3.ncalg.TensorAlgebra`
+  normalizes the same algebra leg by leg.
+- `random_omega_mutation(rng)`: a random single-entry corruption of the
+  braiding matrix, for the negative controls.
 """
 
 from __future__ import annotations
@@ -18,8 +23,11 @@ from __future__ import annotations
 import functools
 import random
 
+from wh3 import catalog
 from wh3.linalg import ScalarEchelon, add_into
-from wh3.ncalg import DegreeBoundError, Element, MembershipReport, RewriteBudgetError
+from wh3.ncalg import (DegreeBoundError, Element, MembershipReport, PresentationSpec,
+                       RewriteBudgetError, algebra_map, tensor_alphabet)
+from wh3.scalars import Scalar
 
 
 @functools.lru_cache(maxsize=16)
@@ -117,3 +125,27 @@ def all_pairs_ambiguities(rules, fresh=None):
                 for i in range(len(a) - len(b) + 1):
                     if a[i:i + len(b)] == b:
                         yield a, (0, a), (i, b)
+
+
+def algebra_tensor(a: PresentationSpec, b: PresentationSpec) -> PresentationSpec:
+    """Two-sided tensor: union alphabet, union relations, commuting cross pairs.
+
+    All A-generators are ranked below all B-generators (`tensor_alphabet`);
+    every cross pair commutes (even-even and even-odd alike).
+    """
+    alphabet = tensor_alphabet(a.alphabet, b.alphabet)
+    offset = len(a.alphabet)
+    relations = [algebra_map(r, alphabet) for r in (*a.relations, *b.relations)]
+    one = Scalar.one()
+    for ga in range(len(a.alphabet)):
+        for gb in range(offset, len(alphabet)):
+            relations.append(Element(alphabet, {(ga, gb): one, (gb, ga): -one}))
+    return PresentationSpec(f"{a.name}(x){b.name}", alphabet, relations)
+
+
+def random_omega_mutation(rng: random.Random) -> tuple:
+    """A random single-entry corruption of the braiding matrix (for controls)."""
+    cells = list(catalog.omega().nonzero_cells())
+    row_pair, col_pair, value = cells[rng.randrange(len(cells))]
+    offset = Scalar.from_fraction(rng.choice((1, 2, -1)))
+    return (row_pair, col_pair, value + offset)

@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion, at its stated tolerance.
 
-Tolerance is exact symbolic equality throughout; the few verdicts that run
-over a prime field record their prime and seed and are marked as such.  Each
-test prints one CRITERION line so a verbose run doubles as a scorecard.
+Tolerance is exact symbolic equality throughout: every verdict is exact over
+Q(q, u, s), and none depends on a prime or a seed.  Each test prints one
+CRITERION line so a verbose run doubles as a scorecard.
 """
 
 import random
@@ -14,7 +14,7 @@ from wh3.ncalg import Element, MembershipOracle
 from wh3.scalars import Scalar
 from wh3.verify import VerifyContext
 
-from reference_routes import leftmost_steps, rewrite
+from reference_routes import leftmost_steps, random_omega_mutation, rewrite
 
 
 def scorecard(number, text, ok):
@@ -103,7 +103,7 @@ def test_criterion_07_inverse(default_reports):
         for j in (1, 2, 3):
             right = dm[f"right-inverse:({i},{j})"]
             anti = dm[f"antipode:({i},{j})"]
-            ok = ok and right.ok and anti.ok and not right.modular and not anti.modular
+            ok = ok and right.ok and anti.ok
     scorecard(7, "all 9+9 product entries certified at degree 3, exact; <120s", ok)
 
 
@@ -114,12 +114,12 @@ def test_criterion_08_determinant(default_reports):
     ok = ok and all(dm[f"lambda:{name}"].ok for name in catalog.t_alphabet().names())
     ok = ok and dm["non-centrality:t21"].ok
     ok = ok and "u^2/q^4" in dm["lambda:t21"].note  # certified factor, != 1
-    ok = ok and report.prime is not None and report.seed is not None
-    ok = ok and dm["exact-modular-agreement:t11"].ok
-    ok = ok and dm["exact-modular-agreement:t21"].ok
+    ok = ok and dm["decomposition-replay:t11"].ok
+    ok = ok and dm["decomposition-replay:t21"].ok
     scorecard(8, "all nine determinant commutation factors certified at "
                  "degree 4 against the errata-corrected table; non-centrality "
-                 "witnessed by t21; exact and modular agree on t11/t21", ok)
+                 "witnessed by t21; the t11 and t21 probes decompose into "
+                 "products w1*r*w2 of the transcribed rows that replay exactly", ok)
 
 
 def test_criterion_09_coaction(default_reports):
@@ -136,9 +136,9 @@ def test_criterion_10_hopf(default_reports):
     report = default_reports["hopf"]
     dm = details(report)
     ok = report.passed
-    ok = ok and dm["coproduct-is-algebra-map"].ok and not dm["coproduct-is-algebra-map"].modular
+    ok = ok and dm["coproduct-is-algebra-map"].ok
     ok = ok and dm["determinant-group-like"].ok
-    ok = ok and dm["counit-axiom"].ok and not dm["counit-axiom"].modular
+    ok = ok and dm["counit-axiom"].ok
     scorecard(10, "coproduct is an algebra map at bidegree (2,2), exact; "
                   "determinant group-like; counit axiom exact", ok)
 
@@ -199,7 +199,7 @@ def test_criterion_13_property_suites():
     # mutation sensitivity: 20 random corruptions each flip a verdict
     rng = random.Random(20260809)
     for _ in range(20):
-        ctx = VerifyContext(omega_mutations=(verify.random_omega_mutation(rng),))
+        ctx = VerifyContext(omega_mutations=(random_omega_mutation(rng),))
         ok = ok and verify.check_yang_baxter(ctx).status == "fail"
     from wh3.linalg import ScalarEchelon
     gen_ech = ScalarEchelon()

@@ -115,8 +115,7 @@ def test_verify_bad_mutation_syntax(capsys):
 
 
 def test_verify_json_byte_stable(capsys):
-    args = ("verify", "--check", "ybe,star", "--format", "json",
-            "--prime", "101", "--seed", "7", "--no-timings")
+    args = ("verify", "--check", "ybe,star", "--format", "json", "--no-timings")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
@@ -124,8 +123,7 @@ def test_verify_json_byte_stable(capsys):
     doc = json.loads(out1)
     assert [r["check"] for r in doc["reports"]] == ["star", "ybe"]
     for report in doc["reports"]:
-        assert list(report) == ["check", "status", "mode", "prime", "seed",
-                                "details", "counterexample", "millis"]
+        assert list(report) == ["check", "status", "details", "counterexample", "millis"]
         assert report["millis"] == 0
 
 
@@ -140,19 +138,33 @@ def test_verify_text_without_timings_is_byte_stable(capsys):
 
 
 def test_verify_has_no_mode_option(capsys):
-    # the determinant's exact/modular agreement always runs both halves
+    # every verdict of verify is exact: there is no modular mode to choose
     code, _, err = run_cli(capsys, "verify", "--check", "determinant", "--mode", "exact")
     assert code == 2
     assert "unrecognized arguments: --mode exact" in err
 
 
-@pytest.mark.parametrize("argv, code", [
-    (("--check", "determinant"), 1),  # pass-modular counts as a failure
-    (("--check", "constraints"), 0),
-    (("--check", "ybe"), 0),
-])
-def test_verify_strict_exact_fails_only_modular_passes(capsys, argv, code):
-    assert run_cli(capsys, "verify", "--strict-exact", *argv)[0] == code
+@pytest.mark.parametrize("option", [("--strict-exact",), ("--prime", "101")])
+def test_verify_has_no_modular_options(capsys, option):
+    code, out, err = run_cli(capsys, "verify", "--check", "ybe", *option)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_verify_output_does_not_depend_on_the_seed(capsys):
+    # --seed is accepted and ignored: no verdict depends on a modular point
+    args = ("verify", "--check", "determinant", "--format", "json", "--no-timings")
+    runs = {run_cli(capsys, *args, *seed) for seed in ((), ("--seed", "7"), ("--seed", "99"))}
+    assert len(runs) == 1
+    code, out, err = runs.pop()
+    assert (code, err) == (0, "")
+    assert '"status": "pass"' in out and "seed" not in out and "prime" not in out
+
+
+def test_verify_star_at_s_zero(capsys):
+    # the deformation relation is found by its x1*x2 term; its x3^2 term vanishes
+    code, out, _ = run_cli(capsys, "verify", "--check", "star", "--spec", "s=0")
+    assert code == 0, out
 
 
 def test_verify_errata_off_documented_failures(capsys):
@@ -304,8 +316,10 @@ def normalize_file(text):
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--check", "ybe", "--set", "q=0"), "denominator to zero"),
     (("matrix", "--set", "u=0"), "denominator to zero"),
-    (("verify", "--check", "determinant", "--prime", "4"), "--prime 4 is not a prime"),
-    (("verify", "--check", "determinant", "--prime", "1"), "--prime 1 is not a prime"),
+    (("member", "--algebra", "x", "--mode", "modular", "--expr", "x1", "--prime", "4"),
+     "--prime 4 is not a prime"),
+    (("member", "--algebra", "x", "--mode", "modular", "--expr", "x1", "--prime", "1"),
+     "--prime 1 is not a prime"),
     (("verify", "--check", "ybe", "--mutate", "omega:44,11=1"), "indices 1..3"),
     (("verify", "--check", "ybe", "--mutate", "omega:12,21=0"), "matrix is singular"),
     (normalize_file("{not json"), "malformed algebra file"),
@@ -391,7 +405,8 @@ def test_miller_rabin_matches_sympy():
 def test_prime_at_or_above_the_miller_rabin_bound_exits_two(capsys):
     # the bound is itself a strong pseudoprime to every base used
     for prime in (cli._PRIME_BOUND, 2**89 - 1):
-        code, out, err = run_cli(capsys, "verify", "--check", "ybe", "--prime", str(prime))
+        code, out, err = run_cli(capsys, "member", "--algebra", "x", "--mode", "modular",
+                                 "--expr", "x1", "--prime", str(prime))
         lines = err.splitlines()
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error: --prime ") and "too large" in lines[0]

@@ -4,11 +4,13 @@ import functools
 import itertools
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wh3 import catalog, ncalg
+from wh3 import catalog, ncalg, verify
 from wh3.exprs import UnknownSymbolError, parse_element, parse_scalar
 from wh3.linalg import ModEchelon, ModularPoint
 from wh3.ncalg import (
@@ -19,7 +21,6 @@ from wh3.ncalg import (
     PresentationSpec,
     Span,
     algebra_map,
-    algebra_tensor,
     derivation_apply,
     orient,
     overlap_resolve,
@@ -29,7 +30,8 @@ from wh3.ncalg import (
 from wh3.scalars import Scalar
 from wh3.verify import VerifyContext
 
-from reference_routes import all_pairs_ambiguities, leftmost_steps, rewrite, row_member
+from reference_routes import (all_pairs_ambiguities, algebra_tensor, leftmost_steps, rewrite,
+                              row_member)
 
 
 def x_pres():
@@ -632,6 +634,73 @@ def test_membership_soundness_of_normal_forms():
 def test_membership_degree_bound():
     with pytest.raises(ncalg.DegreeBoundError):
         ncalg.algebra(x_pres()).member(parse_x("x1*x2*x3*x1*x2"), degree=3)
+
+
+# ---------------------------------------------------------------------------
+# ideal decompositions
+# ---------------------------------------------------------------------------
+
+
+def test_every_completion_rule_replays_to_its_difference():
+    # each rule of errata-off tt's completion(4), base or added, written out
+    # over the transcribed rows and multiplied out again apart from ncalg
+    oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
+    system = oracle.completion(4)
+    assert len(system) == 105 and len(oracle.confluence.system) < 105
+    for lhs, rhs in system.rules.items():
+        difference = Element.from_word(system.alphabet, lhs) - rhs
+        certificate = oracle.decomposition(difference)
+        assert certificate is not None, lhs
+        assert verify._replay(certificate, oracle.pres.relations) == difference.terms, lhs
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.data())
+def test_random_members_replay(data):
+    pres = data.draw(st.sampled_from([x_pres(), catalog.tt_presentation(),
+                                      catalog.tt_presentation(errata=False),
+                                      catalog.calculus_presentation("omega")]))
+    A, relations = pres.alphabet, pres.relations
+    degree = data.draw(st.integers(2, 4))
+    coefficients = st.sampled_from(["1", "-1", "2", "q", "s", "1/u", "q - u^2"])
+    member = Element.zero(A)
+    for _ in range(data.draw(st.integers(1, 3))):
+        rel = relations[data.draw(st.integers(0, len(relations) - 1))]
+        pad = data.draw(st.tuples(*[st.integers(0, len(A) - 1)] * (degree - 2)))
+        left = data.draw(st.integers(0, degree - 2))
+        member = member + (Element.from_word(A, pad[:left], parse_scalar(data.draw(coefficients)))
+                           * rel * Element.from_word(A, pad[left:]))
+    certificate = ncalg.algebra(pres).decomposition(member)
+    assert certificate is not None
+    assert verify._replay(certificate, relations) == member.terms
+
+
+def test_non_member_has_no_decomposition():
+    assert ncalg.algebra(x_pres()).decomposition(parse_x("x1*x2 - x2*x1")) is None
+    tt = catalog.tt_presentation(errata=False)
+    probe = parse_element("t13*t31*t22*t11 - t11*t22*t31*t13", tt.alphabet)
+    assert ncalg.algebra(tt).decomposition(probe) is None
+
+
+def test_replay_calls_nothing_of_the_rewriting():
+    # like the sympy-free runtime: the replay must not reach ncalg or linalg
+    oracle = ncalg.algebra(catalog.tt_presentation(errata=False))
+    probe = oracle.pres.relations[3] * Element.generator(oracle.pres.alphabet, "t12")
+    certificate = oracle.decomposition(probe)
+    modules = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            modules.add(Path(frame.f_code.co_filename).name)
+
+    sys.setprofile(record)
+    try:
+        replayed = verify._replay(certificate, oracle.pres.relations)
+    finally:
+        sys.setprofile(None)
+    assert replayed == probe.terms
+    assert "scalars.py" in modules
+    assert not modules & {"ncalg.py", "linalg.py"}, modules
 
 
 def test_span_compare_examples():

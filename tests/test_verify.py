@@ -1,6 +1,8 @@
 """The verification checks, their witnesses, and their negative controls."""
 
 import ast
+import contextlib
+import functools
 import random
 from collections import OrderedDict
 from pathlib import Path
@@ -8,14 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from wh3 import catalog, cli, ncalg, verify
+from wh3 import catalog, cli, linalg, ncalg, verify
 from wh3.catalog import CMatrix, PAIRS
 from wh3.exprs import parse_element, parse_scalar
 from wh3.linalg import ScalarEchelon
 from wh3.ncalg import Element, MembershipOracle
-from wh3.reports import reports_to_json
 from wh3.scalars import Scalar, ScalarSubstitutionError
 from wh3.verify import VerifyContext
+
+from reference_routes import algebra_tensor, random_omega_mutation
 
 
 def detail_map(report):
@@ -37,16 +40,16 @@ def test_all_default_checks_pass(default_reports):
         assert report.passed, (check, report.counterexample)
 
 
-def test_modular_verdicts_record_prime_and_seed(default_reports):
-    det = default_reports["determinant"]
-    assert det.status in ("pass", "pass-modular")
-    assert det.prime is not None
-    assert det.seed is not None
-    # the confluent quantum-matrix rules certify non-centrality exactly; the
-    # prime and seed come from the raw exact/modular agreement rows
-    noncentral = detail_map(det)["non-centrality:t21"]
-    assert noncentral.ok and not noncentral.modular
-    assert noncentral.note.endswith("(exact)")
+def test_every_report_is_exact(default_reports):
+    # one verdict kind: a report says pass or fail and names no prime or seed
+    assert {r.status for r in default_reports.values()} == {"pass"}
+    for report in default_reports.values():
+        assert set(report.to_dict()) == {"check", "status", "details", "counterexample",
+                                         "millis"}
+        assert all(set(d.to_dict()) <= {"id", "ok", "note"} for d in report.details)
+    # the confluent quantum-matrix rules certify non-centrality exactly
+    noncentral = detail_map(default_reports["determinant"])["non-centrality:t21"]
+    assert noncentral.ok and noncentral.note.endswith("(exact)")
 
 
 def test_rtt_reports_rank(default_reports):
@@ -61,7 +64,6 @@ def test_inverse_has_all_eighteen_certificates(default_reports):
         for j in (1, 2, 3):
             assert details[f"right-inverse:({i},{j})"].ok
             assert details[f"antipode:({i},{j})"].ok
-            assert not details[f"right-inverse:({i},{j})"].modular
 
 
 def test_determinant_lambda_notes(default_reports):
@@ -69,8 +71,8 @@ def test_determinant_lambda_notes(default_reports):
     assert "q^4/u^2" in details["lambda:t12"].note
     assert "u^2/q^4" in details["lambda:t21"].note
     assert details["non-centrality:t21"].ok
-    assert details["exact-modular-agreement:t11"].ok
-    assert details["exact-modular-agreement:t21"].ok
+    assert details["decomposition-replay:t11"].ok
+    assert details["decomposition-replay:t21"].ok
 
 
 def test_coaction_covers_required_families(default_reports):
@@ -166,14 +168,6 @@ def test_star_details(default_reports):
     assert details["involutive-on-generators"].ok
     assert details["variable-relation-fixed-point"].ok
     assert details["determinant-star-fixed"].ok
-
-
-def test_reports_depend_only_on_seed(default_reports):
-    ctx = VerifyContext(seed=99)
-    a = verify.run_check("determinant", ctx)
-    b = verify.run_check("determinant", ctx)
-    a.millis = b.millis = 0
-    assert reports_to_json([a]) == reports_to_json([b])
 
 
 @pytest.mark.parametrize("errata", [True, False], ids=["default", "errata-off"])
@@ -272,7 +266,7 @@ def test_coaction_negative_control_dropped_relations():
         [r for idx, r in enumerate(tt.relations) if idx not in dropped],
     )
     xp = catalog.x_presentation()
-    tensor = ncalg.algebra_tensor(weakened, xp)
+    tensor = algebra_tensor(weakened, xp)
     rules = ncalg.orient(tensor)
     TA = tensor.alphabet
     images = {}
@@ -328,7 +322,7 @@ def test_full_coaction_passes_where_weakened_fails(default_reports):
 def test_ybe_mutation_sensitivity():
     rng = random.Random(20260809)
     for trial in range(20):
-        mutation = verify.random_omega_mutation(rng)
+        mutation = random_omega_mutation(rng)
         ctx = VerifyContext(omega_mutations=(mutation,))
         report = verify.check_yang_baxter(ctx)
         assert report.status == "fail", (trial, mutation)
@@ -898,6 +892,110 @@ def test_failing_coaction_family_says_what_failed(monkeypatch):
     assert report.counterexample.startswith("relation 0: ")
 
 
+def test_tampered_decomposition_fails_its_detail(monkeypatch):
+    # one changed coefficient or relation index no longer multiplies out to the probe
+    decomposition = MembershipOracle.decomposition
+    for tamper in ("coefficient", "relation"):
+        def tampered(self, e):
+            certificate = dict(decomposition(self, e))
+            (w1, r, w2), c = next(iter(certificate.items()))
+            if tamper == "coefficient":
+                certificate[(w1, r, w2)] = c + Scalar.one()
+            else:
+                del certificate[(w1, r, w2)]
+                certificate[(w1, (r + 1) % len(self.pres.relations), w2)] = c
+            return certificate
+
+        monkeypatch.setattr(MembershipOracle, "decomposition", tampered)
+        report = verify.check_determinant(VerifyContext())
+        assert [d.id for d in report.details if not d.ok] == [
+            "decomposition-replay:t11", "decomposition-replay:t21"], tamper
+        assert report.status == "fail"
+        assert detail_map(report)["decomposition-replay:t11"].note.endswith(
+            "do not multiply out to g*D - lambda*D*g")
+
+
+def test_verify_builds_no_modular_echelon(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GF(p) echelon was built")
+
+    monkeypatch.setattr(MembershipOracle, "_echelon", refuse)
+    monkeypatch.setattr(linalg.ModEchelon, "insert", refuse)
+    for errata in (True, False):
+        verify.run_all(VerifyContext(errata=errata))
+
+
+# ---------------------------------------------------------------------------
+# verdicts that do not depend on how a table is written
+# ---------------------------------------------------------------------------
+
+# the presentations built from the families, cached apart from them
+_FAMILY_PRESENTATIONS = (catalog.x_presentation, catalog.calculus_presentation,
+                         catalog.tt_presentation, catalog.qg_presentation)
+
+
+@contextlib.contextmanager
+def _rewritten_families(rewrite):
+    """Every family's rows as rewrite(fid, rows) gives them, on an empty algebra cache."""
+    table, algebras = catalog._family_cached, ncalg._ALGEBRAS
+
+    @functools.lru_cache(maxsize=None)
+    def rewritten(fid, errata):
+        fam = table(fid, errata)
+        return ncalg.PresentationSpec(fam.name, fam.alphabet, rewrite(fid, list(fam.relations)))
+
+    def clear():
+        for presentation in _FAMILY_PRESENTATIONS:
+            presentation.cache_clear()
+
+    catalog._family_cached, ncalg._ALGEBRAS = rewritten, OrderedDict()
+    clear()
+    try:
+        yield
+    finally:
+        catalog._family_cached, ncalg._ALGEBRAS = table, algebras
+        clear()
+
+
+def _assert_same_verdicts(rewrite, default_reports, errata_off_reports):
+    """Each check's status and failing detail ids, at both errata settings."""
+    def verdicts(reports):
+        return {r.check: (r.status, [d.id for d in r.details if not d.ok]) for r in reports}
+
+    with _rewritten_families(rewrite):
+        for errata, session in ((True, default_reports), (False, errata_off_reports)):
+            found = verdicts(verify.run_all(VerifyContext(errata=errata)))
+            assert found == verdicts(session.values()), errata
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda fid, rows: rows[::-1],
+    lambda fid, rows: [row.scale(2) for row in rows],
+    lambda fid, rows: [row.scale(parse_scalar("q/u")) for row in rows],
+], ids=["reversed", "doubled", "scaled-by-q/u"])
+def test_verdicts_do_not_depend_on_row_order_or_scale(rewrite, default_reports,
+                                                     errata_off_reports):
+    _assert_same_verdicts(rewrite, default_reports, errata_off_reports)
+
+
+@settings(max_examples=3)
+@given(st.randoms(use_true_random=False))
+def test_verdicts_survive_permuted_and_rescaled_tables(default_reports, errata_off_reports, rng):
+    # a random order of each family and a random Laurent monomial per row
+    plans = {}
+    for fid in catalog.FAMILY_IDS:
+        count = len(catalog.family(fid).relations)
+        scales = [parse_scalar(f"{rng.choice(('1', '-2', '3/5'))}*q^{rng.randint(-2, 2)}"
+                               f"*u^{rng.randint(-2, 2)}") for _ in range(count)]
+        plans[fid] = (rng.sample(range(count), count), scales)
+
+    def rewrite(fid, rows):
+        order, scales = plans[fid]
+        return [rows[i].scale(scales[i]) for i in order]
+
+    _assert_same_verdicts(rewrite, default_reports, errata_off_reports)
+
+
 # ---------------------------------------------------------------------------
 # registry and undecided families
 # ---------------------------------------------------------------------------
@@ -1010,7 +1108,7 @@ def test_mutated_contexts_report_every_check(monkeypatch):
     checks = (*MUTATION_CHECKS, "specializations")
     rng = random.Random(5)
     mutations = [((3, 3), (3, 3), parse_scalar("(q - u^2)/u^2"))]
-    mutations += [verify.random_omega_mutation(rng) for _ in range(8)]
+    mutations += [random_omega_mutation(rng) for _ in range(8)]
     for mutation in mutations:
         reports = verify.run_all(VerifyContext(omega_mutations=(mutation,)), checks)
         assert [r.check for r in reports] == list(checks), mutation
