@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Diff the fourteen files of tests/golden against the installed `wh3` console
+# Diff the seventeen files of tests/golden against the installed `wh3` console
 # script: bash .github/golden.sh OUTDIR, from the repository root.
 # bash -e stops at a nonzero exit, so each exit code is caught and tested;
 # each command's stderr must be empty, and diff -u shows the lines of a
@@ -36,4 +36,10 @@ golden member-t-degree-four-modular.txt 1 member --algebra t --mode modular \
   --expr 't13*t31*t22*t11 - t11*t22*t31*t13'
 golden member-t-relation-modular.txt 0 member --algebra t --mode modular \
   --expr 't21*t11 - (1/q)*t11*t21 + (s/q)*t31^2'
+golden member-t-degree-four-exact.txt 1 member --algebra t \
+  --expr 't13*t31*t22*t11 - t11*t22*t31*t13'
+golden member-t-relation-exact.json 0 member --algebra t --format json \
+  --expr 't21*t11 - (1/q)*t11*t21 + (s/q)*t31^2'
+golden normalize-t-errata-off.txt 0 normalize --algebra t --errata off \
+  --expr 't32*t32*t31'
 golden export-tt.json 0 export --family tt

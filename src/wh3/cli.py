@@ -227,9 +227,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_normalize(args) -> int:
     pres = _load_algebra(args.algebra, args.algebra_file, args.errata == "on")
-    rules = ncalg.algebra(pres).rule_system()
     element = exprs.parse_element(args.expr, pres.alphabet)
-    print(rules.normalize(element).format())
+    print(ncalg.algebra(pres).normal_form(element).format())
     return 0
 
 
@@ -238,9 +237,9 @@ def _cmd_member(args) -> int:
     pres = _load_algebra(args.algebra, args.algebra_file, args.errata == "on")
     element = exprs.parse_element(args.expr, pres.alphabet)
     degree = max(element.degree(), _MEMBER_DEGREE) if args.degree is None else args.degree
-    report = ncalg.algebra(pres).member(
-        element, degree=degree, mode=args.mode, prime=args.prime, seed=args.seed,
-    )
+    oracle = ncalg.algebra(pres)
+    report = (oracle.modular_member(element, degree, args.prime, args.seed)
+              if args.mode == "modular" else oracle.member(element, degree))
     doc = {
         "member": report.member,
         "certain": report.certain,
@@ -323,7 +322,7 @@ def run(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (exprs.ExprError, scalars.ScalarError, ncalg.InconsistentPresentationError,
-            ncalg.DegreeBoundError, OSError) as err:
+            ncalg.DegreeBoundError, ncalg.RewriteBudgetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR

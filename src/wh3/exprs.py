@@ -108,7 +108,10 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse(self):
-        value = self.expr()
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise ExprSyntaxError("expression nested too deeply", self.peek().pos) from None
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)

@@ -88,7 +88,7 @@ __all__ = [
     "presentation_from_json",
 ]
 
-DEFAULT_REWRITE_BUDGET = 2_000_000
+REWRITE_BUDGET = 2_000_000  # rewrite steps per normalize call
 MEMBERSHIP_ROW_CAP = 400_000
 ALGEBRA_CACHE_SIZE = 32
 
@@ -158,22 +158,20 @@ class Alphabet:
     def word_key(self, word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return (sum(self.weights[g] for g in word), word)
 
-    def encode(self, word: tuple[int, ...], max_len: int, at: int = 0) -> int:
+    def encode(self, word: tuple[int, ...], max_len: int) -> int:
         """The integer of a word of length <= max_len, ordered exactly as word_key.
 
         Total weight, then the letters as base-(n+1) digits rank + 1 padded
         with 0 to max_len digits, so a prefix sorts below its extensions.
-        With at > 0 the digits start at letter position at: the codes of the
-        consecutive pieces of a word add up to the code of the word.
         """
-        if at + len(word) > max_len:
-            raise ValueError(f"word of length {len(word)} at {at} exceeds length {max_len}")
+        if len(word) > max_len:
+            raise ValueError(f"word of length {len(word)} exceeds length {max_len}")
         base, weights = len(self.generators) + 1, self.weights
         weight = digits = 0
         for g in word:
             weight += weights[g]
             digits = digits * base + g + 1
-        return weight * base ** max_len + digits * base ** (max_len - at - len(word))
+        return weight * base ** max_len + digits * base ** (max_len - len(word))
 
     def decode(self, code: int, max_len: int) -> tuple[int, ...]:
         """The word that encode(word, max_len) numbers code."""
@@ -410,11 +408,9 @@ class PresentationSpec:
 class RuleSystem:
     """Oriented rewrite rules lhs -> rhs with every rhs word deg-lex below lhs."""
 
-    def __init__(self, alphabet: Alphabet, rules: Mapping[tuple[int, ...], Element],
-                 budget: int = DEFAULT_REWRITE_BUDGET):
+    def __init__(self, alphabet: Alphabet, rules: Mapping[tuple[int, ...], Element]):
         self.alphabet = alphabet
         self.rules = dict(rules)
-        self.budget = budget
         key = alphabet.word_key
         for lhs, rhs in self.rules.items():
             if len(lhs) < 2:
@@ -447,7 +443,7 @@ class RuleSystem:
         cached = cache.get(word)
         if cached is not None:
             return cached
-        budget = self.budget
+        budget = REWRITE_BUDGET
         stack = [tuple(word)]
         while stack:
             current = stack[-1]
@@ -491,7 +487,7 @@ class RuleSystem:
     def extended(self, extra_rules: Mapping[tuple[int, ...], Element]) -> "RuleSystem":
         merged = dict(self.rules)
         merged.update(extra_rules)
-        return RuleSystem(self.alphabet, merged, self.budget)
+        return RuleSystem(self.alphabet, merged)
 
 
 class TensorRules:
@@ -539,7 +535,7 @@ class TensorRules:
 # ---------------------------------------------------------------------------
 
 
-def orient(pres: PresentationSpec, budget: int = DEFAULT_REWRITE_BUDGET) -> RuleSystem:
+def orient(pres: PresentationSpec) -> RuleSystem:
     """Gaussian-reduce the relation span and read off monic decreasing rules.
 
     The relation vectors are brought to reduced row-echelon form with the
@@ -580,7 +576,7 @@ def orient(pres: PresentationSpec, budget: int = DEFAULT_REWRITE_BUDGET) -> Rule
                 f"inconsistent presentation: forces {alphabet.format_word(lead)} = 0"
             )
         rules[lead] = Element(alphabet, tail)
-    return RuleSystem(alphabet, rules, budget)
+    return RuleSystem(alphabet, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -876,35 +872,36 @@ class MembershipOracle:
     shared instances through `algebra(pres)`.
 
     `normal_form(e)` is the normal form of e under the rules completed to
-    e's own degree, which decides e for confluent or homogeneous rules.
-    Inhomogeneous rules that are not confluent can still put a lower-degree
-    element into the ideal through a longer ambiguity (without errata a
-    calculus's length-3 ambiguity puts d2 there), so their nonzero normal
-    form is not a verdict.
-    `member(e, degree, mode)` has two routes:
+    e's own degree, and at least to degree 3 for rules that are neither
+    confluent nor homogeneous; it decides e for confluent or homogeneous
+    rules.  Other rules can still put a lower-degree element into the ideal
+    through a longer ambiguity, so their nonzero normal form is not a
+    verdict.
 
-    - mode "exact": the normal form of e, under `completion(degree)` when a
-      degree is given.  Zero is a member, exactly (route "reduction").
-      Nonzero is an exact non-member (route "certificate") when the rules
-      are confluent or the relations homogeneous; otherwise the verdict is
-      not certain and its note starts "undecided:".  No rows are built.
-    - mode "modular" (`wh3 member --mode modular`; no verification check
-      takes it): elimination on the raw rows w1 * r * w2 over GF(p),
-      independent of the rules.  Their columns are the words'
-      `Alphabet.encode` integers for length degree (e's degree by default);
-      when every relation is homogeneous the ideal is graded, and each
-      homogeneous component of e meets the rows of its own length instead
-      (`span_rank` adds up their ranks).  The verdict is never certain: an
-      unlucky point can drop the rank of the rows or of the residual.  So a
-      non-member is checked again at the next point of the seed, the note
-      names both points and starts "undecided:" if they disagree, and
-      `support` holds the residual's words at the first point (its GF(p)
-      values are not coefficients over Q(q, u, s)).  The residual is the
-      echelon's canonical remainder: it lies on the non-pivot words and does
-      not depend on the order of the rows.  For homogeneous relations, such
-      as tt's, the non-pivot words are the normal words of
-      `completion(degree)`, so the support is the normal form's set of
-      words (at a point that drops neither the rank nor a coefficient).
+    `member(e, degree)` decides by that normal form, under
+    `completion(degree)` when a degree is given.  Zero is a member, exactly
+    (route "reduction").  Nonzero is an exact non-member (route
+    "certificate") when the rules are confluent or the relations
+    homogeneous; otherwise the verdict is not certain and its note starts
+    "undecided:".  It builds no rows.
+
+    `modular_member(e, degree, prime, seed)` is the GF(p) route of `wh3
+    member --mode modular`, which no verification check takes: elimination
+    on the raw rows w1 * r * w2, independent of the rules.  Their columns
+    are the words' `Alphabet.encode` integers for length degree (e's degree
+    by default); when every relation is homogeneous the ideal is graded,
+    and each homogeneous component of e meets the rows of its own length
+    instead (`span_rank` adds up their ranks).  The verdict is never
+    certain: an unlucky point can drop the rank of the rows or of the
+    residual.  So a non-member is checked again at the next point of the
+    seed, the note names both points and starts "undecided:" if they
+    disagree, and `support` holds the residual's words at the first point
+    (its GF(p) values are not coefficients over Q(q, u, s)).  The residual
+    is the echelon's canonical remainder: it lies on the non-pivot words and
+    does not depend on the order of the rows.  For homogeneous relations,
+    such as tt's, the non-pivot words are the normal words of
+    `completion(degree)`, so the support is the normal form's set of words
+    (at a point that drops neither the rank nor a coefficient).
 
     `decomposition(e)` writes a member whose normal form vanishes out as an
     explicit sum of products c * w1 * r * w2 of the relations, which can be
@@ -982,11 +979,13 @@ class MembershipOracle:
     def normal_form(self, e: Element) -> Element:
         """The normal form of e under the rules completed to e's degree.
 
-        Exact for confluent or homogeneous rules; for others a nonzero normal
-        form decides nothing.  Raises the orientation error or a rank
-        collapse, like `completion`.
+        Rules that are neither confluent nor homogeneous are completed to at
+        least degree 3, the length of every ambiguity of quadratic rules, so
+        a rank collapse is met whatever e's degree.  Exact for confluent or
+        homogeneous rules; for others a nonzero normal form decides nothing.
+        Raises the orientation error or a rank collapse, like `completion`.
         """
-        return self.completion(e.degree()).normalize(e)
+        return self.completion(e.degree() if self.homogeneous else max(e.degree(), 3)).normalize(e)
 
     # -- ideal decompositions ------------------------------------------------
 
@@ -1083,99 +1082,38 @@ class MembershipOracle:
         self._rule_steps[lhs] = (defect, steps)
         return steps
 
-    # -- row generation ------------------------------------------------------
+    # -- membership ----------------------------------------------------------
 
-    def _row_vectors(self, degree: int, point=None):
-        """Yield the raw spanning rows w1*r*w2 on encoded words.
-
-        w1*r*w2 is r with w1 and w2 concatenated to each of its words, so a
-        row is r's own coefficients, exact or evaluated once per relation at
-        the modular point, on the sums of the codes of the three pieces
-        (`Alphabet.encode` with at).  A row can repeat another (the padded
-        monomial relation xi1^2 gives xi1^3 twice); the echelon reduces the
-        repeat to zero.  Only their echelons are cached: an object shared for
-        the whole run would otherwise keep every degree-4 row alive.
-        """
-        alphabet = self.pres.alphabet
-        encode = alphabet.encode
-        n = len(alphabet)
-        relations = self.pres.nonzero_relations()
-        homogeneous = self.homogeneous
-
-        def pads(rel):
-            rdeg = rel.degree()
-            if rdeg > degree:
-                return ()
-            return [degree - rdeg] if homogeneous else range(degree - rdeg + 1)
-
-        # w1 * r * w2 with len(w1) + len(w2) = pad: (pad + 1) * n^pad products
-        count = sum((pad + 1) * n ** pad for rel in relations for pad in pads(rel))
-        if count > MEMBERSHIP_ROW_CAP:
-            raise DegreeBoundError(
-                f"membership row cap exceeded at degree {degree}: "
-                f"{count} products > {MEMBERSHIP_ROW_CAP}"
-            )
-        for rel in relations:
-            if not pads(rel):
-                continue
-            words = list(rel.terms)
-            # raises ScalarModularError at a point where a denominator vanishes
-            values = rel.terms if point is None else eval_vec_mod(rel.terms, point)
-            row_values = [values.get(w) for w in words]  # None where zero mod p
-            for pad in pads(rel):
-                for left_len in range(pad + 1):
-                    mids = [encode(w, degree, left_len) for w in words]
-                    # w2 after each word of r, wherever that word ends
-                    rights = [[encode(w2, degree, left_len + len(w)) for w in words]
-                              for w2 in itertools.product(range(n), repeat=pad - left_len)]
-                    for w1 in itertools.product(range(n), repeat=left_len):
-                        left = encode(w1, degree)
-                        for right in rights:
-                            codes = [left + mid + r for mid, r in zip(mids, right)]
-                            yield {k: v for k, v in zip(codes, row_values) if v}
-
-    def _echelon(self, degree: int, point) -> ModEchelon:
-        """The cached echelon of the rows over GF(p) at a modular point.
-
-        The rows enter in ascending order of their lead column, as in F4 and
-        structured sparse elimination, not in generation order: a row is then
-        reduced against short rows with low leads instead of filled-in ones.
-        The pivot set and rank do not depend on the order.  A row that
-        vanished mod p sorts first and is still inserted.
-        """
-        key = (degree, point)
-        ech = self._echelons.get(key)
-        if ech is None:
-            ech = ModEchelon(point.prime)
-            for row in sorted(self._row_vectors(degree, point), key=lambda r: max(r, default=-1)):
-                ech.insert(row)
-            self._echelons[key] = ech
-        return ech
-
-    # -- the oracle ----------------------------------------------------------
-
-    def member(self, e: Element, degree: int | None = None, mode: str = "exact",
-               prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED) -> MembershipReport:
-        """Whether e lies in the ideal, at degree or, by default, at e's own degree."""
-        if mode not in ("exact", "modular"):
-            raise ValueError(f"unknown membership mode {mode!r}")
+    def member(self, e: Element, degree: int | None = None) -> MembershipReport:
+        """Whether e lies in the ideal, by its normal form at degree or at e's own."""
         bound = e.degree() if degree is None else degree
         if e.degree() > bound:
             raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {bound}")
         if e.is_zero:
             return MembershipReport(True, True, "trivial", "exact", bound)
-        if mode == "exact":
-            nf = self.normal_form(e) if degree is None else self.completion(degree).normalize(e)
-            if nf.is_zero:
-                return MembershipReport(True, True, "reduction", "exact", bound,
-                                        note="normal form vanishes: explicit ideal decomposition")
-            if self.confluent or self.homogeneous:
-                return MembershipReport(False, True, "certificate", "exact", bound, residual=nf,
-                                        note="nonzero normal form under confluent or "
-                                             f"homogeneous rules completed to degree {bound}")
-            return MembershipReport(False, False, "reduction", "exact", bound, residual=nf,
-                                    note="undecided: nonzero normal form under rules completed "
-                                         f"to degree {bound}, neither confluent nor homogeneous")
+        nf = self.normal_form(e) if degree is None else self.completion(degree).normalize(e)
+        if nf.is_zero:
+            return MembershipReport(True, True, "reduction", "exact", bound,
+                                    note="normal form vanishes: explicit ideal decomposition")
+        if self.confluent or self.homogeneous:
+            return MembershipReport(False, True, "certificate", "exact", bound, residual=nf,
+                                    note="nonzero normal form under confluent or "
+                                         f"homogeneous rules completed to degree {bound}")
+        completed = bound if degree is not None else max(bound, 3)  # as in normal_form
+        return MembershipReport(False, False, "reduction", "exact", bound, residual=nf,
+                                note="undecided: nonzero normal form under rules completed "
+                                     f"to degree {completed}, neither confluent nor homogeneous")
+
+    # -- the GF(p) route of `wh3 member --mode modular` ----------------------
+
+    def modular_member(self, e: Element, degree: int | None = None,
+                       prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED) -> MembershipReport:
+        """Whether e lies in the span of the raw rows over GF(p), at a point of the seed."""
+        bound = e.degree() if degree is None else degree
+        if e.degree() > bound:
+            raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {bound}")
+        if e.is_zero:
+            return MembershipReport(True, True, "trivial", "exact", bound)
         alphabet = self.pres.alphabet
         if self.homogeneous:
             parts: dict = {}  # length -> the component of e
@@ -1220,6 +1158,62 @@ class MembershipOracle:
                            f"undecided: not a member at {first_at} but a member at {second_at}")
         return report
 
+    def _row_vectors(self, degree: int, point=None):
+        """Yield the raw spanning rows w1*r*w2 on encoded words.
+
+        A row is r's own coefficients, exact or evaluated once per relation
+        at the modular point, on the words w1 + w + w2.  A row can repeat
+        another (the padded monomial relation xi1^2 gives xi1^3 twice); the
+        echelon reduces the repeat to zero.  Only their echelons are cached:
+        an object shared for the whole run would otherwise keep every
+        degree-4 row alive.
+        """
+        encode = self.pres.alphabet.encode
+        n = len(self.pres.alphabet)
+        relations = self.pres.nonzero_relations()
+
+        def pads(rel):
+            rdeg = rel.degree()
+            if rdeg > degree:
+                return ()
+            return [degree - rdeg] if self.homogeneous else range(degree - rdeg + 1)
+
+        # w1 * r * w2 with len(w1) + len(w2) = pad: (pad + 1) * n^pad products
+        count = sum((pad + 1) * n ** pad for rel in relations for pad in pads(rel))
+        if count > MEMBERSHIP_ROW_CAP:
+            raise DegreeBoundError(
+                f"membership row cap exceeded at degree {degree}: "
+                f"{count} products > {MEMBERSHIP_ROW_CAP}"
+            )
+        for rel in relations:
+            if not pads(rel):
+                continue
+            # raises ScalarModularError at a point where a denominator vanishes
+            values = rel.terms if point is None else eval_vec_mod(rel.terms, point)
+            for pad in pads(rel):
+                for left_len in range(pad + 1):
+                    for w1 in itertools.product(range(n), repeat=left_len):
+                        for w2 in itertools.product(range(n), repeat=pad - left_len):
+                            yield {encode(w1 + w + w2, degree): v for w, v in values.items()}
+
+    def _echelon(self, degree: int, point) -> ModEchelon:
+        """The cached echelon of the rows over GF(p) at a modular point.
+
+        The rows enter in ascending order of their lead column, as in F4 and
+        structured sparse elimination, not in generation order: a row is then
+        reduced against short rows with low leads instead of filled-in ones.
+        The pivot set and rank do not depend on the order.  A row that
+        vanished mod p sorts first and is still inserted.
+        """
+        key = (degree, point)
+        ech = self._echelons.get(key)
+        if ech is None:
+            ech = ModEchelon(point.prime)
+            for row in sorted(self._row_vectors(degree, point), key=lambda r: max(r, default=-1)):
+                ech.insert(row)
+            self._echelons[key] = ech
+        return ech
+
 
 class TensorAlgebra(MembershipOracle):
     """The algebra A (x) B of two algebra objects, over the tensor alphabet.
@@ -1236,8 +1230,7 @@ class TensorAlgebra(MembershipOracle):
     decides a tensor of homogeneous legs at its bidegree: the quotient is
     then bigraded, so each leg is completed only to the longest part of e's
     words in it.  With an inhomogeneous leg it completes both legs in step
-    to e's total degree.  Membership is by normal forms only (mode
-    "exact"): it builds no rows.
+    to e's total degree.
     """
 
     def __init__(self, left: MembershipOracle, right: MembershipOracle, alphabet: Alphabet):
@@ -1285,13 +1278,11 @@ class TensorAlgebra(MembershipOracle):
         left, right = self.legs
         return TensorRules(self.alphabet, left.completion(a), right.completion(b)).normalize(e)
 
-    def member(self, e: Element, degree: int | None = None,
-               mode: str = "exact") -> MembershipReport:
-        """Membership by the normal form under the completed legs; other modes raise."""
-        if mode != "exact":
-            raise ValueError(f"a tensor algebra decides membership by normal forms only, "
-                             f"not in mode {mode!r}")
-        return super().member(e, degree)
+    def modular_member(self, e: Element, degree: int | None = None,
+                       prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED) -> MembershipReport:
+        """Raises: a tensor keeps no raw rows; `member` decides by normal forms."""
+        raise ValueError("a tensor algebra decides membership by normal forms only, "
+                         "not in mode 'modular'")
 
 
 _ALGEBRAS: OrderedDict = OrderedDict()

@@ -394,10 +394,8 @@ def check_calculus(ctx: VerifyContext = DEFAULT_CONTEXT, variant: str = "omega")
         xx = [ncalg.algebra_map(r, target) for r in inp.families["xx"]]
         images = _exterior_images(target)
         d_ranks = {target.rank_of(f"d{i}") for i in (1, 2, 3)}
-        # a completion that collapses raises at the first identity that needs
-        # it, and is then the one `completion` detail; the first identities,
-        # d_i times a quadratic relation, have degree 3, so the errata-off
-        # collapse at degree 3 is met before a degree-2 identity is decided
+        # a completion that collapses raises at the first identity, and is
+        # then the one `completion` detail
         try:
             # (b) derivatives annihilate the variable relations
             for ridx, rel in enumerate(xx, 1):
@@ -485,7 +483,7 @@ def _matmul(a, b) -> list[list[Element]]:
 
 
 def check_inverse(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
-    """T . T^-1 = T^-1 . T = I, certified at degree 3 in exact mode."""
+    """T . T^-1 = T^-1 . T = I, certified by normal forms at degree 3."""
     inp = ctx.bound
     with timed_report("inverse") as report:
         oracle = ncalg.algebra(inp.tt)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import random
 
-from wh3 import catalog
+from wh3 import catalog, ncalg
 from wh3.linalg import ScalarEchelon, add_into
 from wh3.ncalg import (DegreeBoundError, Element, MembershipReport, PresentationSpec,
                        RewriteBudgetError, algebra_map, tensor_alphabet)
@@ -66,7 +66,7 @@ def row_member(oracle, e: Element, degree: int) -> MembershipReport:
 def rewrite(rules, e: Element, strategy: str, rng: random.Random | None = None) -> Element:
     """The normal form reached by always rewriting the rightmost or a random redex.
 
-    Nothing is memoized; more than `rules.budget` steps raise RewriteBudgetError.
+    Nothing is memoized; more than `ncalg.REWRITE_BUDGET` steps raise RewriteBudgetError.
     """
     lengths = sorted({len(lhs) for lhs in rules.rules})
     steps = 0
@@ -87,7 +87,7 @@ def rewrite(rules, e: Element, strategy: str, rng: random.Random | None = None) 
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         steps += 1
-        if steps > rules.budget:
+        if steps > ncalg.REWRITE_BUDGET:
             raise RewriteBudgetError("rewrite budget exceeded")
         prefix, suffix = word[:i], word[i + len(lhs):]
         for w, c in rules.rules[lhs].terms.items():

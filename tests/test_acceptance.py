@@ -180,7 +180,7 @@ def test_criterion_13_property_suites():
         word = tuple(rng.randrange(n) for _ in range(rng.randrange(6)))
         e = Element.from_word(pres.alphabet, word)
         nf, steps = leftmost_steps(rules, e)
-        ok = ok and steps < rules.budget
+        ok = ok and steps < ncalg.REWRITE_BUDGET
         ok = ok and rewrite(rules, e, "random", rng) == nf
     xp = catalog.x_presentation()
     oracle = MembershipOracle(xp)

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
-from wh3 import cli
+from wh3 import cli, ncalg
 
 
 def run_cli(capsys, *argv):
@@ -21,6 +22,26 @@ def test_normalize_swap(capsys):
     code, out, _ = run_cli(capsys, "normalize", "--algebra", "x", "--expr", "x2*x1")
     assert code == 0
     assert out.strip() == "(1/q)*x1*x2 - (s/q)*x3*x3"
+
+
+def test_normalize_prints_the_normal_form_under_completed_rules(capsys, monkeypatch):
+    # the uncorrected tt rules are not confluent; completed to degree 3 they
+    # put t32*t32*t31, which the base rules send to (q^4/u^4)*t31*t32*t32,
+    # into the ideal, as `wh3 member` says
+    code, out, _ = run_cli(capsys, "normalize", "--algebra", "t", "--errata", "off",
+                           "--expr", "t32*t32*t31")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run_cli(capsys, "member", "--algebra", "t", "--errata", "off",
+                           "--expr", "t32*t32*t31")
+    assert code == 0 and out.startswith("member (certain; reduction, exact, degree 4)")
+    # a completion that puts a generator into the ideal exits 2, even for a
+    # degree-1 element, on a fresh algebra object
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+    code, out, err = run_cli(capsys, "normalize", "--algebra", "calculus-omega",
+                             "--errata", "off", "--expr", "d2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: rank collapse: the ambiguity d2*d1*x1 puts "
+                                "((q^4 - u^4)/u^4)*d2 into the ideal"]
 
 
 def test_normalize_unknown_symbol(capsys):
@@ -313,6 +334,14 @@ def normalize_file(text):
     return ("normalize", "--algebra-file", PathArg(text), "--expr", "x")
 
 
+class Budget:
+    """An argument list run with the rewrite budget at `steps` per normal form."""
+
+    def __init__(self, steps, *argv):
+        self.steps = steps
+        self.argv = argv
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--check", "ybe", "--set", "q=0"), "denominator to zero"),
     (("matrix", "--set", "u=0"), "denominator to zero"),
@@ -357,13 +386,25 @@ def normalize_file(text):
      "order list disagrees with generator ranks"),
     # family ids only: no other spelling names a family
     (("export", "--family", "R_tt"), "unknown algebra 'R_tt'"),
+    # deeper than the recursive-descent parser can go, in any option
+    (("normalize", "--algebra", "x", "--expr", "(" * 400 + "x1" + ")" * 400),
+     "expression nested too deeply"),
+    (("normalize", "--algebra", "x", "--expr", "+" * 3000 + "x1"), "expression nested too deeply"),
+    (("verify", "--check", "ybe", "--set", "q=" + "-" * 3000 + "q"), "expression nested too deeply"),
+    (Budget(1, "normalize", "--algebra", "t", "--expr", "t33*t32*t31*t23*t22*t21"),
+     "rewrite budget exceeded"),
 ])
-def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path):
+def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path, capsys, monkeypatch):
+    # in-process: an exception that escaped cli.run would fail the test
+    if isinstance(argv, Budget):
+        monkeypatch.setattr(ncalg, "REWRITE_BUDGET", argv.steps)
+        argv = argv.argv
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())  # no normal form cached
     argv = [a.path(tmp_path) if isinstance(a, PathArg) else a for a in argv]
-    proc = run_module(*argv)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert "Traceback" not in err
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 

@@ -6,8 +6,11 @@ name it, verify-default.txt that of `python -m wh3 verify --all
 --no-timings` and verify-errata-off.txt that of the same command with
 `--errata off`; each matrix-* file is the output of `python -m wh3 matrix`
 with the options that name it; each member-* file is the output of
-`python -m wh3 member --algebra t --mode modular` on the expression of its
-test; export-tt.json is the output of `python -m wh3 export --family tt`.
+`python -m wh3 member --algebra t` on the expression of its test, with
+`--mode modular` for the *-modular files and `--format json` for the .json
+one; normalize-t-errata-off.txt is the output of `python -m wh3 normalize
+--algebra t --errata off --expr t32*t32*t31`; export-tt.json is the output
+of `python -m wh3 export --family tt`.
 A change that legitimately alters one regenerates it with that command and
 lists the changed text in CHANGES.md.
 """
@@ -103,6 +106,29 @@ def test_member_output_matches_golden_file(capsys, expr, name, code):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("options, name, code", [
+    # the same two elements by normal forms: a certified non-member with its
+    # exact residual, and a member
+    (("--expr", "t13*t31*t22*t11 - t11*t22*t31*t13"), "member-t-degree-four-exact.txt", 1),
+    (("--expr", "t21*t11 - (1/q)*t11*t21 + (s/q)*t31^2", "--format", "json"),
+     "member-t-relation-exact.json", 0),
+])
+def test_exact_member_output_matches_golden_file(capsys, options, name, code):
+    assert cli.run(["member", "--algebra", "t", *options]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / name).read_text()
+
+
+def test_normalize_output_matches_golden_file(capsys):
+    # the normal form under the uncorrected tt rules completed to degree 3
+    assert cli.run(["normalize", "--algebra", "t", "--errata", "off",
+                    "--expr", "t32*t32*t31"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / "normalize-t-errata-off.txt").read_text()
 
 
 def test_export_output_matches_golden_file(capsys):

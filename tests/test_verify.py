@@ -685,10 +685,29 @@ def test_errata_off_calculi_report_one_completion_collapse(errata_off_reports):
         assert not any(d.id.startswith(DERIVATIVE_IDENTITIES) for d in details)
 
 
+@pytest.mark.parametrize("variant", ERRATA_OFF_COLLAPSES)
+def test_errata_off_calculus_collapses_whatever_the_element_degree(monkeypatch, variant):
+    # rules that are neither confluent nor homogeneous are completed to at
+    # least degree 3, so a fresh object meets the collapse at a degree-1 or
+    # degree-2 element too, not only after a degree-3 identity
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+    calculus = ncalg.algebra(catalog.calculus_presentation(variant, errata=False))
+    A = calculus.pres.alphabet
+    collapse = f"rank collapse: the ambiguity {ERRATA_OFF_COLLAPSES[variant]} into the ideal"
+    with pytest.raises(ncalg.InconsistentPresentationError) as raised:
+        calculus.member(Element.generator(A, "d2"))
+    assert str(raised.value) == collapse
+    monkeypatch.setattr(ncalg, "_ALGEBRAS", OrderedDict())
+    calculus = ncalg.algebra(catalog.calculus_presentation(variant, errata=False))
+    with pytest.raises(ncalg.InconsistentPresentationError) as raised:
+        calculus.normal_form(parse_element("d1*x1", A))
+    assert str(raised.value) == collapse
+
+
 def test_holding_derivative_identities_ask_no_membership_note(monkeypatch):
     # a vanishing normal form decides an identity; `member` only writes the
     # note of a failing one
-    def refuse(self, e, degree=None, mode="exact", **kwargs):
+    def refuse(self, e, degree=None):
         raise AssertionError(f"member asked for {e}")
 
     monkeypatch.setattr(ncalg.MembershipOracle, "member", refuse)
@@ -1049,7 +1068,7 @@ def test_row_cap_is_checked_before_any_row_is_built(monkeypatch):
     monkeypatch.setattr(ncalg, "MEMBERSHIP_ROW_CAP", 3 * 2 * 3 - 1)
     monkeypatch.setattr(ncalg.Element, "from_word", None)  # any built row would fail
     try:
-        oracle.member(probe, degree=3, mode="modular")
+        oracle.modular_member(probe, degree=3)
     except ncalg.DegreeBoundError as err:
         assert "18 products > 17" in str(err)
     else:
