@@ -233,7 +233,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    _check_prime(args.prime)
+    if args.mode == "modular":  # the exact route uses no prime
+        _check_prime(args.prime)
     pres = _load_algebra(args.algebra, args.algebra_file, args.errata == "on")
     element = exprs.parse_element(args.expr, pres.alphabet)
     degree = max(element.degree(), _MEMBER_DEGREE) if args.degree is None else args.degree

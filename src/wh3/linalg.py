@@ -7,10 +7,10 @@ products and generated families of `catalog`.  It adds coeff * terms
 into out and deletes what cancels, so no stored coefficient is ever zero.
 
 Vectors are dicts from columns to Scalar or integer coefficients.  Columns
-compare by their natural order (integers, or tuples of them) and the pivot
-of a row is its largest column; words of an algebra enter as the integers
-that `ncalg.Alphabet.encode` numbers in the algebra's word order, so no key
-function runs inside the elimination.  An echelon accumulates rows
+compare by their natural order (tuples) and the pivot of a row is its
+largest column; a word of an algebra enters as its `ncalg.Alphabet.word_key`
+(weight, word), which sorts in the algebra's word order, so no key function
+runs inside the elimination.  An echelon accumulates rows
 incrementally, and it has one reduction: `reduce(vec)` clears every pivot
 column and keeps the rest, so it returns the unique vector congruent to vec
 modulo the span that lies on non-pivot columns.  That canonical remainder

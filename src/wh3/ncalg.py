@@ -156,41 +156,8 @@ class Alphabet:
         return Alphabet(tuple(gens))
 
     def word_key(self, word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """The word's place in the order, (weight, word); an echelon's column for it."""
         return (sum(self.weights[g] for g in word), word)
-
-    def encode(self, word: tuple[int, ...], max_len: int) -> int:
-        """The integer of a word of length <= max_len, ordered exactly as word_key.
-
-        Total weight, then the letters as base-(n+1) digits rank + 1 padded
-        with 0 to max_len digits, so a prefix sorts below its extensions.
-        """
-        if len(word) > max_len:
-            raise ValueError(f"word of length {len(word)} exceeds length {max_len}")
-        base, weights = len(self.generators) + 1, self.weights
-        weight = digits = 0
-        for g in word:
-            weight += weights[g]
-            digits = digits * base + g + 1
-        return weight * base ** max_len + digits * base ** (max_len - len(word))
-
-    def decode(self, code: int, max_len: int) -> tuple[int, ...]:
-        """The word that encode(word, max_len) numbers code."""
-        base = len(self.generators) + 1
-        digits = code % base ** max_len
-        letters = []
-        while digits:
-            digits, digit = divmod(digits, base)
-            if digit:  # 0 is padding
-                letters.append(digit - 1)
-        return tuple(reversed(letters))
-
-    def encode_terms(self, terms: Mapping[tuple[int, ...], object], max_len: int) -> dict:
-        """An echelon vector: every word of terms encoded for max_len."""
-        return {self.encode(w, max_len): c for w, c in terms.items()}
-
-    def decode_terms(self, vec: Mapping[int, object], max_len: int) -> dict:
-        """The words and coefficients of an echelon vector built by encode_terms."""
-        return {self.decode(k, max_len): c for k, c in vec.items()}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -545,7 +512,7 @@ def orient(pres: PresentationSpec) -> RuleSystem:
     monomial forced to vanish that was not presented as a monomial
     relation) are reported as errors rather than silently accepted.
     """
-    alphabet = pres.alphabet
+    alphabet, key = pres.alphabet, pres.alphabet.word_key
     original_monomials = set()
     echelon = ScalarEchelon()
     for rel in pres.relations:
@@ -557,12 +524,10 @@ def orient(pres: PresentationSpec) -> RuleSystem:
             )
         if len(rel.terms) == 1:
             original_monomials.add(rel.lead_word())
-        echelon.insert(alphabet.encode_terms(rel.terms, 2))
+        echelon.insert({key(w): c for w, c in rel.terms.items()})
     echelon.interreduce()
     rules: dict[tuple[int, ...], Element] = {}
-    for code in sorted(echelon.rows):
-        lead = alphabet.decode(code, 2)
-        row = alphabet.decode_terms(echelon.rows[code], 2)
+    for (_, lead), row in sorted(echelon.rows.items()):
         if len(lead) == 0:
             raise InconsistentPresentationError("presentation forces a nonzero constant to vanish")
         if len(lead) == 1:
@@ -570,7 +535,7 @@ def orient(pres: PresentationSpec) -> RuleSystem:
             raise InconsistentPresentationError(
                 f"rank collapse: presentation forces a degree-1 relation led by {name}"
             )
-        tail = {w: -c for w, c in row.items()}
+        tail = {w: -c for (_, w), c in row.items()}
         if not tail and lead not in original_monomials:
             raise InconsistentPresentationError(
                 f"inconsistent presentation: forces {alphabet.format_word(lead)} = 0"
@@ -810,6 +775,13 @@ def derivation_apply(images: Mapping[str, Element], e: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 
+def _descending_key(weights: tuple[int, ...], word: tuple[int, ...]) -> tuple:
+    """A min-heap key that pops words in descending `Alphabet.word_key` order."""
+    # word_key negated: every weight is at least 1, so no word is a prefix of
+    # another word of its weight, and negating each letter reverses their order
+    return -sum(weights[g] for g in word), tuple(-g for g in word)
+
+
 def _trace(system: RuleSystem, terms: Mapping) -> tuple[dict, dict]:
     """The rewrite steps that take terms to their normal form under system.
 
@@ -819,12 +791,9 @@ def _trace(system: RuleSystem, terms: Mapping) -> tuple[dict, dict]:
     (prefix, lhs, suffix) to c, and terms minus their normal form is the sum
     of c * prefix * (lhs - rhs) * suffix.
     """
-    alphabet = system.alphabet
-    # rewriting lowers the weight, and a word is no longer than its weight
-    max_len = max((alphabet.word_key(w)[0] for w in terms), default=0)
-    encode = alphabet.encode
+    weights = system.alphabet.weights
     todo = dict(terms)
-    heap = [(-encode(w, max_len), w) for w in todo]
+    heap = [(_descending_key(weights, w), w) for w in todo]
     heapq.heapify(heap)
     steps, normal = {}, {}
     while heap:
@@ -842,7 +811,7 @@ def _trace(system: RuleSystem, terms: Mapping) -> tuple[dict, dict]:
         for w, c in system.rules[lhs].terms.items():
             child = prefix + w + suffix
             if child not in todo:
-                heapq.heappush(heap, (-encode(child, max_len), child))
+                heapq.heappush(heap, (_descending_key(weights, child), child))
             add_into(todo, {child: c}, coeff)
     return steps, normal
 
@@ -887,10 +856,10 @@ class MembershipOracle:
 
     `modular_member(e, degree, prime, seed)` is the GF(p) route of `wh3
     member --mode modular`, which no verification check takes: elimination
-    on the raw rows w1 * r * w2, independent of the rules.  Their columns
-    are the words' `Alphabet.encode` integers for length degree (e's degree
-    by default); when every relation is homogeneous the ideal is graded,
-    and each homogeneous component of e meets the rows of its own length
+    on the raw rows w1 * r * w2 up to length degree (e's degree by
+    default), independent of the rules, with the words' `word_key` as
+    columns.  When every relation is homogeneous the ideal is graded, and
+    each homogeneous component of e meets the rows of its own length
     instead (`span_rank` adds up their ranks).  The verdict is never
     certain: an unlucky point can drop the rank of the rows or of the
     residual.  So a non-member is checked again at the next point of the
@@ -985,7 +954,11 @@ class MembershipOracle:
         homogeneous rules; for others a nonzero normal form decides nothing.
         Raises the orientation error or a rank collapse, like `completion`.
         """
-        return self.completion(e.degree() if self.homogeneous else max(e.degree(), 3)).normalize(e)
+        return self.completion(self._normal_form_degree(e.degree())).normalize(e)
+
+    def _normal_form_degree(self, degree: int) -> int:
+        """The completion `normal_form` uses for an element of degree."""
+        return degree if self.homogeneous else max(degree, 3)
 
     # -- ideal decompositions ------------------------------------------------
 
@@ -1041,19 +1014,22 @@ class MembershipOracle:
     def _base_combinations(self) -> dict:
         """Each base rule lhs -> rhs as lhs - rhs = {relation index: coefficient}.
 
-        One echelon over the relations, each with a tag column of its own
-        ranked below every word: its reduced rows on words are the rules
-        (`orient`), and their tag columns say which relations they combine.
+        One echelon over the relations, each with a tag column (-1, -index)
+        of its own ranked below every word's (weight >= 0, word), an earlier
+        relation's above a later one's: its reduced rows on words are the
+        rules (`orient`), and their tag columns say which relations they
+        combine.
         """
         if self._combinations is None:
-            rules, alphabet = self.rule_system(), self.pres.alphabet
+            rules, key = self.rule_system(), self.pres.alphabet.word_key
             echelon = ScalarEchelon()
             for idx, rel in enumerate(self.pres.relations):
                 if not rel.is_zero:
-                    echelon.insert({**alphabet.encode_terms(rel.terms, 2), -1 - idx: Scalar.one()})
+                    echelon.insert({**{key(w): c for w, c in rel.terms.items()},
+                                    (-1, -idx): Scalar.one()})
             echelon.interreduce()
             self._combinations = {
-                lhs: {-1 - k: c for k, c in echelon.rows[alphabet.encode(lhs, 2)].items() if k < 0}
+                lhs: {-idx: c for (tag, idx), c in echelon.rows[key(lhs)].items() if tag < 0}
                 for lhs in rules.rules}
         return self._combinations
 
@@ -1099,7 +1075,7 @@ class MembershipOracle:
             return MembershipReport(False, True, "certificate", "exact", bound, residual=nf,
                                     note="nonzero normal form under confluent or "
                                          f"homogeneous rules completed to degree {bound}")
-        completed = bound if degree is not None else max(bound, 3)  # as in normal_form
+        completed = bound if degree is not None else self._normal_form_degree(bound)
         return MembershipReport(False, False, "reduction", "exact", bound, residual=nf,
                                 note="undecided: nonzero normal form under rules completed "
                                      f"to degree {completed}, neither confluent nor homogeneous")
@@ -1114,22 +1090,21 @@ class MembershipOracle:
             raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {bound}")
         if e.is_zero:
             return MembershipReport(True, True, "trivial", "exact", bound)
-        alphabet = self.pres.alphabet
+        alphabet, key = self.pres.alphabet, self.pres.alphabet.word_key
         if self.homogeneous:
             parts: dict = {}  # length -> the component of e
             for w, c in e.terms.items():
-                parts.setdefault(len(w), {})[w] = c
+                parts.setdefault(len(w), {})[key(w)] = c
         else:
-            parts = {bound: e.terms}
+            parts = {bound: {key(w): c for w, c in e.terms.items()}}
 
         def remainder(point):
             """The echelons' total rank and e's remainder on words at point."""
             rank, out = 0, {}
-            for length, terms in parts.items():
+            for length, vec in parts.items():
                 ech = self._echelon(length, point)
                 rank += ech.rank
-                out.update(alphabet.decode_terms(
-                    ech.reduce(eval_vec_mod(alphabet.encode_terms(terms, length), point)), length))
+                out.update((w, c) for (_, w), c in ech.reduce(eval_vec_mod(vec, point)).items())
             return rank, out
 
         point, (rank, residual) = with_modular_retries(remainder, prime, seed)
@@ -1159,7 +1134,7 @@ class MembershipOracle:
         return report
 
     def _row_vectors(self, degree: int, point=None):
-        """Yield the raw spanning rows w1*r*w2 on encoded words.
+        """Yield the raw spanning rows w1*r*w2, on the words' `word_key` columns.
 
         A row is r's own coefficients, exact or evaluated once per relation
         at the modular point, on the words w1 + w + w2.  A row can repeat
@@ -1168,7 +1143,7 @@ class MembershipOracle:
         an object shared for the whole run would otherwise keep every
         degree-4 row alive.
         """
-        encode = self.pres.alphabet.encode
+        key = self.pres.alphabet.word_key
         n = len(self.pres.alphabet)
         relations = self.pres.nonzero_relations()
 
@@ -1194,7 +1169,7 @@ class MembershipOracle:
                 for left_len in range(pad + 1):
                     for w1 in itertools.product(range(n), repeat=left_len):
                         for w2 in itertools.product(range(n), repeat=pad - left_len):
-                            yield {encode(w1 + w + w2, degree): v for w, v in values.items()}
+                            yield {key(w1 + w + w2): v for w, v in values.items()}
 
     def _echelon(self, degree: int, point) -> ModEchelon:
         """The cached echelon of the rows over GF(p) at a modular point.
@@ -1209,7 +1184,8 @@ class MembershipOracle:
         ech = self._echelons.get(key)
         if ech is None:
             ech = ModEchelon(point.prime)
-            for row in sorted(self._row_vectors(degree, point), key=lambda r: max(r, default=-1)):
+            for row in sorted(self._row_vectors(degree, point),
+                              key=lambda r: max(r, default=(-1, ()))):
                 ech.insert(row)
             self._echelons[key] = ech
         return ech
@@ -1324,23 +1300,20 @@ def algebra(pres: PresentationSpec) -> MembershipOracle:
 class Span:
     """The exact span over Q(q, u, s) of a list of relations over one alphabet.
 
-    The relations enter one `ScalarEchelon` in list order, their words
-    encoded for max_len (default: the largest relation length), so every
-    element tested against the span must be that short.  `dependent` lists
-    the indices of the relations that are zero or already in the span of the
-    earlier ones; a residual does not depend on the list order.  Relations
-    or tested elements over another alphabet raise ValueError.
+    The relations enter one `ScalarEchelon` in list order, on the words'
+    `word_key` columns.  `dependent` lists the indices of the relations that
+    are zero or already in the span of the earlier ones; a residual does not
+    depend on the list order.  Relations or tested elements over another
+    alphabet raise ValueError.
     """
 
-    def __init__(self, relations: Sequence[Element], max_len: int | None = None):
+    def __init__(self, relations: Sequence[Element]):
         self.alphabet = relations[0].alphabet if relations else None
         for rel in relations:
             self._check(rel)
-        self.max_len = max((r.degree() for r in relations), default=0) \
-            if max_len is None else max_len
         self._echelon = ScalarEchelon()
         self.dependent = [idx for idx, rel in enumerate(relations) if self._echelon.insert(
-            rel.alphabet.encode_terms(rel.terms, self.max_len)) is None]
+            {rel.alphabet.word_key(w): c for w, c in rel.terms.items()}) is None]
 
     def _check(self, e: Element):
         if self.alphabet is not None and not self.alphabet.compatible_with(e.alphabet):
@@ -1353,8 +1326,8 @@ class Span:
     def residual(self, e: Element) -> Element:
         """The canonical remainder of e: zero iff e lies in the span, order-free."""
         self._check(e)
-        vec = self._echelon.reduce(e.alphabet.encode_terms(e.terms, self.max_len))
-        return Element(e.alphabet, e.alphabet.decode_terms(vec, self.max_len))
+        vec = self._echelon.reduce({e.alphabet.word_key(w): c for w, c in e.terms.items()})
+        return Element(e.alphabet, {w: c for (_, w), c in vec.items()})
 
 
 @dataclass
@@ -1365,17 +1338,14 @@ class SpanComparison:
     witness: Element | None = None
 
 
-def span_compare(a: Sequence[Element] | PresentationSpec,
-                 b: Sequence[Element] | PresentationSpec) -> SpanComparison:
+def span_compare(a: Sequence[Element], b: Sequence[Element]) -> SpanComparison:
     """Exact row-space comparison of two relation lists over a common alphabet.
 
     The witness is the residual of the first relation of a outside the span
     of b, else of the first relation of b outside the span of a.
     """
-    rel_a = a.nonzero_relations() if isinstance(a, PresentationSpec) else [r for r in a if not r.is_zero]
-    rel_b = b.nonzero_relations() if isinstance(b, PresentationSpec) else [r for r in b if not r.is_zero]
-    max_len = max((r.degree() for r in itertools.chain(rel_a, rel_b)), default=0)
-    span_a, span_b = Span(rel_a, max_len), Span(rel_b, max_len)
+    rel_a, rel_b = [r for r in a if not r.is_zero], [r for r in b if not r.is_zero]
+    span_a, span_b = Span(rel_a), Span(rel_b)
     b_not_in_a = next((res for r in rel_b if (res := span_a.residual(r))), None)
     a_not_in_b = next((res for r in rel_a if (res := span_b.residual(r))), None)
     verdict = {

@@ -915,8 +915,8 @@ def check_specializations(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                        note=f"not applicable: s is bound to {inp.s}")
         else:
             xp = PresentationSpec("x", catalog.x_alphabet(), inp.families["xx"])
-            cmp = ncalg.span_compare(ncalg.specialize(xp, {"s": 0}),
-                                     ncalg.specialize(inp.plane, {"s": 0}))
+            cmp = ncalg.span_compare(ncalg.specialize(xp, {"s": 0}).relations,
+                                     ncalg.specialize(inp.plane, {"s": 0}).relations)
             report.add("s=0-quantum-plane", cmp.verdict == "equal",
                        note=f"span comparison: {cmp.verdict}")
         # (b) q = u^2: the braiding is self-inverse and the calculi coincide;

@@ -34,7 +34,7 @@ from wh3.scalars import Scalar
 def _row_echelon(oracle, length: int) -> ScalarEchelon:
     """The exact echelon of the oracle's raw rows for words of length `length`."""
     ech = ScalarEchelon()
-    for row in sorted(oracle._row_vectors(length), key=lambda r: max(r, default=-1)):
+    for row in sorted(oracle._row_vectors(length), key=lambda r: max(r, default=(-1, ()))):
         ech.insert(row)
     return ech
 
@@ -45,19 +45,18 @@ def row_member(oracle, e: Element, degree: int) -> MembershipReport:
         raise DegreeBoundError(f"element degree {e.degree()} exceeds bound {degree}")
     if e.is_zero:
         return MembershipReport(True, True, "trivial", "exact", degree)
-    alphabet = oracle.pres.alphabet
+    alphabet, key = oracle.pres.alphabet, oracle.pres.alphabet.word_key
     if oracle.homogeneous:
         parts: dict = {}  # length -> the component of e
         for w, c in e.terms.items():
-            parts.setdefault(len(w), {})[w] = c
+            parts.setdefault(len(w), {})[key(w)] = c
     else:
-        parts = {degree: e.terms}
+        parts = {degree: {key(w): c for w, c in e.terms.items()}}
     rank, residual = 0, {}
-    for length, terms in parts.items():
+    for length, vec in parts.items():
         ech = _row_echelon(oracle, length)
         rank += ech.rank
-        residual.update(alphabet.decode_terms(
-            ech.reduce(alphabet.encode_terms(terms, length)), length))
+        residual.update((w, c) for (_, w), c in ech.reduce(vec).items())
     return MembershipReport(not residual, True, "linear-algebra", "exact", degree,
                             span_rank=rank,
                             residual=Element(alphabet, residual) if residual else None)

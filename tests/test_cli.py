@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from collections import OrderedDict
@@ -261,6 +263,35 @@ def test_member_prints_an_undecided_verdict(tmp_path, capsys):
                            "--expr", "x*y", "--degree", "3")
     assert code == 1
     assert out.startswith("undecided: nonzero normal form under rules completed to degree 3")
+
+
+def test_exact_member_does_not_test_the_prime(capsys):
+    # only --mode modular works over GF(p); --prime 4 is refused there alone
+    code, out, err = run_cli(capsys, "member", "--algebra", "x",
+                             "--expr", "x1*x3 - u*x3*x1", "--prime", "4")
+    assert (code, err) == (0, "")
+    assert out.startswith("member (certain; reduction, exact, degree 4)")
+
+
+def readme_commands():
+    """The `wh3 ...` lines of README's "Command line" block, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("wh3 ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch):
+    # in order, in one directory: the export writes the file a later line reads
+    monkeypatch.chdir(tmp_path)
+    lines = readme_commands()
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code in (0, 1) and "Traceback" not in err, (line, err)
+        expected = re.search(r"#\s*->\s*(.*)$", line)
+        if expected:
+            assert out.strip() == expected.group(1).strip(), line
 
 
 def test_matrix_verb(capsys):
