@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Diff the seventeen files of tests/golden against the installed `wh3` console
+# Diff the eighteen files of tests/golden against the installed `wh3` console
 # script: bash .github/golden.sh OUTDIR, from the repository root.
 # bash -e stops at a nonzero exit, so each exit code is caught and tested;
 # each command's stderr must be empty, and diff -u shows the lines of a
@@ -28,6 +28,9 @@ report verify-set-rational 0 --set 'q=3/2,u=5/7,s=2'
 report verify-spec-q-u2 0 --spec 'q=u^2'
 report verify-spec-q-u2-errata-off 1 --spec 'q=u^2' --errata off
 report verify-mutate-omega 1 --mutate 'omega:11,11=(q/u^2)+(2)'
+golden verify-mutate-omega-32.json 1 verify \
+  --check ybe,constraints,eigenstructure,calculus-omega,calculus-omega-inv,rtt \
+  --mutate 'omega:32,23=(q/u) + (1/2)' --format json --no-timings
 golden verify-default.txt 0 verify --all --no-timings
 golden verify-errata-off.txt 1 verify --all --errata off --no-timings
 golden matrix-omega.json 0 matrix --name omega --format json

@@ -322,8 +322,9 @@ def run(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (exprs.ExprError, scalars.ScalarError, ncalg.InconsistentPresentationError,
-            ncalg.DegreeBoundError, ncalg.RewriteBudgetError, OSError) as err:
+    except (exprs.ExprError, scalars.ScalarError, scalars.CoefficientTooLongError,
+            ncalg.InconsistentPresentationError, ncalg.DegreeBoundError,
+            ncalg.RewriteBudgetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR

@@ -2,7 +2,8 @@
 
 One grammar serves the CLI, the algebra-definition files and the catalog's
 own relation tables: integer literals, the parameters q, u, s, generator
-names, ``+ - * /`` and ``^`` with integer exponents, and parentheses.
+names, ``+ - * /`` and ``^`` with integer exponents of at most
+`MAX_EXPONENT` in size, and parentheses.
 Products are written explicitly (``q*x1*x2``); generator order is preserved
 left to right.  Division and negative exponents are only defined for
 scalar-valued subexpressions.
@@ -22,6 +23,7 @@ __all__ = [
     "ExprSyntaxError",
     "UnknownSymbolError",
     "NAME_RE",
+    "MAX_EXPONENT",
     "parse_scalar",
     "parse_element",
 ]
@@ -47,6 +49,10 @@ class UnknownSymbolError(ExprError):
         self.name = name
         self.suggestion = suggestion[0] if suggestion else None
 
+
+# the largest size of an exponent after ``^`` (the catalog's largest is 24):
+# a power is expanded by repeated products, so x1^100000000 would not end
+MAX_EXPONENT = 1000
 
 # a parameter or generator name; algebra files may declare no other
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -80,6 +86,15 @@ def _tokenize(text: str) -> list[_Token]:
         pos = match.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
+
+
+def _integer(tok: _Token) -> int:
+    """The value of an integer literal, one within Python's int-to-str digit limit."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ExprSyntaxError(f"integer literal of {len(tok.text)} digits is too long",
+                              tok.pos) from None
 
 
 class _Parser:
@@ -170,12 +185,15 @@ class _Parser:
         if tok.kind != "num":
             raise ExprSyntaxError("expected integer exponent", tok.pos)
         self.advance()
-        return sign * int(tok.text)
+        exponent = _integer(tok)
+        if exponent > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent {exponent} is larger than {MAX_EXPONENT}", tok.pos)
+        return sign * exponent
 
     def atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            return self._scalar_element(Scalar.from_fraction(int(tok.text)))
+            return self._scalar_element(Scalar.from_fraction(_integer(tok)))
         if tok.kind == "name":
             return self._name(tok)
         if tok.kind == "op" and tok.text == "(":

@@ -1301,13 +1301,15 @@ class Span:
     """The exact span over Q(q, u, s) of a list of relations over one alphabet.
 
     The relations enter one `ScalarEchelon` in list order, on the words'
-    `word_key` columns.  `dependent` lists the indices of the relations that
-    are zero or already in the span of the earlier ones; a residual does not
-    depend on the list order.  Relations or tested elements over another
-    alphabet raise ValueError.
+    `word_key` columns, and stay in `relations`, so one elimination serves
+    every comparison the span takes part in.  `dependent` lists the indices
+    of the relations that are zero or already in the span of the earlier
+    ones; a residual does not depend on the list order.  Relations or tested
+    elements over another alphabet raise ValueError.
     """
 
     def __init__(self, relations: Sequence[Element]):
+        self.relations = list(relations)
         self.alphabet = relations[0].alphabet if relations else None
         for rel in relations:
             self._check(rel)
@@ -1329,6 +1331,10 @@ class Span:
         vec = self._echelon.reduce({e.alphabet.word_key(w): c for w, c in e.terms.items()})
         return Element(e.alphabet, {w: c for (_, w), c in vec.items()})
 
+    def outside(self, other: "Span") -> Element | None:
+        """The residual here of the first relation of other outside this span, or None."""
+        return next((res for r in other.relations if (res := self.residual(r))), None)
+
 
 @dataclass
 class SpanComparison:
@@ -1338,16 +1344,21 @@ class SpanComparison:
     witness: Element | None = None
 
 
-def span_compare(a: Sequence[Element], b: Sequence[Element]) -> SpanComparison:
+def span_compare(a: Span | Sequence[Element], b: Span | Sequence[Element]) -> SpanComparison:
     """Exact row-space comparison of two relation lists over a common alphabet.
 
-    The witness is the residual of the first relation of a outside the span
-    of b, else of the first relation of b outside the span of a.
+    Either side may be a prebuilt `Span`, so a list compared twice is
+    eliminated once.  b's relations are reduced modulo span(a) first; when
+    they all lie in it and the ranks agree, the spans are equal and a's
+    relations are not reduced modulo span(b).  The witness is the residual
+    of the first relation of a outside the span of b, else of the first
+    relation of b outside the span of a.
     """
-    rel_a, rel_b = [r for r in a if not r.is_zero], [r for r in b if not r.is_zero]
-    span_a, span_b = Span(rel_a), Span(rel_b)
-    b_not_in_a = next((res for r in rel_b if (res := span_a.residual(r))), None)
-    a_not_in_b = next((res for r in rel_a if (res := span_b.residual(r))), None)
+    span_a, span_b = (s if isinstance(s, Span) else Span(s) for s in (a, b))
+    b_not_in_a = span_a.outside(span_b)
+    if b_not_in_a is None and span_a.rank == span_b.rank:
+        return SpanComparison("equal", span_a.rank, span_b.rank)
+    a_not_in_b = span_b.outside(span_a)
     verdict = {
         (False, False): "equal",
         (False, True): "A_subset_B",

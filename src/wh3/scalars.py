@@ -15,10 +15,14 @@ denominator has two or more terms (a pivot such as q - u^2) is kept as a
 reduced fraction: a pair of integer term dicts over nonnegative exponents
 that share no factor, content included, with a positive lex-leading
 denominator coefficient.  Arithmetic with such a value, and division by a
-non-monomial, multiply and add the numerator/denominator parts of both sides,
-cancel their greatest common divisor and demote the result back to the
-Laurent form whenever its denominator is one term.  That invariant makes the
-stored form canonical: two equal scalars have identical stored forms.
+non-monomial, multiply and add the numerator/denominator parts of both sides
+with Henrici's cross-cancellation, which divides out the greatest common
+divisors of the parts before it multiplies them, and demote the result back
+to the Laurent form whenever its denominator is one term.  That invariant
+makes the stored form canonical: two equal scalars have identical stored
+forms.  A GCD with a one-term part is a monomial's, so a product or
+quotient with a Laurent monomial, or a sum with any Laurent value, takes no
+GCD of two multi-term polynomials.
 Powers are products, and substitution, GF(p) evaluation, printing and the
 numerator/denominator views read the same parts (`_parts`).
 
@@ -34,6 +38,7 @@ so the printed form is the one sympy's `cancel` gives.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Mapping, Union
@@ -45,6 +50,7 @@ __all__ = [
     "ScalarDivisionError",
     "ScalarSubstitutionError",
     "ScalarModularError",
+    "CoefficientTooLongError",
     "format_scalar",
 ]
 
@@ -75,6 +81,14 @@ class ScalarModularError(ScalarError):
     """A modular evaluation hit a vanishing denominator for the chosen point."""
 
 
+class CoefficientTooLongError(ValueError):
+    """A coefficient has more decimal digits than Python converts to text.
+
+    Not a ScalarError: the value is exact and only its printing fails, so a
+    check that meets it is not undecided.
+    """
+
+
 ScalarLike = Union["Scalar", int, Fraction]
 
 
@@ -99,7 +113,8 @@ class Scalar:
     coincide.  Build values through the constructors and arithmetic below,
     never from a raw representation.  Term dicts are shared between Scalars
     (``x * 1`` returns ``x``), so none is ever mutated.  Only arithmetic with a
-    non-Laurent value or divisor computes a polynomial GCD.
+    non-Laurent value or divisor computes a polynomial GCD, and only parts of
+    two or more terms on both sides make it more than a monomial's.
     """
 
     __slots__ = ("_rep",)
@@ -357,20 +372,31 @@ def _div(x: Scalar, y: Scalar) -> Scalar:
 
 
 def _combine(a, b, op: str) -> Scalar:
-    """The Scalar `a op b` (op one of + - * /) from the reduced fractions of both sides."""
+    """The Scalar `a op b` (op one of + - * /) from the reduced fractions of both sides.
+
+    Henrici's cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1): with n1/d1
+    and n2/d2 reduced, the product is reduced once gcd(n1, d2) and
+    gcd(n2, d1) are cancelled, and the sum n1*(d2/g) + n2*(d1/g) over
+    d1*d2/g, with g = gcd(d1, d2), can share a factor with g alone.  A
+    Laurent side has a one-term denominator, and 0, +-1 or a monomial a
+    one-term numerator too, so every GCD taken with it is a monomial's.
+    """
     (n1, d1), (n2, d2) = _parts(a), _parts(b)
-    if op == "*":
+    if op == "/":
+        n2, d2 = d2, n2
+    if op in "*/":
+        if not n1 or not n2:
+            return _ZERO
+        _, n1, d2 = _cofactors(n1, d2)
+        _, n2, d1 = _cofactors(n2, d1)
         numer, denom = _mul_terms(n1, n2), _mul_terms(d1, d2)
-    elif op == "/":
-        numer, denom = _mul_terms(n1, d2), _mul_terms(d1, n2)
-    elif d1 == d2:
-        numer, denom = _add_terms(n1, n2, op == "-"), d1
     else:
+        g, d1, d2 = (d1, _ONE_TERMS, _ONE_TERMS) if d1 == d2 else _cofactors(d1, d2)
         numer = _add_terms(_mul_terms(n1, d2), _mul_terms(n2, d1), op == "-")
-        denom = _mul_terms(d1, d2)
-    if not numer:
-        return _ZERO
-    _, numer, denom = _cofactors(numer, denom)
+        if not numer:
+            return _ZERO
+        _, numer, g = _cofactors(numer, g)
+        denom = _mul_terms(_mul_terms(d1, d2), g)
     if denom[max(denom)] < 0:
         numer, denom = _negate(numer), _negate(denom)
     if len(denom) == 1:
@@ -459,11 +485,20 @@ def _lead(f: dict) -> int:
 def _exact_div(f: dict, g: dict, p: int | None = None) -> dict | None:
     """f / g when g divides f in Z[q, u, s], or in GF(p)[q, u, s] for a prime p, else None.
 
-    Lex-leading terms divide, and each step removes the remainder's leading
-    term, so the loop stops in the well-ordered lex order.
+    A one-term g over Z divides term by term.  Otherwise lex-leading terms
+    divide, and each step removes the remainder's leading term, so the loop
+    stops in the well-ordered lex order.
     """
     lm = max(g)
     (g0, g1, g2), lc = lm, g[lm]
+    if len(g) == 1 and p is None:
+        quotient = {}
+        for (e0, e1, e2), c in f.items():
+            coeff, left = divmod(c, lc)
+            if e0 < g0 or e1 < g1 or e2 < g2 or left:
+                return None
+            quotient[(e0 - g0, e1 - g1, e2 - g2)] = coeff
+        return quotient
     rest = [(key, c) for key, c in g.items() if key != lm]
     if p is None:
         remainder = dict(f)
@@ -792,10 +827,10 @@ def _format_poly(terms: dict) -> str:
     for exps in sorted(terms, reverse=True):
         coeff = terms[exps]
         mono = _format_monomial(exps)
-        mag = abs(coeff)
+        mag = _decimal(abs(coeff))
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
@@ -805,6 +840,15 @@ def _format_poly(terms: dict) -> str:
     for sign, body in pieces[1:]:
         text += f" {sign} {body}"
     return text
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or CoefficientTooLongError past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise CoefficientTooLongError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _poly_is_simple_denominator(terms: dict) -> bool:

@@ -13,7 +13,8 @@ span identity (calculi, RTT, star stability, the commutators of the t'_ij =
 t_ij * t33^-1 at q = u^2) is a test against `ncalg.Span`.
 Every product, transpose and inverse of scalar matrices (the braiding, its
 inverse, the braid equation's legs C(x)1 and 1(x)C) is a `catalog.CMatrix`
-operation.
+operation; the braid equation multiplies the legs' rows one at a time
+(`_row_action`), so it stops at the first row that differs.
 The numerators W of the inverse transposed quantum matrix, which transform the
 derivatives, are the star image of the transcribed cofactors (nothing solves
 for them).  Each identity is decided at its own degree, and a tensor of
@@ -159,16 +160,22 @@ def _braid_legs(C: CMatrix) -> tuple[CMatrix, CMatrix]:
 
 
 def check_yang_baxter(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
-    """Braid consistency: (C(x)1)(1(x)C)(C(x)1) = (1(x)C)(C(x)1)(1(x)C)."""
+    """Braid consistency: (C(x)1)(1(x)C)(C(x)1) = (1(x)C)(C(x)1)(1(x)C).
+
+    Both products are built one row at a time by `_row_action`, in the
+    order of the set of the two legs' row indices, and the comparison stops
+    at the first row with a differing cell; a row and its columns are
+    visited in the order a comparison of the whole 27x27 products takes, so
+    the same cell is named.
+    """
     inp = ctx.bound
     with timed_report("ybe") as report:
         for variant, (C, _) in inp.braidings.items():
             C1, C2 = _braid_legs(C)
-            lhs, rhs = (C1 @ C2 @ C1).rows, (C2 @ C1 @ C2).rows
             cell = None
-            for r in set(lhs) | set(rhs):
-                lrow = lhs.get(r, {})
-                rrow = rhs.get(r, {})
+            for r in set(C1.rows) | set(C2.rows):
+                lrow = _row_action(_row_action(C1.row(r), C2), C1)
+                rrow = _row_action(_row_action(C2.row(r), C1), C2)
                 for c in set(lrow) | set(rrow):
                     a = lrow.get(c, Scalar.zero())
                     b = rrow.get(c, Scalar.zero())
@@ -207,8 +214,17 @@ _CONSTRAINT_PRODUCTS = (
 )
 
 
+def _cell_name(cell) -> str:
+    """A braiding cell as the matrix print names it: C[12 ; 33]."""
+    (i, j), (k, l) = cell
+    return f"C[{i}{j} ; {k}{l}]"
+
+
 def check_constraints(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
-    """The seven linear coefficient identities and three vanishing products."""
+    """The seven linear coefficient identities and three vanishing products.
+
+    A failing detail's note names the identity that fails.
+    """
     inp = ctx.bound
     with timed_report("constraints") as report:
         for variant, (C, _) in inp.braidings.items():
@@ -216,8 +232,11 @@ def check_constraints(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
                 lhs = C.entry(*lhs_cell)
                 rhs = getattr(inp, coeff) * C.entry(*rhs_cell) \
                     + (getattr(inp, const) if isinstance(const, str) else const)
+                identity = (f"{_cell_name(lhs_cell)} != {coeff}*{_cell_name(rhs_cell)} "
+                            + ("- 1" if const == -1 else f"+ {const}"))
                 report.add(
                     f"linear-{idx}:{variant}", lhs == rhs,
+                    note="" if lhs == rhs else identity,
                     counterexample=None if lhs == rhs else f"{lhs} != {rhs}",
                 )
             # the seventh identity mixes two coefficients and the unit
@@ -225,12 +244,14 @@ def check_constraints(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             rhs = inp.q * C.entry((2, 1), (3, 3)) + inp.s * C.entry((3, 3), (3, 3)) + inp.s
             report.add(
                 f"linear-7:{variant}", lhs == rhs,
+                note="" if lhs == rhs else "C[12 ; 33] != q*C[21 ; 33] + s*C[33 ; 33] + s",
                 counterexample=None if lhs == rhs else f"{lhs} != {rhs}",
             )
             for idx, (cell_a, cell_b) in enumerate(_CONSTRAINT_PRODUCTS, 1):
                 prod = C.entry(*cell_a) * C.entry(*cell_b)
                 report.add(
                     f"product-{idx}:{variant}", prod.is_zero,
+                    note="" if prod.is_zero else f"{_cell_name(cell_a)}*{_cell_name(cell_b)} != 0",
                     counterexample=None if prod.is_zero else f"product = {prod}",
                 )
     return report
@@ -441,9 +462,10 @@ def check_rtt(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
     """The exchange condition generates exactly the transcribed relations."""
     inp = ctx.bound
     with timed_report("rtt") as report:
-        gen = catalog.rtt_generate(inp.omega).relations
+        # each list is eliminated once, whatever it is compared with
+        gen = ncalg.Span(catalog.rtt_generate(inp.omega).relations)
         gen_inv = catalog.rtt_generate(inp.omega_inv).relations
-        fam = inp.tt.relations
+        fam = ncalg.Span(inp.tt.relations)
         cmp = ncalg.span_compare(gen, fam)
         report.add(
             "generated-vs-transcribed", cmp.verdict == "equal",
@@ -457,7 +479,7 @@ def check_rtt(ctx: VerifyContext = DEFAULT_CONTEXT) -> Report:
             counterexample=None if cmp2.verdict == "equal" else str(cmp2.witness),
         )
         report.add("rank", cmp.rank_b == 36, note=f"transcribed span rank {cmp.rank_b}")
-        dependent = ncalg.Span(fam).dependent
+        dependent = fam.dependent
         report.add(
             "independent-rows", not dependent,
             note="all 36 transcribed rows independent" if not dependent

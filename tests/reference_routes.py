@@ -16,17 +16,29 @@
   normalizes the same algebra leg by leg.
 - `random_omega_mutation(rng)`: a random single-entry corruption of the
   braiding matrix, for the negative controls.
+- `two_pass_span_compare(a, b)`: the span comparison that eliminates both
+  lists and reduces each list's relations modulo the other span, whatever
+  the ranks; `wh3.ncalg.span_compare` skips the second pass once the spans
+  are known to be equal.
+- `whole_product_yang_baxter(ctx)`: the braid equation compared on both
+  27x27 products built whole; `wh3.verify.check_yang_baxter` builds them row
+  by row and stops at the first differing row.
+- `gcd_combine(a, b, op)`: `a op b` of two stored scalar representations by
+  cancelling one GCD of the combined numerator and denominator;
+  `wh3.scalars._combine` cancels by Henrici's cross-cancellation.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 
-from wh3 import catalog, ncalg
+from wh3 import catalog, ncalg, scalars, verify
 from wh3.linalg import ScalarEchelon, add_into
 from wh3.ncalg import (DegreeBoundError, Element, MembershipReport, PresentationSpec,
-                       RewriteBudgetError, algebra_map, tensor_alphabet)
+                       RewriteBudgetError, Span, SpanComparison, algebra_map, tensor_alphabet)
+from wh3.reports import Report, timed_report
 from wh3.scalars import Scalar
 
 
@@ -148,3 +160,74 @@ def random_omega_mutation(rng: random.Random) -> tuple:
     row_pair, col_pair, value = cells[rng.randrange(len(cells))]
     offset = Scalar.from_fraction(rng.choice((1, 2, -1)))
     return (row_pair, col_pair, value + offset)
+
+
+def two_pass_span_compare(a, b) -> SpanComparison:
+    """Exact row-space comparison of two relation lists, both residual passes always run."""
+    rel_a, rel_b = [r for r in a if not r.is_zero], [r for r in b if not r.is_zero]
+    span_a, span_b = Span(rel_a), Span(rel_b)
+    b_not_in_a = next((res for r in rel_b if (res := span_a.residual(r))), None)
+    a_not_in_b = next((res for r in rel_a if (res := span_b.residual(r))), None)
+    verdict = {
+        (False, False): "equal",
+        (False, True): "A_subset_B",
+        (True, False): "B_subset_A",
+        (True, True): "incomparable",
+    }[(a_not_in_b is not None, b_not_in_a is not None)]
+    return SpanComparison(verdict, span_a.rank, span_b.rank, a_not_in_b or b_not_in_a)
+
+
+def whole_product_yang_baxter(ctx) -> Report:
+    """The ybe report from both 27x27 products of each braiding, built whole."""
+    inp = ctx.bound
+    with timed_report("ybe") as report:
+        for variant, (C, _) in inp.braidings.items():
+            C1, C2 = verify._braid_legs(C)
+            lhs, rhs = (C1 @ C2 @ C1).rows, (C2 @ C1 @ C2).rows
+            cell = None
+            for r in set(lhs) | set(rhs):
+                lrow = lhs.get(r, {})
+                rrow = rhs.get(r, {})
+                for c in set(lrow) | set(rrow):
+                    a = lrow.get(c, Scalar.zero())
+                    b = rrow.get(c, Scalar.zero())
+                    if a != b:
+                        cell = (r, c, a, b)
+                        break
+                if cell:
+                    break
+            report.add(
+                f"braid-equation:{variant}",
+                cell is None,
+                note="27x27 products compared entrywise exactly" if cell is None
+                else f"27x27 products differ at cell {cell[0]}x{cell[1]}",
+                counterexample=None if cell is None else (
+                    f"cell {cell[0]}x{cell[1]}: {cell[2]} != {cell[3]}"
+                ),
+            )
+    return report
+
+
+def gcd_combine(a, b, op: str) -> Scalar:
+    """The Scalar `a op b` (op one of + - * /) from the reduced fractions of both sides."""
+    (n1, d1), (n2, d2) = scalars._parts(a), scalars._parts(b)
+    if op == "*":
+        numer, denom = scalars._mul_terms(n1, n2), scalars._mul_terms(d1, d2)
+    elif op == "/":
+        numer, denom = scalars._mul_terms(n1, d2), scalars._mul_terms(d1, n2)
+    elif d1 == d2:
+        numer, denom = scalars._add_terms(n1, n2, op == "-"), d1
+    else:
+        numer = scalars._add_terms(scalars._mul_terms(n1, d2), scalars._mul_terms(n2, d1),
+                                   op == "-")
+        denom = scalars._mul_terms(d1, d2)
+    if not numer:
+        return Scalar.zero()
+    _, numer, denom = scalars._cofactors(numer, denom)
+    if denom[max(denom)] < 0:
+        numer, denom = scalars._negate(numer), scalars._negate(denom)
+    if len(denom) == 1:
+        ((m0, m1, m2), dc), = denom.items()
+        return Scalar({(e0 - m0, e1 - m1, e2 - m2): scalars._canon(Fraction(c, dc))
+                       for (e0, e1, e2), c in numer.items()})
+    return Scalar((numer, denom))

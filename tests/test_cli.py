@@ -424,6 +424,20 @@ class Budget:
     (("verify", "--check", "ybe", "--set", "q=" + "-" * 3000 + "q"), "expression nested too deeply"),
     (Budget(1, "normalize", "--algebra", "t", "--expr", "t33*t32*t31*t23*t22*t21"),
      "rewrite budget exceeded"),
+    # integers beyond Python's int-to-str limit, read or printed
+    (("normalize", "--algebra", "x", "--expr", "2^20000*x1"), "exponent 20000 is larger than"),
+    (("verify", "--check", "ybe", "--mutate", "omega:11,11=2^100000"),
+     "exponent 100000 is larger than"),
+    (("normalize", "--algebra", "x", "--expr", "7" * 5000 + "*x1"),
+     "integer literal of 5000 digits is too long"),
+    (("normalize", "--algebra", "x", "--expr", "x1^" + "7" * 5000),
+     "integer literal of 5000 digits is too long"),
+    (("normalize", "--algebra", "x", "--expr", "(10^1000)^5*x1"), "more than 4300 digits"),
+    (("verify", "--check", "ybe", "--mutate", "omega:11,11=(10^1000)^5"),
+     "more than 4300 digits"),
+    # exponents past MAX_EXPONENT; these two still end without the bound
+    (("normalize", "--algebra", "x", "--expr", "x1^1001"), "exponent 1001 is larger than 1000"),
+    (("verify", "--check", "ybe", "--set", "q=q^-1001"), "exponent 1001 is larger than 1000"),
 ])
 def test_malformed_input_exits_two_with_one_line(argv, message, tmp_path, capsys, monkeypatch):
     # in-process: an exception that escaped cli.run would fail the test

@@ -2,8 +2,9 @@
 
 Each verify-*.json file under tests/golden/ is the output of
 `python -m wh3 verify --all --format json --no-timings` with the options that
-name it, verify-default.txt that of `python -m wh3 verify --all
---no-timings` and verify-errata-off.txt that of the same command with
+name it (verify-mutate-omega-32.json runs the six checks its test lists
+with `--check` instead of `--all`), verify-default.txt that of `python -m wh3
+verify --all --no-timings` and verify-errata-off.txt that of the same command with
 `--errata off`; each matrix-* file is the output of `python -m wh3 matrix`
 with the options that name it; each member-* file is the output of
 `python -m wh3 member --algebra t` on the expression of its test, with
@@ -51,6 +52,17 @@ def test_reports_match_golden_files(request, fixture, name):
 def test_verify_output_matches_golden_file(capsys, options, name, code):
     assert cli.run(["verify", "--all", "--format", "json", "--no-timings", *options]) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_negative_control_output_matches_golden_file(capsys):
+    # a corrupted cell of a linear constraint: ybe names its first differing
+    # cells, rtt's generated span is incomparable with tt while both braidings
+    # generate the same span, and each calculus's xixi span strictly contains
+    # the transcribed one
+    checks = "ybe,constraints,eigenstructure,calculus-omega,calculus-omega-inv,rtt"
+    assert cli.run(["verify", "--check", checks, "--mutate", "omega:32,23=(q/u) + (1/2)",
+                    "--format", "json", "--no-timings"]) == 1
+    assert capsys.readouterr().out == (GOLDEN / "verify-mutate-omega-32.json").read_text()
 
 
 def test_no_golden_verdict_is_read_from_base_rules():

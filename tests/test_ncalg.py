@@ -31,7 +31,7 @@ from wh3.scalars import Scalar
 from wh3.verify import VerifyContext
 
 from reference_routes import (all_pairs_ambiguities, algebra_tensor, leftmost_steps, rewrite,
-                              row_member)
+                              row_member, two_pass_span_compare)
 
 
 def x_pres():
@@ -735,6 +735,43 @@ def test_span_residual_vanishes_exactly_on_members():
     # the first relation outside the other span gives the comparison's witness
     assert span_compare(xx, xx[:2]).witness == span.residual(xx[2])
     assert span_compare(xx[:2], xx).witness == span.residual(xx[2])
+
+
+# a row is a combination of the three xx relations, x1*x1 and x3*x3, or None
+# for a zero row
+span_rows = st.lists(
+    st.one_of(st.none(), st.tuples(*[st.sampled_from(["0", "0", "1", "-1", "2", "q", "u/q"])] * 5)),
+    max_size=4)
+
+
+def _span_rows(coeffs):
+    pool = [*x_pres().relations, parse_x("x1*x1"), parse_x("x3*x3")]
+    rows = []
+    for cs in coeffs:
+        row = Element.zero(pool[0].alphabet)
+        for c, rel in zip(cs or (), pool):
+            row = row + rel.scale(parse_scalar(c))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(a=span_rows, b=span_rows)
+@example(a=[("1", "0", "0", "0", "0"), None, ("0", "1", "0", "0", "0")],
+         b=[("0", "q", "0", "0", "0"), ("2", "0", "0", "0", "0"), None])
+@example(a=[("1", "0", "0", "0", "0"), ("0", "1", "0", "0", "0")],
+         b=[None, ("1", "1", "0", "0", "0")])
+@example(a=[("1", "0", "0", "0", "0")], b=[("1", "u/q", "0", "0", "0"), ("0", "1", "0", "0", "0")])
+@example(a=[("1", "0", "0", "1", "0")], b=[("0", "0", "0", "0", "-1"), None])
+@example(a=[], b=[None])
+def test_span_compare_matches_the_two_pass_comparison(a, b):
+    a, b = _span_rows(a), _span_rows(b)
+    want = two_pass_span_compare(a, b)
+    for a_arg in (a, Span(a)):
+        for b_arg in (b, Span(b)):
+            got = span_compare(a_arg, b_arg)
+            assert (got.verdict, got.rank_a, got.rank_b, got.witness) == \
+                (want.verdict, want.rank_a, want.rank_b, want.witness)
 
 
 ABC = Alphabet.build([(name, 0) for name in "abc"])

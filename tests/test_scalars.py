@@ -15,6 +15,8 @@ from wh3.scalars import (
     Scalar, ScalarDivisionError, ScalarModularError, ScalarSubstitutionError,
 )
 
+from reference_routes import gcd_combine
+
 
 def test_parse_normalizes_difference_of_quotients():
     value = parse_scalar("(q/u^2 - 1)")
@@ -383,3 +385,53 @@ def test_shared_multivariate_factors_cancel_as_sympy_does(polys, scales):
     assert scalars._mul_terms(h, cofactor_left) == left
     assert scalars._mul_terms(h, cofactor_right) == right
     assert scalars._exact_div(h, (f * g).numer_terms()) is not None
+
+
+# ---------------------------------------------------------------------------
+# cross-cancellation against the one-GCD route
+# ---------------------------------------------------------------------------
+
+_FACTORS = ("s", "q", "u", "q - 1", "q - u^2", "q + u^2")
+# 0, +-1, Laurent monomials and Laurent polynomials
+_LAURENT = tuple(parse_scalar(text) for text in (
+    "0", "1", "-1", "q/u", "-3*s^2/(2*q)", "u^-2", "q - 1", "q/u^2 - 1", "(q + u^2)/(2*u)"))
+
+
+@st.composite
+def factor_fractions(draw):
+    """A product of powers of s, q, u, q - 1 and q -+ u^2, with a rational coefficient."""
+    numer = draw(st.lists(st.sampled_from(_FACTORS), max_size=3))
+    denom = draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3))
+    coeff = draw(st.sampled_from(["1", "-2", "3/4"]))
+    return parse_scalar(f"({coeff})" + "".join(f"*({f})" for f in numer)
+                        + "".join(f"/({f})" for f in denom))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(x=factor_fractions(), y=st.one_of(st.sampled_from(_LAURENT), factor_fractions()))
+def test_cross_cancellation_matches_the_one_gcd_route(x, y):
+    for left, right in ((x, y), (y, x)):
+        results = [("+", left + right), ("-", left - right), ("*", left * right)]
+        if right:
+            results.append(("/", left / right))
+        for op, value in results:
+            want = gcd_combine(left._rep, right._rep, op)
+            assert value == want and value.format() == want.format(), (left, op, right)
+
+
+def test_laurent_sides_run_no_heuristic_gcd(monkeypatch):
+    q, u, _ = _PARAMS
+    x = parse_scalar("(q - 1)*s/((q - u^2)*(q + u^2))")
+    assert not _holds_no_sympy(x)
+    calls = []
+    heugcd = scalars._heugcd
+
+    def spy(f, g, k):
+        calls.append((f, g, k))
+        return heugcd(f, g, k)
+
+    monkeypatch.setattr(scalars, "_heugcd", spy)
+    got = [Scalar.zero() + x, x * -1, x * (q / u), x + q]
+    assert calls == []
+    assert got[:2] == [x, -x]
+    assert got[2:] == [gcd_combine(x._rep, (q / u)._rep, "*"), gcd_combine(x._rep, q._rep, "+")]

@@ -18,7 +18,7 @@ from wh3.ncalg import Element, MembershipOracle
 from wh3.scalars import Scalar, ScalarSubstitutionError
 from wh3.verify import VerifyContext
 
-from reference_routes import algebra_tensor, random_omega_mutation
+from reference_routes import algebra_tensor, random_omega_mutation, whole_product_yang_baxter
 
 
 def detail_map(report):
@@ -216,6 +216,28 @@ def test_ybe_mutation_fails_with_cited_cell(default_reports):
     }
     assert all(note != passing[detail_id] for detail_id, note in notes.items())
     assert report.counterexample.startswith("cell (3, 1, 1)x(3, 1, 1): ")
+
+
+def test_row_by_row_braid_equation_names_the_whole_products_cell():
+    # every nonzero braiding cell, shifted by a few offsets, and no corruption;
+    # a shift that makes the braiding singular has no inverse to check
+    offsets = [parse_scalar(text) for text in ("1", "-1", "q/u + 1/2")]
+    contexts = [VerifyContext()]
+    for row_pair, col_pair, value in catalog.omega().nonzero_cells():
+        contexts += [VerifyContext(omega_mutations=((row_pair, col_pair, value + offset),))
+                     for offset in offsets]
+    compared = 0
+    for ctx in contexts:
+        try:
+            ctx.bound
+        except catalog.SingularMatrixError:
+            continue
+        got, want = verify.check_yang_baxter(ctx), whole_product_yang_baxter(ctx)
+        assert [(d.id, d.ok, d.note) for d in got.details] == \
+            [(d.id, d.ok, d.note) for d in want.details]
+        assert got.counterexample == want.counterexample
+        compared += 1
+    assert compared > 30
 
 
 def test_ybe_identity_braiding_passes():
